@@ -83,6 +83,8 @@ class UpdateAgent:
         self.granularity = granularity
         self.installed = installed
         self.installed_manifest: Manifest | None = None
+        # verified chunk tags of the installed image, served without re-tagging
+        self.installed_tags: list[bytes] | None = None
         self.rng = rng
         self.config = config
         self._emit = emit or (lambda event, chunk_id, detail: None)
@@ -90,7 +92,8 @@ class UpdateAgent:
         self.phase = IDLE
         self.active_manifest: Manifest | None = None
         self.buffer: bytearray | None = None
-        self.received: list[bool] | None = None
+        # per chunk: its verified HMAC tag once stored, else None
+        self.received: list[bytes | None] | None = None
         self.received_count = 0
         self.fail_counts: dict[int, int] = {}
         self.irrecoverable: set[int] = set()
@@ -198,7 +201,7 @@ class UpdateAgent:
             return
         self.active_manifest = manifest
         self.buffer = bytearray(manifest.image_size)
-        self.received = [False] * manifest.chunk_count
+        self.received = [None] * manifest.chunk_count
         self.received_count = 0
         self.fail_counts = {}
         self.digest_attempts = 0
@@ -289,7 +292,7 @@ class UpdateAgent:
         if valid:
             offset = idx * m.chunk_size
             self.buffer[offset : offset + len(data.payload)] = data.payload
-            self.received[idx] = True
+            self.received[idx] = data.auth.tag
             self.received_count += 1
             self.fail_counts.pop(idx, None)
             self._emit("ChunkStored", idx, "diverted" if diverted else "")
@@ -374,7 +377,7 @@ class UpdateAgent:
             self._abort("irrecoverable:digest;vendor-report", None)
             return
         # One full re-retrieval before giving up.
-        self.received = [False] * m.chunk_count
+        self.received = [None] * m.chunk_count
         self.received_count = 0
         self.buffer = bytearray(m.image_size)
         self.fail_counts = {}
@@ -390,6 +393,7 @@ class UpdateAgent:
         self.installed.data = bytes(self.buffer)
         self.installed.epoch = m.base.epoch
         self.installed_manifest = m
+        self.installed_tags = self.received
         self._clear_transfer()
         self.poll_at = now + self.config.poll_period_us
         self.install_time_us = now
@@ -398,31 +402,28 @@ class UpdateAgent:
 
     # -- serving ----------------------------------------------------------------
 
-    def _chunk_data(self, name: FirmwareName, source: bytes, manifest: Manifest) -> Data | None:
+    def _chunk_data(self, name: FirmwareName, source: bytes, manifest: Manifest,
+                    tags: list[bytes | None]) -> Data | None:
         idx = name.chunk_id
-        if not 0 <= idx < manifest.chunk_count:
+        if not 0 <= idx < manifest.chunk_count or not tags[idx]:
             return None
         start = idx * manifest.chunk_size
         end = min(start + manifest.chunk_size, manifest.image_size)
-        payload = bytes(source[start:end])
-        tag = tag_chunk(manifest.base, idx, payload, self.psk, self.config.trunc_len)
-        return Data(name, payload, HmacTag(tag))
+        return Data(name, bytes(source[start:end]), HmacTag(tags[idx]))
 
     def serve_lookup(self, name: FirmwareName) -> Data | None:
-        """Serve chunks from flash or the in-progress buffer, and manifests."""
+        """Serve chunks from flash or the in-progress buffer, and manifests.
+
+        A chunk is served with the tag it was verified against on arrival;
+        chunks that failed verification were never stored and are not served.
+        """
         if name.kind == CHUNK:
             im = self.installed_manifest
             if im is not None and name.base == im.base:
-                return self._chunk_data(name, self.installed.data, im)
+                return self._chunk_data(name, self.installed.data, im, self.installed_tags)
             am = self.active_manifest
-            if (
-                am is not None
-                and self.phase == FETCHING
-                and name.base == am.base
-                and 0 <= name.chunk_id < am.chunk_count
-                and self.received[name.chunk_id]
-            ):
-                return self._chunk_data(name, self.buffer, am)
+            if am is not None and self.phase == FETCHING and name.base == am.base:
+                return self._chunk_data(name, self.buffer, am, self.received)
             return None
         if name.kind == MANIFEST:
             for m in (self.installed_manifest, self.active_manifest):

@@ -177,13 +177,16 @@ DEFAULT_ENCODING = EncodingModel()
 
 
 @lru_cache(maxsize=65536)
-def _encoded_size(components: tuple[str, ...], model: EncodingModel) -> int:
+def _encoded_size(name: FirmwareName, model: EncodingModel) -> int:
     total = model.name_overhead
-    for comp in components:
+    for comp in name.components():
         total += len(comp.encode("utf-8")) + model.component_overhead
     return total
 
 
 def encoded_size(name: FirmwareName, model: EncodingModel = DEFAULT_ENCODING) -> int:
-    """Modeled wire size of a name in bytes (size model, not a serializer)."""
-    return _encoded_size(name.components(), model)
+    """Modeled wire size of a name in bytes (size model, not a serializer).
+
+    Cached per name, so a name's components are built once, not on every send.
+    """
+    return _encoded_size(name, model)

@@ -144,10 +144,11 @@ def _require(cond: bool, fieldname: str, message: str) -> None:
 
 
 def _take(raw: dict, key: str, types, default, fieldname: str | None = None):
+    """``raw[key]`` checked against ``types``; bool and numbers never stand in for each other."""
     value = raw.get(key, default)
     if value is None and default is None:
         return None
-    _require(isinstance(value, types) and not isinstance(value, bool) or types is bool,
+    _require(isinstance(value, types) and (types is bool or not isinstance(value, bool)),
              fieldname or key, f"expected {types}, got {value!r}")
     return value
 
@@ -266,11 +267,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
         device_class=_take(raw, "device_class", str, "valve"),
         epoch=epoch,
         granularity=granularity,
-        multiparty=bool(raw.get("multiparty", False)),
+        multiparty=_take(raw, "multiparty", bool, False),
         trunc_len=trunc_len,
         poll_period_s=float(poll_period_s),
         poll_stagger_s=float(poll_stagger_s),
-        nacks_enabled=bool(raw.get("nacks_enabled", False)),
+        nacks_enabled=_take(raw, "nacks_enabled", bool, False),
         loss=loss,
         link=link,
         node=node,

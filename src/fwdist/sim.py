@@ -53,6 +53,9 @@ class Edge:
     face_at_parent: int
     face_at_child: int
     conflicts: list[int] = field(default_factory=list)
+    # Airtime (start, end) of the attempts on this link that were still on air
+    # when the latest one was recorded; intervals that end at or before the
+    # simulated time of a record are dropped (see Simulation._record_interval).
     intervals: list[tuple[int, int]] = field(default_factory=list)
     severed_at: int | None = None
     attacked: bool = False
@@ -444,10 +447,15 @@ class Simulation:
 
     def transmit(self, src: SimNode, edge: Edge, size_bytes: int, t: int,
                  on_delivered, log_kind: str = "frame", chunk_id: int | None = None) -> None:
-        """Send one frame over one link with link-layer ARQ and backoff.
+        """Send one frame over one link with link-layer ARQ and random backoff.
 
-        ``on_delivered(time)`` fires on the first successful attempt; a frame
-        whose attempts are exhausted vanishes without any event.
+        An attempt that overlaps airtime on this link or a conflicting one is
+        lost with the higher collision probability. A lost attempt is retried
+        at its end, up to ``link.retries`` times, and each retry logs a
+        ``LinkRetx`` record. ``on_delivered(time)`` is scheduled for the end of
+        the first successful attempt plus the propagation delay. A frame whose
+        attempts are all lost, or that would arrive after the link is severed,
+        is dropped with no further record.
         """
         link = self.scenario.link
         if size_bytes > link.mtu_bytes:
@@ -492,17 +500,16 @@ class Simulation:
         return False
 
     def _record_interval(self, edge: Edge, start: int, end: int) -> None:
-        intervals = edge.intervals
-        intervals.append((start, end))
-        cutoff = start - 200_000
-        drop = 0
-        for s, e in intervals:
-            if e < cutoff:
-                drop += 1
-            else:
-                break
-        if drop:
-            del intervals[:drop]
+        """Add an airtime interval to ``edge`` and drop the ones that are over.
+
+        Every attempt starts at or after the current simulated time, so an
+        interval that ended at or before ``self.now`` can never overlap a
+        later one; only live intervals are kept.
+        """
+        now = self.now
+        live = [iv for iv in edge.intervals if iv[1] > now]
+        live.append((start, end))
+        edge.intervals = live
 
     def send_packet(self, src: SimNode, face: int, packet: Packet, t: int) -> None:
         """Fragmenting packet send: frames above the MTU split into sub-frames."""

@@ -290,15 +290,27 @@ def write_publication(root: Path, manifest: Manifest, chunks: list[Chunk]) -> Pa
 
 
 def read_publication(root: Path, base: BaseName, psk: bytes, trunc_len: int = 8) -> Publication:
-    """Load a publication; tags are recomputed from the class key."""
+    """Load a publication; tags are recomputed from the class key.
+
+    Raises InconsistentPublication if ``chunks.bin`` does not hold exactly
+    ``chunk_count`` records of ``chunk_size`` bytes, or if the image they
+    hold does not match the manifest's digest.
+    """
     src = publication_dir(root, base)
     manifest = Manifest.from_bytes((src / "manifest.bin").read_bytes())
     records = (src / "chunks.bin").read_bytes()
-    chunks: list[Chunk] = []
+    size = manifest.chunk_size
+    if size <= 0 or manifest.chunk_count != -(-manifest.image_size // size):
+        raise InconsistentPublication("manifest chunk count does not match its image size")
+    if len(records) != manifest.chunk_count * size:
+        raise InconsistentPublication(
+            f"chunks.bin holds {len(records)} bytes, expected {manifest.chunk_count * size}"
+        )
+    image = records[: manifest.image_size]
+    if image_digest(image) != manifest.image_digest:
+        raise InconsistentPublication("chunks.bin does not match the manifest's image digest")
+    chunks = []
     for i in range(manifest.chunk_count):
-        payload = records[i * manifest.chunk_size : (i + 1) * manifest.chunk_size]
-        if i == manifest.chunk_count - 1:
-            last_len = manifest.image_size - manifest.chunk_size * (manifest.chunk_count - 1)
-            payload = payload[:last_len]
+        payload = image[i * size : (i + 1) * size]
         chunks.append(Chunk(i, payload, tag_chunk(manifest.base, i, payload, psk, trunc_len)))
     return Publication(manifest, chunks)

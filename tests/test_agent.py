@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+from fwdist import agent as agent_mod
 from fwdist.agent import (
     AWAIT_MANIFEST,
     AgentConfig,
@@ -15,7 +16,7 @@ from fwdist.agent import (
 )
 from fwdist.naming import BaseName, Granularity
 from fwdist.packets import Data, HmacTag, Interest, ManifestSignature
-from fwdist.vendor import FirmwareImage, build_manifest, make_chunks, signing_key_from_seed
+from fwdist.vendor import FirmwareImage, build_manifest, make_chunks, signing_key_from_seed, tag_chunk
 
 KEY = signing_key_from_seed(bytes(range(32)))
 PUB = KEY.public_key()
@@ -308,7 +309,7 @@ def test_digest_mismatch_triggers_one_refetch_then_abort():
                         manifest.chunk_size, manifest.chunk_count, manifest.signature)
     agent.active_manifest = poisoned
     agent.buffer = bytearray(poisoned.image_size)
-    agent.received = [False] * poisoned.chunk_count
+    agent.received = [None] * poisoned.chunk_count
     agent.received_count = 0
     agent.phase = FETCHING
     for chunk in chunks:
@@ -359,7 +360,68 @@ def test_served_tags_recomputed_equal_vendor_tags():
     agent, _, manifest, chunks = install_agent()
     for chunk in chunks:
         served = agent.serve_lookup(manifest.base.chunk(chunk.index))
-        assert served.auth.tag == chunk.tag  # tags never persisted, always equal
+        assert served.auth.tag == chunk.tag
+
+
+def test_served_chunks_from_flash_equal_recomputed_tags():
+    agent, img, manifest, _ = install_agent()
+    for idx in range(manifest.chunk_count):
+        served = agent.serve_lookup(manifest.base.chunk(idx))
+        payload = agent.installed.data[idx * 32 : (idx + 1) * 32]
+        assert served.payload == payload
+        assert served.auth == HmacTag(tag_chunk(manifest.base, idx, payload, PSK))
+
+
+def test_served_chunks_from_buffer_equal_recomputed_tags():
+    agent, _ = make_agent()
+    _, manifest, chunks = make_firmware(size=5 * 32 + 3)
+    start_fetch(agent, manifest)
+    for chunk in (chunks[4], chunks[5], chunks[1]):  # overheard, out of order
+        agent.on_chunk(chunk_packet(manifest, chunk), now=0, diverted=True)
+    assert agent.phase == FETCHING
+    for idx in range(manifest.chunk_count):
+        served = agent.serve_lookup(manifest.base.chunk(idx))
+        if idx not in (1, 4, 5):
+            assert served is None
+            continue
+        payload = bytes(agent.buffer[idx * 32 : min((idx + 1) * 32, manifest.image_size)])
+        assert served.payload == payload == chunks[idx].payload
+        assert served.auth == HmacTag(tag_chunk(manifest.base, idx, payload, PSK))
+
+
+def test_serve_lookup_does_not_tag(monkeypatch):
+    agent, _, manifest, _ = install_agent()
+    fetching, _ = make_agent()
+    _, manifest2, chunks2 = make_firmware()
+    start_fetch(fetching, manifest2)
+    fetching.take_request(now=0)
+    fetching.on_chunk(chunk_packet(manifest2, chunks2[0]), now=0)
+    calls = []
+    monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a, **k: calls.append(a))
+    for idx in range(manifest.chunk_count):
+        assert agent.serve_lookup(manifest.base.chunk(idx)) is not None
+    assert fetching.serve_lookup(manifest2.base.chunk(0)) is not None
+    assert calls == []
+
+
+def test_chunk_failing_tag_check_never_served():
+    agent, _ = make_agent()
+    _, manifest, chunks = make_firmware()
+    start_fetch(agent, manifest)
+    good = chunk_packet(manifest, chunks[0])
+    forged_tag = Data(good.name, good.payload, HmacTag(bytes(8)))
+    tampered = Data(good.name, bytes([good.payload[0] ^ 0xFF]) + good.payload[1:], good.auth)
+    for bad in (forged_tag, tampered):
+        agent.take_request(now=0)
+        agent.on_chunk(bad, now=0)
+        assert agent.serve_lookup(good.name) is None
+    agent.on_chunk(chunk_packet(manifest, chunks[1]), now=0, diverted=True)
+    agent.on_chunk(Data(good.name, tampered.payload, good.auth), now=0, diverted=True)
+    assert agent.serve_lookup(good.name) is None
+    assert agent.serve_lookup(manifest.base.chunk(1)).payload == chunks[1].payload
+    agent.take_request(now=0)
+    agent.on_chunk(good, now=0)
+    assert agent.serve_lookup(good.name) == good
 
 
 def test_serve_manifest_after_install():

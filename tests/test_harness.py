@@ -259,6 +259,15 @@ def test_cli_run_invalid_scenario_exit_2(tmp_path):
     assert "strategy" in proc.stderr
 
 
+def test_cli_run_string_boolean_exit_2(tmp_path):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(chain_raw(multiparty="false")))
+    proc = run_cli("run", str(scenario), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "multiparty" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep(tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_text(json.dumps(chain_raw()))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwdist.naming import BaseName
 from fwdist.packets import Data, HmacTag, packet_size
@@ -258,6 +259,49 @@ def test_airtime_union_within_wall_clock():
         assert union <= end_time + 1_000_000
 
 
+def test_record_interval_keeps_exactly_the_live_intervals():
+    sim = Simulation(chain_scenario())
+    edge, neighbor = sim.edges[0], sim.edges[1]
+    assert neighbor.index in edge.conflicts
+    sim._record_interval(edge, 0, 100)
+    sim._record_interval(neighbor, 40, 101)
+    sim.now = 100
+    sim._record_interval(neighbor, 150, 200)
+    sim._record_interval(edge, 300, 400)
+    assert edge.intervals == [(300, 400)]  # (0, 100) ended at now
+    assert neighbor.intervals == [(40, 101), (150, 200)]  # (40, 101) is still on air
+    assert sim._medium_overlap(edge, 100, 101)
+    assert not sim._medium_overlap(edge, 101, 150)
+    assert sim._medium_overlap(edge, 199, 300)
+    assert not sim._medium_overlap(edge, 200, 300)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from(['concurrent', 'cascading']))
+def test_medium_overlap_matches_brute_force(seed, strategy):
+    # paper preset, small image: 30 devices contend for the medium near the gateway
+    sim = Simulation(scenario_from_dict({'strategy': strategy, 'image_size': 960,
+                                         'chunk_size': 32, 'seed': seed, 'duration_s': 600}))
+    history: dict[int, list[tuple[int, int]]] = {e.index: [] for e in sim.edges}
+    record, overlap = sim._record_interval, sim._medium_overlap
+    answers = []
+
+    def spy_record(edge, start, end):
+        history[edge.index].append((start, end))
+        record(edge, start, end)
+
+    def spy_overlap(edge, start, end):
+        got = overlap(edge, start, end)
+        every = [iv for idx in [*edge.conflicts, edge.index] for iv in history[idx]]
+        assert got == any(s < end and start < e for s, e in every)
+        answers.append(got)
+        return got
+
+    sim._record_interval, sim._medium_overlap = spy_record, spy_overlap
+    sim.run()
+    assert len(answers) > 1000 and 0 < sum(answers) < len(answers)
+
+
 def test_cascading_reduces_path_link_retransmissions():
     # ordering asserted across a small seed ensemble
     wins = 0
@@ -295,3 +339,18 @@ def test_trunc_len_validated():
     with pytest.raises(ScenarioInvalid) as err:
         chain_scenario(trunc_len=12)
     assert err.value.fieldname == 'trunc_len'
+
+
+@pytest.mark.parametrize("field", ["multiparty", "nacks_enabled"])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None, [], {}])
+def test_boolean_fields_accept_only_json_booleans(field, value):
+    with pytest.raises(ScenarioInvalid) as err:
+        chain_scenario(**{field: value})
+    assert err.value.fieldname == field
+
+
+@pytest.mark.parametrize("field", ["multiparty", "nacks_enabled"])
+def test_boolean_fields_parse_json_booleans(field):
+    assert getattr(chain_scenario(), field) is False
+    assert getattr(chain_scenario(**{field: False}), field) is False
+    assert getattr(chain_scenario(**{field: True}), field) is True

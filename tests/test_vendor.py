@@ -220,6 +220,38 @@ def test_publication_dir_round_trip(tmp_path):
     assert [c.tag for c in loaded.chunks] == [c.tag for c in chunks]
 
 
+def test_read_publication_rejects_truncated_chunks_file(tmp_path):
+    img = image(7 * 32 + 4)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    out = write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    records = (out / "chunks.bin").read_bytes()
+    (out / "chunks.bin").write_bytes(records[:100])
+    with pytest.raises(InconsistentPublication, match="chunks.bin holds 100 bytes"):
+        read_publication(tmp_path, m.base, PSK)
+
+
+def test_read_publication_rejects_image_digest_mismatch(tmp_path):
+    img = image(7 * 32 + 4)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    out = write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    records = bytearray((out / "chunks.bin").read_bytes())
+    records[40] ^= 0xFF  # same length, one flipped byte
+    (out / "chunks.bin").write_bytes(bytes(records))
+    with pytest.raises(InconsistentPublication, match="digest"):
+        read_publication(tmp_path, m.base, PSK)
+
+
+def test_read_publication_rejects_chunk_count_beyond_image(tmp_path):
+    img = image(3 * 32)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    out = write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    extra = Manifest(m.base, m.image_size, m.image_digest, 32, m.chunk_count + 1, m.signature)
+    (out / "manifest.bin").write_bytes(extra.to_bytes())
+    (out / "chunks.bin").write_bytes((out / "chunks.bin").read_bytes() + bytes(32))
+    with pytest.raises(InconsistentPublication, match="chunk count"):
+        read_publication(tmp_path, m.base, PSK)
+
+
 def test_fwpub_cli_publishes(tmp_path):
     img_file = tmp_path / "fw.bin"
     img_file.write_bytes(bytes(range(256)) * 3)
