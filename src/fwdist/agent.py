@@ -445,13 +445,12 @@ class UpdateAgent:
     # -- scheduling ---------------------------------------------------------------
 
     def next_action_at(self) -> int | None:
-        candidates = []
-        if self.poll_at is not None and self.phase in (IDLE, SERVING):
-            candidates.append(self.poll_at)
-        if self.phase == FETCHING and self.outstanding is None:
-            candidates.append(self.ready_at)
-        if self.phase == AWAIT_MANIFEST and self.manifest_retry_at is not None:
-            candidates.append(self.manifest_retry_at)
-        if self.phase in (VERIFYING, INSTALLING) and self.phase_deadline is not None:
-            candidates.append(self.phase_deadline)
-        return min(candidates) if candidates else None
+        # Each phase has at most one pending timer.
+        phase = self.phase
+        if phase == FETCHING:
+            return self.ready_at if self.outstanding is None else None
+        if phase == IDLE or phase == SERVING:
+            return self.poll_at
+        if phase == AWAIT_MANIFEST:
+            return self.manifest_retry_at
+        return self.phase_deadline  # VerifyingImage or Installing

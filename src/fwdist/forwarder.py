@@ -208,8 +208,12 @@ class Fib:
         self._routes.sort(key=lambda r: -len(r[0]))
 
     def lookup(self, name: FirmwareName) -> int | None:
-        comps = name.components()
+        comps = None  # built only if a non-empty prefix must be compared
         for prefix, face in self._routes:
+            if not prefix:
+                return face
+            if comps is None:
+                comps = name.components()
             if comps[: len(prefix)] == prefix:
                 return face
         return None
@@ -375,7 +379,8 @@ class Forwarder:
     def tick_retransmissions(self, now: int) -> list[Action]:
         """Re-emit or expire pending entries whose deadline has passed."""
         due = [e for e in self.pit.entries.values() if e.next_retx_at <= now]
-        due.sort(key=lambda e: (e.next_retx_at, e.name.components()))
+        if len(due) > 1:  # a single due entry needs no ordering, nor its components
+            due.sort(key=lambda e: (e.next_retx_at, e.name.components()))
         actions: list[Action] = []
         for entry in due:
             if entry.retx_budget > 0:
@@ -390,6 +395,9 @@ class Forwarder:
         return actions
 
     def next_deadline(self) -> int | None:
-        if not self.pit.entries:
-            return None
-        return min(e.next_retx_at for e in self.pit.entries.values())
+        earliest = None
+        for entry in self.pit.entries.values():
+            at = entry.next_retx_at
+            if earliest is None or at < earliest:
+                earliest = at
+        return earliest

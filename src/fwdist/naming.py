@@ -9,7 +9,7 @@ construct "the latest version" name without a directory service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -41,6 +41,9 @@ class BaseName:
     vendor: str
     device_class: str
     epoch: int
+    # Names key every PIT, content-store and cache lookup, so the hash is
+    # computed once here and equality tests identity first.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_identifier(self.deployment, "deployment")
@@ -48,6 +51,29 @@ class BaseName:
         _check_identifier(self.device_class, "device class")
         if not isinstance(self.epoch, int) or isinstance(self.epoch, bool) or self.epoch < 0:
             raise MalformedName(f"epoch must be a non-negative integer, got {self.epoch!r}")
+        object.__setattr__(
+            self, "_hash", hash((self.deployment, self.vendor, self.device_class, self.epoch))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the fields: string hashes differ between processes
+        return (BaseName, (self.deployment, self.vendor, self.device_class, self.epoch))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.epoch == other.epoch
+            and self.device_class == other.device_class
+            and self.vendor == other.vendor
+            and self.deployment == other.deployment
+        )
 
     def components(self) -> tuple[str, ...]:
         return (self.deployment, self.vendor, self.device_class, str(self.epoch))
@@ -75,6 +101,7 @@ class FirmwareName:
     base: BaseName
     kind: str
     chunk_id: int | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _SUFFIX_KINDS:
@@ -84,6 +111,25 @@ class FirmwareName:
                 raise MalformedName(f"chunk id must be a non-negative integer, got {self.chunk_id!r}")
         elif self.chunk_id is not None:
             raise MalformedName(f"{self.kind} names carry no chunk id")
+        object.__setattr__(self, "_hash", hash((self.base, self.kind, self.chunk_id)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (FirmwareName, (self.base, self.kind, self.chunk_id))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.chunk_id == other.chunk_id
+            and self.kind == other.kind
+            and self.base == other.base
+        )
 
     def components(self) -> tuple[str, ...]:
         if self.kind == CHUNK:
@@ -177,16 +223,17 @@ DEFAULT_ENCODING = EncodingModel()
 
 
 @lru_cache(maxsize=65536)
-def _encoded_size(name: FirmwareName, model: EncodingModel) -> int:
-    total = model.name_overhead
+def _encoded_size(name: FirmwareName, component_overhead: int, name_overhead: int) -> int:
+    total = name_overhead
     for comp in name.components():
-        total += len(comp.encode("utf-8")) + model.component_overhead
+        total += len(comp.encode("utf-8")) + component_overhead
     return total
 
 
 def encoded_size(name: FirmwareName, model: EncodingModel = DEFAULT_ENCODING) -> int:
     """Modeled wire size of a name in bytes (size model, not a serializer).
 
-    Cached per name, so a name's components are built once, not on every send.
+    Cached per name and overheads, so a name's components are built once, not
+    on every send, and the cache key hashes no model object.
     """
-    return _encoded_size(name, model)
+    return _encoded_size(name, model.component_overhead, model.name_overhead)

@@ -32,11 +32,22 @@ A scenario is JSON with the following fields (all optional unless noted):
     outage          {"edge": ["gw", "n1"], "at_s": 120.0} or
                     {"edge": ["gw", "n1"], "after_install": "n1"}
     name_encoding   {"component_overhead": 2, "name_overhead": 2}
+
+Every field of the ``loss``, ``link``, ``node``, ``agent`` and
+``name_encoding`` blocks is a finite, non-negative number; fields with an
+integer default take integers only. Loss probabilities are at most 1,
+``link.bandwidth_bps`` and ``node.pit_capacity`` are positive,
+``link.mtu_bytes`` exceeds ``link.link_header_bytes``, and
+``agent.app_retx_jitter_s`` is at most ``agent.app_retx_base_s``. Node IDs
+are non-empty strings without commas, double quotes or line breaks, because
+they are written unquoted into ``metrics.csv``. A violation raises
+``ScenarioInvalid`` naming the field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,14 +165,56 @@ def _take(raw: dict, key: str, types, default, fieldname: str | None = None):
 
 
 def _sub(raw: dict, key: str, cls, fieldname: str):
+    """Build a parameter block whose every field is a finite, non-negative number.
+
+    A field declared ``int`` takes integers only; one declared ``float`` takes
+    any number. A bool is never a number here.
+    """
     block = raw.get(key)
     if block is None:
         return cls()
     _require(isinstance(block, dict), fieldname, "expected an object")
-    known = {f for f in cls.__dataclass_fields__}
-    for k in block:
-        _require(k in known, f"{fieldname}.{k}", "unknown field")
+    fields = cls.__dataclass_fields__
+    for k, value in block.items():
+        name = f"{fieldname}.{k}"
+        _require(k in fields, name, "unknown field")
+        integral = fields[k].type == "int"
+        _require(isinstance(value, int if integral else (int, float)) and not isinstance(value, bool),
+                 name, f"expected {'an integer' if integral else 'a number'}, got {value!r}")
+        _require(value >= 0 and (isinstance(value, int) or math.isfinite(value)),
+                 name, f"must be finite and non-negative, got {value!r}")
     return cls(**block)
+
+
+# Node IDs are written unquoted into the node column of metrics.csv.
+NODE_ID_FORBIDDEN = (",", '"', "\n", "\r")
+
+
+def _topology_from_list(nodes: list) -> Topology:
+    for i, item in enumerate(nodes):
+        fieldname = f"topology.nodes[{i}]"
+        _require(isinstance(item, dict), fieldname, "expected an object")
+        node_id = item.get("id")
+        _require(isinstance(node_id, str) and node_id != "", f"{fieldname}.id",
+                 f"must be a non-empty string, got {node_id!r}")
+        _require(not any(c in node_id for c in NODE_ID_FORBIDDEN), f"{fieldname}.id",
+                 f"must not contain a comma, a double quote or a line break: {node_id!r}")
+        _require(_utf8(node_id), f"{fieldname}.id", f"must be valid Unicode text: {node_id!r}")
+        parent = item.get("parent")
+        _require(parent is None or isinstance(parent, str), f"{fieldname}.parent",
+                 f"must be a node id or null, got {parent!r}")
+    try:
+        return from_node_list(nodes)
+    except TopologyError as exc:
+        raise ScenarioInvalid("topology", str(exc)) from exc
+
+
+def _utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # lone surrogates, which JSON escapes can carry
+        return False
+    return True
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -194,10 +247,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if topo_raw == "paper":
         topology = build_paper_topology()
     elif isinstance(topo_raw, dict) and isinstance(topo_raw.get("nodes"), list):
-        try:
-            topology = from_node_list(topo_raw["nodes"])
-        except TopologyError as exc:
-            raise ScenarioInvalid("topology", str(exc)) from exc
+        topology = _topology_from_list(topo_raw["nodes"])
     else:
         raise ScenarioInvalid("topology", f"'paper' or a node list, got {topo_raw!r}")
 
@@ -222,7 +272,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _require(link.mtu_bytes > link.link_header_bytes, "link.mtu_bytes",
              "must exceed the link header size")
     node = _sub(raw, "node", NodeParams, "node")
+    _require(node.pit_capacity > 0, "node.pit_capacity", "must be positive")
     agent = _sub(raw, "agent", AgentParams, "agent")
+    _require(agent.app_retx_jitter_s <= agent.app_retx_base_s, "agent.app_retx_jitter_s",
+             "must not exceed agent.app_retx_base_s: a retry delay is never negative")
 
     attacker = None
     if raw.get("attacker") is not None:
@@ -248,12 +301,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                  "exactly one of at_s / after_install required")
         outage = OutageSpec((edge[0], edge[1]), at_s, after)
 
-    enc_raw = raw.get("name_encoding", {})
-    _require(isinstance(enc_raw, dict), "name_encoding", "expected an object")
-    encoding = EncodingModel(
-        component_overhead=enc_raw.get("component_overhead", 2),
-        name_overhead=enc_raw.get("name_overhead", 2),
-    )
+    encoding = _sub(raw, "name_encoding", EncodingModel, "name_encoding")
 
     scenario = Scenario(
         strategy=strategy,

@@ -231,22 +231,21 @@ class SimNode:
         self.reschedule(now)
 
     def next_deadline(self) -> int | None:
-        deadlines = []
-        pit = self.forwarder.next_deadline()
-        if pit is not None:
-            deadlines.append(pit)
+        deadline = self.forwarder.next_deadline()
         if self.agent is not None:
             agent_at = self.agent.next_action_at()
-            if agent_at is not None:
-                deadlines.append(agent_at)
-        return min(deadlines) if deadlines else None
+            if agent_at is not None and (deadline is None or agent_at < deadline):
+                deadline = agent_at
+        return deadline
 
     def reschedule(self, now: int) -> None:
         deadline = self.next_deadline()
         if deadline is None:
             return
-        deadline = max(deadline, now)
-        if self.wake_at is None or deadline < self.wake_at:
+        if deadline < now:
+            deadline = now
+        wake_at = self.wake_at
+        if wake_at is None or deadline < wake_at:
             self.wake_at = deadline
             self.sim.queue.push(deadline, self.wake)
 
@@ -264,6 +263,12 @@ class Simulation:
         self.psks: dict[str, bytes] = {}
         self._stale: dict[str, list[Chunk]] = {}
         self.start_wall_s = scenario.epoch + 1
+        loss = scenario.loss
+        # loss probability of an attempt on a clear medium and of a collided one
+        self._loss_p = (
+            loss.per_transmission,
+            1.0 - (1.0 - loss.per_transmission) * (1.0 - loss.collision),
+        )
         self._build_network()
         self._publish_firmware()
         self._wire_outage_and_attacker()
@@ -465,21 +470,27 @@ class Simulation:
     def _attempt(self, src: SimNode, edge: Edge, size: int, attempt: int, t: int,
                  on_delivered, log_kind: str, chunk_id: int | None) -> None:
         link = self.scenario.link
-        loss = self.scenario.loss
         if attempt > 0:
             # retries run as queued events, so this timestamp is the global now
             self.log(t, src.id, "LinkRetx", chunk_id, log_kind)
-        backoff = self.rng.randrange(0, (1 << attempt) * link.base_slot_us + 1)
-        start = max(t + backoff, src.radio_free_at)
-        airtime = size * 8 * 1_000_000 // link.bandwidth_bps
-        end = start + airtime
+        # rng.randrange(0, n) without its argument handling: the same
+        # getrandbits rejection loop, so the same draws and the same value.
+        # The benchmark's self-test edits this expression to change the draws.
+        n = ((1 << attempt) * link.base_slot_us + 1)
+        bits = n.bit_length()
+        getrandbits = self.rng.getrandbits
+        backoff = getrandbits(bits)
+        while backoff >= n:
+            backoff = getrandbits(bits)
+        start = t + backoff
+        if start < src.radio_free_at:
+            start = src.radio_free_at
+        end = start + size * 8 * 1_000_000 // link.bandwidth_bps
         src.radio_free_at = end
         collided = self._medium_overlap(edge, start, end)
         self._record_interval(edge, start, end)
-        p = loss.per_transmission
-        if collided:
-            p = 1.0 - (1.0 - p) * (1.0 - loss.collision)
-        if self.rng.random() < p:
+        p_clear, p_collided = self._loss_p
+        if self.rng.random() < (p_collided if collided else p_clear):
             if attempt < link.retries:
                 self.queue.push(end, lambda now: self._attempt(
                     src, edge, size, attempt + 1, now, on_delivered, log_kind, chunk_id))
@@ -514,30 +525,33 @@ class Simulation:
     def send_packet(self, src: SimNode, face: int, packet: Packet, t: int) -> None:
         """Fragmenting packet send: frames above the MTU split into sub-frames."""
         edge, peer_id = src.faces[face]
-        total = packet_size(packet, self.scenario.name_encoding) + self.scenario.link.link_header_bytes
-        mtu = self.scenario.link.mtu_bytes
-        sizes = []
-        remaining = total
-        while remaining > 0:
-            sizes.append(min(remaining, mtu))
-            remaining -= mtu
+        link = self.scenario.link
+        total = packet_size(packet, self.scenario.name_encoding) + link.link_header_bytes
+        mtu = link.mtu_bytes
         peer = self.nodes[peer_id]
         dst_face = edge.face_at_child if peer_id == edge.child else edge.face_at_parent
         kind = type(packet).__name__.lower()
         cid = chunk_id_of(packet)
 
-        def deliver_fragment(i: int):
-            def _deliver(now: int) -> None:
-                if i + 1 < len(sizes):
-                    self.transmit(src, edge, sizes[i + 1], now, deliver_fragment(i + 1), kind, cid)
-                else:
-                    final = packet
-                    if edge.attacked and isinstance(packet, Data) and packet.name.kind == CHUNK:
-                        final = self._maybe_tamper(packet)
-                    peer.on_frame(dst_face, final, now)
-            return _deliver
+        def arrive(now: int) -> None:
+            final = packet
+            if edge.attacked and isinstance(packet, Data) and packet.name.kind == CHUNK:
+                final = self._maybe_tamper(packet)
+            peer.on_frame(dst_face, final, now)
 
-        self.transmit(src, edge, sizes[0], t, deliver_fragment(0), kind, cid)
+        if total <= mtu:
+            self.transmit(src, edge, total, t, arrive, kind, cid)
+            return
+
+        def fragment_delivered(remaining: int):
+            # the next fragment leaves once the previous one has arrived
+            def send_next(now: int) -> None:
+                size = min(remaining, mtu)
+                after = arrive if size == remaining else fragment_delivered(remaining - size)
+                self.transmit(src, edge, size, now, after, kind, cid)
+            return send_next
+
+        self.transmit(src, edge, mtu, t, fragment_delivered(total - mtu), kind, cid)
 
     def _maybe_tamper(self, data: Data) -> Data:
         spec = self.scenario.attacker

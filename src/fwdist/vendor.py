@@ -13,6 +13,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
@@ -83,22 +84,34 @@ def _encode_component(value: str) -> bytes:
     return struct.pack(">H", len(raw)) + raw
 
 
-def _tag_message(base: BaseName, index: int, payload: bytes) -> bytes:
+@lru_cache(maxsize=1024)
+def _tag_prefix(base: BaseName) -> bytes:
+    """The part of a tagged message that depends on the base name only."""
     return (
         _encode_component(base.deployment)
         + _encode_component(base.vendor)
         + _encode_component(base.device_class)
-        + struct.pack(">QI", base.epoch, index)
-        + payload
+        + struct.pack(">Q", base.epoch)
     )
 
 
+@lru_cache(maxsize=1024)
+def _keyed_hmac(psk: bytes):
+    """HMAC-SHA256 state with the key absorbed; callers update a copy, never this."""
+    return hmac.new(psk, None, hashlib.sha256)
+
+
 def tag_chunk(base: BaseName, index: int, payload: bytes, psk: bytes, trunc_len: int = 8) -> bytes:
-    """Truncated HMAC-SHA256 over (base name, index, payload)."""
+    """Truncated HMAC-SHA256 over (base name, index, payload).
+
+    The message is the base name's components, each length-prefixed, then the
+    epoch as 8 and the index as 4 big-endian bytes, then the payload.
+    """
     if trunc_len not in TRUNCATION_LENGTHS:
         raise InvalidTruncation(f"truncation length must be one of {TRUNCATION_LENGTHS}")
-    digest = hmac.new(psk, _tag_message(base, index, payload), hashlib.sha256).digest()
-    return digest[:trunc_len]
+    mac = _keyed_hmac(psk).copy()
+    mac.update(_tag_prefix(base) + struct.pack(">I", index) + payload)
+    return mac.digest()[:trunc_len]
 
 
 def make_chunks(
@@ -289,12 +302,14 @@ def write_publication(root: Path, manifest: Manifest, chunks: list[Chunk]) -> Pa
     return out
 
 
-def read_publication(root: Path, base: BaseName, psk: bytes, trunc_len: int = 8) -> Publication:
+def read_publication(root: Path, base: BaseName, psk: bytes, vendor_key: Ed25519PublicKey,
+                     trunc_len: int = 8) -> Publication:
     """Load a publication; tags are recomputed from the class key.
 
     Raises InconsistentPublication if ``chunks.bin`` does not hold exactly
-    ``chunk_count`` records of ``chunk_size`` bytes, or if the image they
-    hold does not match the manifest's digest.
+    ``chunk_count`` records of ``chunk_size`` bytes, if the image they hold
+    does not match the manifest's digest, or if the manifest's signature does
+    not verify under ``vendor_key``.
     """
     src = publication_dir(root, base)
     manifest = Manifest.from_bytes((src / "manifest.bin").read_bytes())
@@ -309,6 +324,8 @@ def read_publication(root: Path, base: BaseName, psk: bytes, trunc_len: int = 8)
     image = records[: manifest.image_size]
     if image_digest(image) != manifest.image_digest:
         raise InconsistentPublication("chunks.bin does not match the manifest's image digest")
+    if not manifest.verify(vendor_key):
+        raise InconsistentPublication("manifest signature does not verify under the vendor key")
     chunks = []
     for i in range(manifest.chunk_count):
         payload = image[i * size : (i + 1) * size]

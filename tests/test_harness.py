@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwdist.harness import (
     MalformedCsv,
@@ -18,6 +23,7 @@ from fwdist.harness import (
     run_scenario,
     sweep,
 )
+from fwdist.cli import fwsim_main
 from fwdist.scenario import ScenarioInvalid
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
@@ -266,6 +272,47 @@ def test_cli_run_string_boolean_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "multiparty" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"node": {"pit_capacity": "16"}}, "node.pit_capacity"),  # was a TypeError traceback, exit 1
+    ({"link": {"retries": -1}}, "link.retries"),  # was accepted, exit 0
+])
+def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(chain_raw(**override)))
+    proc = run_cli("run", str(scenario), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert field in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _fwsim_quiet(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return fwsim_main(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(node_id=st.text(alphabet=st.sampled_from('ab,"\n\r \t;\'\\é\u2028\x85\x0c'), max_size=4))
+def test_cli_tables_read_back_every_accepted_node_id(node_id):
+    # whatever fwsim run accepts as a node ID, fwsim tables reads back from metrics.csv
+    topology = {"nodes": [{"id": "gw", "parent": None}, {"id": node_id, "parent": "gw"}]}
+    raw = chain_raw(topology=topology, image_size=64, duration_s=60, poll_stagger_s=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "s.json"
+        scenario.write_text(json.dumps(raw))
+        code = _fwsim_quiet(["run", str(scenario), "--out", tmp])
+        rejected = node_id in ("", "gw") or any(c in node_id for c in ',"\n\r')
+        assert code == (2 if rejected else 0)
+        if rejected:
+            return
+        for kind in ("progress", "rate", "retx"):
+            out = Path(tmp) / f"{kind}.csv"
+            assert _fwsim_quiet(["tables", str(Path(tmp) / "metrics.csv"), "--kind", kind,
+                                 "--out", str(out)]) == 0
+        rows = load_metrics_csv(Path(tmp) / "metrics.csv")
+        assert {node for _, node, *_ in rows} == {node_id}
+        assert len(progress_table(rows)) == 2  # both chunks of the image
 
 
 def test_cli_sweep(tmp_path):

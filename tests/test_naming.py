@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from fwdist.naming import (
     BaseName,
     EncodingModel,
+    FirmwareName,
     Granularity,
     MalformedName,
     align_epoch,
@@ -12,6 +13,7 @@ from fwdist.naming import (
     parse_name,
     parse_text,
 )
+from fwdist.vendor import Manifest
 
 PAPER_EXAMPLE = ["OilRig-3", "IoTCompany-5", "Valve-7", "1632261600", "manifest"]
 
@@ -78,6 +80,46 @@ def test_round_trip(deployment, vendor, device_class, epoch, suffix):
 def test_text_round_trip():
     name = BaseName("oilrig", "acme", "valve", 1632261600).chunk(7)
     assert parse_text(str(name)) == name
+
+
+# -- equality and hashing ------------------------------------------------------
+# Names hash once at construction and compare by identity first; these pin
+# that equality still follows the fields, whichever way a name was built.
+
+short_identifiers = st.text(alphabet="ab/é", min_size=1, max_size=2).filter(lambda s: "/" not in s)
+suffixes = st.one_of(st.just(("manifest", None)), st.just(("firmware", None)),
+                     st.tuples(st.just("chunk"), st.integers(0, 3)))
+name_fields = st.tuples(short_identifiers, short_identifiers, short_identifiers,
+                        st.integers(0, 2), suffixes)
+
+
+def _build(fields, route):
+    deployment, vendor, device_class, epoch, (kind, chunk_id) = fields
+    if route == "direct":
+        return FirmwareName(BaseName(deployment, vendor, device_class, epoch), kind, chunk_id)
+    comps = [deployment, vendor, device_class, str(epoch), kind]
+    comps += [] if chunk_id is None else [str(chunk_id)]
+    if route == "parse_name":
+        return parse_name(comps)
+    if route == "parse_text":
+        return parse_text("/" + "/".join(comps))
+    manifest = Manifest(BaseName(deployment, vendor, device_class, epoch), 64, bytes(32), 32, 2,
+                        bytes(64))
+    return FirmwareName(Manifest.from_bytes(manifest.to_bytes()).base, kind, chunk_id)
+
+
+ROUTES = st.sampled_from(["direct", "parse_name", "parse_text", "manifest"])
+
+
+@given(a=name_fields, b=name_fields, route_a=ROUTES, route_b=ROUTES)
+def test_names_equal_exactly_when_fields_equal(a, b, route_a, route_b):
+    for fb in (a, b):  # the same fields by another route, and other fields
+        x, y = _build(a, route_a), _build(fb, route_b)
+        assert (x == y) == (a == fb) and (x != y) == (a != fb)
+        assert (x.base == y.base) == (a[:4] == fb[:4])
+        if x == y:
+            assert hash(x) == hash(y) and hash(x.base) == hash(y.base)
+            assert {x: 1}[y] == 1 and {x.base: 1}[y.base] == 1
 
 
 # -- epoch alignment ---------------------------------------------------------

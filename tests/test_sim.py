@@ -1,9 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwdist.naming import BaseName
+from fwdist.naming import BaseName, EncodingModel
 from fwdist.packets import Data, HmacTag, packet_size
-from fwdist.scenario import ScenarioInvalid, scenario_from_dict
+from fwdist.scenario import (
+    AgentParams,
+    LinkParams,
+    LossParams,
+    NodeParams,
+    ScenarioInvalid,
+    scenario_from_dict,
+)
 from fwdist.sim import MtuExceeded, Simulation, run_simulation
 from fwdist.topology import build_paper_topology
 
@@ -354,3 +363,72 @@ def test_boolean_fields_parse_json_booleans(field):
     assert getattr(chain_scenario(), field) is False
     assert getattr(chain_scenario(**{field: False}), field) is False
     assert getattr(chain_scenario(**{field: True}), field) is True
+
+
+BLOCKS = {"loss": LossParams, "link": LinkParams, "node": NodeParams, "agent": AgentParams,
+          "name_encoding": EncodingModel}
+BLOCK_FIELDS = [(block, name) for block, cls in BLOCKS.items() for name in cls.__dataclass_fields__]
+
+
+@pytest.mark.parametrize("block, name", BLOCK_FIELDS)
+def test_block_fields_reject_wrong_type_or_range(block, name):
+    bad = [True, False, "1", None, [], {}, -1, -0.5, float("nan"), float("inf")]
+    if isinstance(getattr(BLOCKS[block](), name), int):
+        bad.append(2.5)
+    for value in bad:
+        try:
+            chain_scenario(**{block: {name: value}})
+        except ScenarioInvalid as exc:
+            assert exc.fieldname == f"{block}.{name}", value
+        else:
+            pytest.fail(f"{block}.{name} accepted {value!r}")
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"node": {"pit_capacity": 0}}, "node.pit_capacity"),
+    ({"link": {"bandwidth_bps": 0}}, "link.bandwidth_bps"),
+    ({"link": {"mtu_bytes": 23}}, "link.mtu_bytes"),
+    ({"loss": {"collision": 1.5}}, "loss.collision"),
+    ({"agent": {"app_retx_base_s": 1, "app_retx_jitter_s": 2}}, "agent.app_retx_jitter_s"),
+])
+def test_block_cross_field_ranges(override, field):
+    with pytest.raises(ScenarioInvalid) as err:
+        chain_scenario(**override)
+    assert err.value.fieldname == field
+
+
+def test_block_fields_accept_their_types_at_the_bounds():
+    sc = chain_scenario(loss={"per_transmission": 0, "collision": 1},
+                        link={"retries": 0, "base_slot_us": 0, "link_header_bytes": 0},
+                        node={"pit_capacity": 1, "cs_capacity": 0, "seen_capacity": 0},
+                        agent={"app_retx_base_s": 2, "app_retx_jitter_s": 2.0, "digest_retries": 0},
+                        name_encoding={"component_overhead": 0, "name_overhead": 0})
+    assert (sc.loss.collision, sc.link.retries, sc.node.pit_capacity) == (1, 0, 1)
+    assert sc.agent.app_retx_jitter_s == 2.0 and sc.name_encoding == EncodingModel(0, 0)
+    assert chain_scenario(loss=None, link=None).link == LinkParams()
+
+
+@pytest.mark.parametrize("node_id", ["", "a,b", 'a"b', "a\nb", "a\rb", "\ud800", 5, None])
+def test_node_ids_rejected(node_id):
+    topology = {"nodes": [{"id": "gw", "parent": None}, {"id": node_id, "parent": "gw"}]}
+    with pytest.raises(ScenarioInvalid) as err:
+        chain_scenario(topology=topology)
+    assert err.value.fieldname == "topology.nodes[1].id"
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), slot=st.integers(0, 5000), retries=st.integers(0, 5))
+def test_backoff_draw_equals_randrange(seed, slot, retries):
+    # _attempt draws its backoff with randrange's own getrandbits loop; pin that
+    # it consumes the same draws and yields the same value at every attempt level
+    sim = Simulation(chain_scenario(link={"base_slot_us": slot, "retries": retries}))
+    src, edge = sim.nodes["n1"], sim.edges[0]
+    starts = []
+    sim._record_interval = lambda edge, start, end: starts.append(start)
+    for attempt in range(retries + 1):
+        sim.rng, twin = random.Random(seed + attempt), random.Random(seed + attempt)
+        src.radio_free_at = 0
+        sim._attempt(src, edge, 100, attempt, 10, lambda now: None, "frame", None)
+        assert starts[-1] == 10 + twin.randrange(0, (1 << attempt) * slot + 1)
+        twin.random()  # the loss draw that follows
+        assert sim.rng.getstate() == twin.getstate()

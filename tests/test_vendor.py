@@ -104,6 +104,30 @@ def test_tag_invalid_truncation():
         tag_chunk(BASE, 0, b"", PSK, 12)
 
 
+def _oracle_tag(base, index, payload, psk, trunc):
+    def comp(s):
+        raw = s.encode()
+        return struct.pack(">H", len(raw)) + raw
+
+    message = (comp(base.deployment) + comp(base.vendor) + comp(base.device_class)
+               + struct.pack(">QI", base.epoch, index) + payload)
+    return hmac_mod.new(psk, message, hashlib.sha256).digest()[:trunc]
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1),
+                          st.binary(max_size=40), st.sampled_from([8, 16, 32])),
+                min_size=1, max_size=30))
+def test_tag_interleaved_keys_and_bases_match_fresh_hmac(calls):
+    # tag_chunk keeps keyed state per PSK and a name prefix per base: no state
+    # may leak from one PSK or base into the next call
+    psks = [hashlib.sha256(bytes([i])).digest() for i in range(3)] + [b"short key"]
+    bases = [BASE, BaseName("d", "v", "c", 1001), BaseName("dep", "ven", "cls", 7),
+             BaseName("d\u00e9", "v", "c", 2**63)]
+    for psk_i, base_i, index, payload, trunc in calls:
+        base, psk = bases[base_i], psks[psk_i]
+        assert tag_chunk(base, index, payload, psk, trunc) == _oracle_tag(base, index, payload, psk, trunc)
+
+
 def test_tag_binds_base_name_and_index():
     t = tag_chunk(BASE, 0, b"p", PSK, 32)
     assert t != tag_chunk(BASE, 1, b"p", PSK, 32)
@@ -214,7 +238,7 @@ def test_publication_dir_round_trip(tmp_path):
     assert (out / "manifest.bin").exists() and (out / "chunks.bin").exists()
     # fixed-length records: 3 chunks of 32 bytes (last zero-padded)
     assert len((out / "chunks.bin").read_bytes()) == 96
-    loaded = read_publication(tmp_path, m.base, PSK)
+    loaded = read_publication(tmp_path, m.base, PSK, PUB)
     assert loaded.manifest == m
     assert [c.payload for c in loaded.chunks] == [c.payload for c in chunks]
     assert [c.tag for c in loaded.chunks] == [c.tag for c in chunks]
@@ -227,7 +251,7 @@ def test_read_publication_rejects_truncated_chunks_file(tmp_path):
     records = (out / "chunks.bin").read_bytes()
     (out / "chunks.bin").write_bytes(records[:100])
     with pytest.raises(InconsistentPublication, match="chunks.bin holds 100 bytes"):
-        read_publication(tmp_path, m.base, PSK)
+        read_publication(tmp_path, m.base, PSK, PUB)
 
 
 def test_read_publication_rejects_image_digest_mismatch(tmp_path):
@@ -238,7 +262,7 @@ def test_read_publication_rejects_image_digest_mismatch(tmp_path):
     records[40] ^= 0xFF  # same length, one flipped byte
     (out / "chunks.bin").write_bytes(bytes(records))
     with pytest.raises(InconsistentPublication, match="digest"):
-        read_publication(tmp_path, m.base, PSK)
+        read_publication(tmp_path, m.base, PSK, PUB)
 
 
 def test_read_publication_rejects_chunk_count_beyond_image(tmp_path):
@@ -249,7 +273,30 @@ def test_read_publication_rejects_chunk_count_beyond_image(tmp_path):
     (out / "manifest.bin").write_bytes(extra.to_bytes())
     (out / "chunks.bin").write_bytes((out / "chunks.bin").read_bytes() + bytes(32))
     with pytest.raises(InconsistentPublication, match="chunk count"):
-        read_publication(tmp_path, m.base, PSK)
+        read_publication(tmp_path, m.base, PSK, PUB)
+
+
+def test_read_publication_rejects_forged_manifest(tmp_path):
+    # zeroed chunks.bin plus a manifest carrying the zeros' digest and the old
+    # signature: length and digest are consistent, only the signature is not
+    img = image(3 * 32)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    out = write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    zeros = bytes(3 * 32)
+    forged = Manifest(m.base, m.image_size, hashlib.sha256(zeros).digest(), 32, 3, m.signature)
+    (out / "chunks.bin").write_bytes(zeros)
+    (out / "manifest.bin").write_bytes(forged.to_bytes())
+    with pytest.raises(InconsistentPublication, match="signature"):
+        read_publication(tmp_path, m.base, PSK, PUB)
+
+
+def test_read_publication_rejects_other_vendor_key(tmp_path):
+    img = image(3 * 32)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    other = signing_key_from_seed(bytes(32)).public_key()
+    with pytest.raises(InconsistentPublication, match="signature"):
+        read_publication(tmp_path, m.base, PSK, other)
 
 
 def test_fwpub_cli_publishes(tmp_path):
@@ -273,7 +320,7 @@ def test_fwpub_cli_publishes(tmp_path):
     base = BaseName("oilrig", "acme", "valve", 1632261600)
     expected = repo_dir / "oilrig" / "acme" / "valve" / "1632261600"
     assert expected.is_dir()
-    loaded = read_publication(repo_dir, base, PSK)
+    loaded = read_publication(repo_dir, base, PSK, PUB)
     assert b"".join(c.payload for c in loaded.chunks) == img_file.read_bytes()
     assert loaded.manifest.verify(PUB)
 
