@@ -3,7 +3,9 @@
 ``fwsim`` runs scenarios, sweeps, the signature-overhead calculator, and
 plot-data table extraction. ``fwpub`` chunks, tags, signs, and publishes a
 firmware image into an on-disk repository. Both exit 0 on success and 2 on
-validation errors.
+invalid input: a bad option value, a missing input file, or a file or value
+that a domain check rejects. Any other exception is a fault of the program and
+ends with a traceback.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .vendor import (
     FirmwareImage,
     InconsistentPublication,
     InvalidChunkSize,
+    InvalidSigningKey,
     InvalidTruncation,
     build_manifest,
     make_chunks,
@@ -44,9 +47,36 @@ from .vendor import (
 
 VALIDATION_ERRORS = (
     ScenarioInvalid, NoPayloadRoom, MalformedCsv, MalformedName,
-    EmptyImage, InvalidChunkSize, InvalidTruncation,
-    InconsistentPublication, DuplicateEpoch, ValueError,
+    EmptyImage, InvalidChunkSize, InvalidSigningKey, InvalidTruncation,
+    InconsistentPublication, DuplicateEpoch, FileNotFoundError,
 )
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _list_of(parse, what: str):
+    """argparse type for a comma-separated list; empty items are skipped."""
+    def parse_list(text: str) -> list:
+        try:
+            return [parse(item) for item in text.split(",") if item]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+    return parse_list
+
+
+def _numeric(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _fwsim_parser() -> argparse.ArgumentParser:
@@ -61,8 +91,10 @@ def _fwsim_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a scenario across an axis and seeds")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--axis", required=True)
-    p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
-    p_sweep.add_argument("--seeds", required=True, help="comma-separated seeds")
+    p_sweep.add_argument("--values", required=True, type=_list_of(_numeric, "numbers"),
+                         help="comma-separated axis values")
+    p_sweep.add_argument("--seeds", required=True, type=_list_of(int, "integers"),
+                         help="comma-separated seeds")
     p_sweep.add_argument("--out", default=None, help="output CSV file (default stdout)")
 
     p_over = sub.add_parser("overhead", help="chunk-wise signature overhead calculator")
@@ -74,13 +106,13 @@ def _fwsim_parser() -> argparse.ArgumentParser:
     p_over.add_argument("--compressed", action="store_true",
                         help="model header compression: names elided, structural "
                              "overhead reduced to 6 bytes")
-    p_over.add_argument("--firmware-size", type=int, required=True,
+    p_over.add_argument("--firmware-size", type=_positive_int, required=True,
                         help="firmware size in bytes (binary units: 36 KiB = 36864)")
 
     p_tab = sub.add_parser("tables", help="plot-data tables from a metrics CSV")
     p_tab.add_argument("csv")
     p_tab.add_argument("--kind", required=True, choices=("progress", "rate", "retx"))
-    p_tab.add_argument("--block-size", type=int, default=100)
+    p_tab.add_argument("--block-size", type=_positive_int, default=100)
     p_tab.add_argument("--out", default=None)
     return parser
 
@@ -104,9 +136,7 @@ def fwsim_main(argv=None) -> int:
             print(json.dumps(summary, indent=2, sort_keys=True))
         elif args.command == "sweep":
             scenario = load_scenario(args.scenario)
-            values = [v for v in args.values.split(",") if v]
-            seeds = [int(s) for s in args.seeds.split(",") if s]
-            table = sweep(scenario, args.axis, [_numeric(v) for v in values], seeds)
+            table = sweep(scenario, args.axis, args.values, args.seeds)
             _emit_lines(sweep_csv_lines(table), args.out)
         elif args.command == "overhead":
             model = OverheadModel(
@@ -131,13 +161,6 @@ def fwsim_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _numeric(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def _fwpub_parser() -> argparse.ArgumentParser:
@@ -174,9 +197,6 @@ def fwpub_main(argv=None) -> int:
             "chunk_count": manifest.chunk_count,
             "image_digest": manifest.image_digest.hex(),
         }, indent=2, sort_keys=True))
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

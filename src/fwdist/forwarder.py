@@ -28,70 +28,74 @@ RETX_BUDGET = 3
 
 # ---------------------------------------------------------------------------
 # actions
+#
+# An action lives only from the forwarder's return to the node's execution of
+# it, so the classes are slotted but not frozen: a frozen dataclass costs
+# about twice as much to build.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ServeData:
     face: int
     data: Data
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ServeNack:
     face: int
     nack: Nack
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Aggregate:
     name: FirmwareName
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Forward:
     face: int
     interest: Interest
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Drop:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DenyCascading:
     name: FirmwareName
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DeliverLocal:
     packet: Data | Nack
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ForwardDownstream:
     faces: tuple[int, ...]
     packet: Data | Nack
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CacheInsert:
     name: FirmwareName
     evicted: FirmwareName | None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DivertToBuffer:
     data: Data
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Retransmit:
     face: int
     interest: Interest
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Timeout:
     name: FirmwareName
 

@@ -14,6 +14,7 @@ node's DataRecv count equals its chunk count.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -107,16 +108,23 @@ SWEEPABLE = ("image_size", "chunk_size", "chunk_count", "duration_s", "seed",
 
 
 def _apply_axis(scenario: Scenario, axis: str, value):
-    if axis == "chunk_count":
-        scenario.image_size = int(value) * scenario.chunk_size
-    elif axis in ("image_size", "chunk_size"):
-        setattr(scenario, axis, int(value))
-    elif axis in ("duration_s", "poll_period_s", "poll_stagger_s"):
-        setattr(scenario, axis, float(value))
-    elif axis == "seed":
-        scenario.seed = int(value)
+    """Set one axis value, held to the rule ``scenario_from_dict`` applies to the field."""
+    integral = axis in ("image_size", "chunk_size", "chunk_count", "seed")
+    if integral:
+        number = isinstance(value, int) and not isinstance(value, bool)
     else:
-        raise ScenarioInvalid("axis", f"not sweepable: {axis!r} (choose from {SWEEPABLE})")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    positive = axis in ("image_size", "chunk_size", "chunk_count", "poll_period_s")
+    if not number or (axis != "seed" and value < 0) or (positive and value == 0) or (
+        axis == "chunk_size" and value >= 2**32
+    ):
+        raise ScenarioInvalid(axis, f"not a valid sweep value: {value!r}")
+    if axis == "chunk_count":
+        scenario.image_size = value * scenario.chunk_size
+    elif integral:
+        setattr(scenario, axis, value)
+    else:
+        setattr(scenario, axis, float(value))
 
 
 def sweep(base: Scenario | dict, axis: str, values, seeds) -> dict:
@@ -196,7 +204,10 @@ def _parse_csv(lines) -> list[tuple[int, str, str, int | None, str]]:
 
 def load_metrics_csv(path: str | Path):
     with open(path) as fh:
-        return _parse_csv(fh)
+        try:
+            return _parse_csv(fh)
+        except UnicodeDecodeError as exc:
+            raise MalformedCsv(f"not text: {exc}") from exc
 
 
 def progress_table(rows) -> list[tuple[str, int, int]]:

@@ -9,7 +9,8 @@ construct "the latest version" name without a directory service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -33,47 +34,27 @@ def _check_identifier(value: str, field: str) -> None:
         raise MalformedName(f"{field} must not contain {SEPARATOR!r}: {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BaseName:
-    """Suffix-free name prefix identifying one firmware version."""
+class BaseName(namedtuple("BaseName", "deployment vendor device_class epoch")):
+    """Suffix-free name prefix identifying one firmware version.
 
-    deployment: str
-    vendor: str
-    device_class: str
-    epoch: int
-    # Names key every PIT, content-store and cache lookup, so the hash is
-    # computed once here and equality tests identity first.
-    _hash: int = field(init=False, repr=False, compare=False)
+    Names key every PIT, content-store and cache lookup, so they are tuples:
+    hashing and equality run in C. Every constructor, ``_make`` and
+    ``_replace`` included, runs the checks in ``__new__``.
+    """
 
-    def __post_init__(self) -> None:
-        _check_identifier(self.deployment, "deployment")
-        _check_identifier(self.vendor, "vendor")
-        _check_identifier(self.device_class, "device class")
-        if not isinstance(self.epoch, int) or isinstance(self.epoch, bool) or self.epoch < 0:
-            raise MalformedName(f"epoch must be a non-negative integer, got {self.epoch!r}")
-        object.__setattr__(
-            self, "_hash", hash((self.deployment, self.vendor, self.device_class, self.epoch))
-        )
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, deployment: str, vendor: str, device_class: str, epoch: int):
+        _check_identifier(deployment, "deployment")
+        _check_identifier(vendor, "vendor")
+        _check_identifier(device_class, "device class")
+        if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+            raise MalformedName(f"epoch must be a non-negative integer, got {epoch!r}")
+        return tuple.__new__(cls, (deployment, vendor, device_class, epoch))
 
-    def __reduce__(self):
-        # rebuild from the fields: string hashes differ between processes
-        return (BaseName, (self.deployment, self.vendor, self.device_class, self.epoch))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.epoch == other.epoch
-            and self.device_class == other.device_class
-            and self.vendor == other.vendor
-            and self.deployment == other.deployment
-        )
+    @classmethod
+    def _make(cls, iterable) -> "BaseName":
+        return cls(*iterable)
 
     def components(self) -> tuple[str, ...]:
         return (self.deployment, self.vendor, self.device_class, str(self.epoch))
@@ -94,42 +75,29 @@ class BaseName:
         return SEPARATOR + SEPARATOR.join(self.components())
 
 
-@dataclass(frozen=True, slots=True)
-class FirmwareName:
-    """Full name of a manifest, image, or single chunk."""
+class FirmwareName(namedtuple("FirmwareName", "base kind chunk_id")):
+    """Full name of a manifest, image, or single chunk.
 
-    base: BaseName
-    kind: str
-    chunk_id: int | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    A tuple of three, so it never equals a ``BaseName`` (a tuple of four).
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in _SUFFIX_KINDS:
-            raise MalformedName(f"unknown suffix kind {self.kind!r}")
-        if self.kind == CHUNK:
-            if not isinstance(self.chunk_id, int) or isinstance(self.chunk_id, bool) or self.chunk_id < 0:
-                raise MalformedName(f"chunk id must be a non-negative integer, got {self.chunk_id!r}")
-        elif self.chunk_id is not None:
-            raise MalformedName(f"{self.kind} names carry no chunk id")
-        object.__setattr__(self, "_hash", hash((self.base, self.kind, self.chunk_id)))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, base: BaseName, kind: str, chunk_id: int | None = None):
+        if not isinstance(base, BaseName):
+            raise MalformedName(f"base must be a BaseName, got {base!r}")
+        if kind not in _SUFFIX_KINDS:
+            raise MalformedName(f"unknown suffix kind {kind!r}")
+        if kind == CHUNK:
+            if not isinstance(chunk_id, int) or isinstance(chunk_id, bool) or chunk_id < 0:
+                raise MalformedName(f"chunk id must be a non-negative integer, got {chunk_id!r}")
+        elif chunk_id is not None:
+            raise MalformedName(f"{kind} names carry no chunk id")
+        return tuple.__new__(cls, (base, kind, chunk_id))
 
-    def __reduce__(self):
-        return (FirmwareName, (self.base, self.kind, self.chunk_id))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.chunk_id == other.chunk_id
-            and self.kind == other.kind
-            and self.base == other.base
-        )
+    @classmethod
+    def _make(cls, iterable) -> "FirmwareName":
+        return cls(*iterable)
 
     def components(self) -> tuple[str, ...]:
         if self.kind == CHUNK:

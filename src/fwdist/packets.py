@@ -1,14 +1,17 @@
 """Interest/Data/Nack wire units and their size model.
 
-Packets are value objects; the simulator never serializes them. Sizes are
-computed from the name encoding model plus fixed structural overheads,
-calibrated so the default experiment configuration yields 92-byte chunk Data
-packets (115-byte frames with the 23-byte link header).
+Packets are immutable named tuples; the simulator never serializes them.
+Equality is by fields, as for any tuple, so code tells packet and auth kinds
+apart with ``isinstance``. Sizes are computed from the name encoding model
+plus fixed structural overheads, calibrated so the default experiment
+configuration yields 92-byte chunk Data packets (115-byte frames with the
+23-byte link header).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .naming import CHUNK, DEFAULT_ENCODING, EncodingModel, FirmwareName, encoded_size
 
@@ -20,15 +23,13 @@ NACK_STRUCT_BYTES = 8
 NONCE_BYTES = 4
 
 
-@dataclass(frozen=True, slots=True)
-class HmacTag:
+class HmacTag(NamedTuple):
     """Truncated keyed-hash tag carried by chunk Data."""
 
     tag: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class ManifestSignature:
+class ManifestSignature(NamedTuple):
     """Asymmetric signature carried by manifest Data."""
 
     signature: bytes
@@ -37,29 +38,31 @@ class ManifestSignature:
 Auth = HmacTag | ManifestSignature | None
 
 
-@dataclass(frozen=True, slots=True)
-class Interest:
-    name: FirmwareName
-    nonce: int
-    lifetime_ms: int = 8000
+class Interest(namedtuple("Interest", "name nonce lifetime_ms")):
+    """Request for one name; every constructor, ``_make`` included, checks the fields."""
 
-    def __post_init__(self) -> None:
-        if self.lifetime_ms <= 0:
+    __slots__ = ()
+
+    def __new__(cls, name: FirmwareName, nonce: int, lifetime_ms: int = 8000):
+        if lifetime_ms <= 0:
             raise ValueError("interest lifetime must be positive")
-        if not 0 <= self.nonce < 2**32:
+        if not 0 <= nonce < 2**32:
             raise ValueError("nonce must fit 32 bits")
+        return tuple.__new__(cls, (name, nonce, lifetime_ms))
+
+    @classmethod
+    def _make(cls, iterable) -> "Interest":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
-class Data:
+class Data(NamedTuple):
     name: FirmwareName
     payload: bytes
     auth: Auth = None
     freshness_ms: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Nack:
+class Nack(NamedTuple):
     name: FirmwareName
     reason: str
     freshness_ms: int = 0

@@ -11,7 +11,10 @@ A scenario is JSON with the following fields (all optional unless noted):
     deployment / vendor / device_class
                     name components (defaults "oilrig"/"acme"/"valve")
     epoch           published firmware epoch (default 1632261600)
-    granularity     {"period_s": 86400, "offset_s": -7200}
+    granularity     {"period_s": 86400, "offset_s": -7200} when the block is
+                    absent (daily, local midnight at UTC+2); inside a block
+                    that is present, period_s defaults to 86400 and
+                    offset_s to 0
     multiparty      if true, every device gets its own device class and image
     trunc_len       HMAC tag truncation: 8, 16, or 32 (default 8)
     poll_period_s   manifest polling period (default 3600)
@@ -40,7 +43,13 @@ integer default take integers only. Loss probabilities are at most 1,
 ``link.mtu_bytes`` exceeds ``link.link_header_bytes``, and
 ``agent.app_retx_jitter_s`` is at most ``agent.app_retx_base_s``. Node IDs
 are non-empty strings without commas, double quotes or line breaks, because
-they are written unquoted into ``metrics.csv``. A violation raises
+they are written unquoted into ``metrics.csv``. Top-level numbers are finite;
+``epoch`` and ``chunk_size`` fit the manifest's 8- and 4-byte fields.
+``granularity.period_s`` and ``offset_s`` are integers with
+``|offset_s| < period_s``. The edge ends of ``attacker`` and ``outage`` and
+``outage.after_install`` are node IDs; ``outage.at_s`` is a finite,
+non-negative number and ``attacker.rate`` a number in [0, 1]. No block takes
+a field not listed here, and a bool is never a number. A violation raises
 ``ScenarioInvalid`` naming the field.
 """
 
@@ -56,6 +65,8 @@ from .topology import Topology, build_paper_topology, from_node_list, TopologyEr
 
 STRATEGIES = ("concurrent", "cascading")
 ATTACK_MODES = ("tamper_payload", "forge_tag", "replay_stale")
+# daily epochs at local midnight, UTC+2; used only when the block is absent
+DEFAULT_GRANULARITY = Granularity(86400, -7200)
 
 
 class ScenarioInvalid(ValueError):
@@ -128,7 +139,7 @@ class Scenario:
     vendor: str = "acme"
     device_class: str = "valve"
     epoch: int = 1632261600
-    granularity: Granularity = Granularity(86400, -7200)
+    granularity: Granularity = DEFAULT_GRANULARITY
     multiparty: bool = False
     trunc_len: int = 8
     poll_period_s: float = 3600.0
@@ -161,7 +172,22 @@ def _take(raw: dict, key: str, types, default, fieldname: str | None = None):
         return None
     _require(isinstance(value, types) and (types is bool or not isinstance(value, bool)),
              fieldname or key, f"expected {types}, got {value!r}")
+    _require(not isinstance(value, float) or math.isfinite(value), fieldname or key,
+             f"must be finite, got {value!r}")
     return value
+
+
+def _known(block: dict, names, fieldname: str) -> None:
+    """Reject a key of ``block`` that is not one of ``names``."""
+    for key in block:
+        _require(key in names, f"{fieldname}.{key}" if fieldname else key, "unknown field")
+
+
+def _edge(block: dict, fieldname: str) -> tuple[str, str]:
+    edge = block.get("edge")
+    _require(isinstance(edge, list) and len(edge) == 2 and all(isinstance(e, str) for e in edge),
+             fieldname, f"expected [a, b] of two node ids, got {edge!r}")
+    return edge[0], edge[1]
 
 
 def _sub(raw: dict, key: str, cls, fieldname: str):
@@ -219,14 +245,12 @@ def _utf8(text: str) -> bool:
 
 def scenario_from_dict(raw: dict) -> Scenario:
     _require(isinstance(raw, dict), "scenario", "top level must be an object")
-    known = {
+    _known(raw, (
         "topology", "strategy", "image_size", "chunk_size", "seed", "duration_s",
         "deployment", "vendor", "device_class", "epoch", "granularity", "multiparty",
         "trunc_len", "poll_period_s", "poll_stagger_s", "nacks_enabled", "loss",
         "link", "node", "agent", "attacker", "outage", "name_encoding",
-    }
-    for key in raw:
-        _require(key in known, key, "unknown field")
+    ), "")
 
     strategy = raw.get("strategy")
     _require(strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}, got {strategy!r}")
@@ -234,12 +258,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _require(isinstance(image_size, int) and image_size > 0, "image_size", "must be a positive integer")
 
     chunk_size = _take(raw, "chunk_size", int, 32)
-    _require(chunk_size > 0, "chunk_size", "must be positive")
+    _require(0 < chunk_size < 2**32, "chunk_size", "must be positive and below 2**32")
     seed = _take(raw, "seed", int, 1)
     duration_s = _take(raw, "duration_s", (int, float), 1800.0)
     _require(duration_s >= 0, "duration_s", "must be non-negative")
     epoch = _take(raw, "epoch", int, 1632261600)
-    _require(epoch > 0, "epoch", "must be positive")
+    _require(0 < epoch < 2**64, "epoch", "must be positive and below 2**64")
     trunc_len = _take(raw, "trunc_len", int, 8)
     _require(trunc_len in (8, 16, 32), "trunc_len", "must be 8, 16, or 32")
 
@@ -251,12 +275,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
     else:
         raise ScenarioInvalid("topology", f"'paper' or a node list, got {topo_raw!r}")
 
-    gran_raw = raw.get("granularity", {"period_s": 86400, "offset_s": -7200})
-    _require(isinstance(gran_raw, dict), "granularity", "expected an object")
-    try:
-        granularity = Granularity(gran_raw.get("period_s", 86400), gran_raw.get("offset_s", 0))
-    except (ValueError, TypeError) as exc:
-        raise ScenarioInvalid("granularity", str(exc)) from exc
+    if "granularity" in raw:
+        gran_raw = raw["granularity"]
+        _require(isinstance(gran_raw, dict), "granularity", "expected an object")
+        _known(gran_raw, ("period_s", "offset_s"), "granularity")
+        period = _take(gran_raw, "period_s", int, 86400, "granularity.period_s")
+        _require(period > 0, "granularity.period_s", "must be positive")
+        offset = _take(gran_raw, "offset_s", int, 0, "granularity.offset_s")
+        _require(abs(offset) < period, "granularity.offset_s", "must satisfy |offset_s| < period_s")
+        granularity = Granularity(period, offset)
+    else:
+        granularity = DEFAULT_GRANULARITY
 
     poll_period_s = _take(raw, "poll_period_s", (int, float), 3600.0)
     _require(poll_period_s > 0, "poll_period_s", "must be positive")
@@ -281,25 +310,26 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if raw.get("attacker") is not None:
         blk = raw["attacker"]
         _require(isinstance(blk, dict), "attacker", "expected an object")
-        edge = blk.get("edge")
-        _require(isinstance(edge, list) and len(edge) == 2, "attacker.edge", "expected [a, b]")
+        _known(blk, ("edge", "mode", "rate"), "attacker")
+        edge = _edge(blk, "attacker.edge")
         mode = blk.get("mode")
         _require(mode in ATTACK_MODES, "attacker.mode", f"must be one of {ATTACK_MODES}")
-        rate = blk.get("rate", 1.0)
-        _require(isinstance(rate, (int, float)) and 0 <= rate <= 1, "attacker.rate", "must lie in [0, 1]")
-        attacker = AttackerSpec((edge[0], edge[1]), mode, float(rate))
+        rate = _take(blk, "rate", (int, float), 1.0, "attacker.rate")
+        _require(0 <= rate <= 1, "attacker.rate", "must lie in [0, 1]")
+        attacker = AttackerSpec(edge, mode, float(rate))
 
     outage = None
     if raw.get("outage") is not None:
         blk = raw["outage"]
         _require(isinstance(blk, dict), "outage", "expected an object")
-        edge = blk.get("edge")
-        _require(isinstance(edge, list) and len(edge) == 2, "outage.edge", "expected [a, b]")
-        at_s = blk.get("at_s")
-        after = blk.get("after_install")
+        _known(blk, ("edge", "at_s", "after_install"), "outage")
+        edge = _edge(blk, "outage.edge")
+        at_s = _take(blk, "at_s", (int, float), None, "outage.at_s")
+        _require(at_s is None or at_s >= 0, "outage.at_s", f"must be non-negative, got {at_s!r}")
+        after = _take(blk, "after_install", str, None, "outage.after_install")
         _require((at_s is None) != (after is None), "outage",
                  "exactly one of at_s / after_install required")
-        outage = OutageSpec((edge[0], edge[1]), at_s, after)
+        outage = OutageSpec(edge, at_s, after)
 
     encoding = _sub(raw, "name_encoding", EncodingModel, "name_encoding")
 
@@ -346,4 +376,6 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid("file", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that are not text, or an over-long integer literal
+        raise ScenarioInvalid("file", str(exc)) from exc
     return scenario_from_dict(raw)

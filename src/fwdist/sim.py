@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .agent import AgentConfig, InstalledFirmware, UpdateAgent
 from .forwarder import (
@@ -53,10 +55,9 @@ class Edge:
     face_at_parent: int
     face_at_child: int
     conflicts: list[int] = field(default_factory=list)
-    # Airtime (start, end) of the attempts on this link that were still on air
-    # when the latest one was recorded; intervals that end at or before the
-    # simulated time of a record are dropped (see Simulation._record_interval).
-    intervals: list[tuple[int, int]] = field(default_factory=list)
+    # bit i is set when airtime on edge i collides with this one: the edge
+    # itself and its conflicts
+    domain: int = 0
     severed_at: int | None = None
     attacked: bool = False
 
@@ -145,7 +146,7 @@ class SimNode:
         else:
             actions = self.forwarder.on_nack(face, packet, now)
         self._execute(actions, now)
-        self._after_agent(now)
+        self._rearm(now)
 
     def _execute(self, actions, now: int) -> None:
         delay = self.sim.scenario.node.proc_delay_us
@@ -202,7 +203,7 @@ class SimNode:
             if request is not None:
                 interest, is_retry = request
                 self._send_agent_interest(interest, now, is_retry)
-        self._after_agent(now)
+        self._rearm(now)
 
     def _send_agent_interest(self, interest: Interest, now: int, is_retry: bool) -> None:
         actions = self.forwarder.on_local_interest(interest, now)
@@ -220,26 +221,23 @@ class SimNode:
                 # No route or table pressure: let the app-layer timer retry.
                 self.agent.on_timeout(interest.name, now)
 
-    def _after_agent(self, now: int) -> None:
-        if self.agent is not None:
+    def _rearm(self, now: int) -> None:
+        """Withdraw a local PIT entry the agent no longer waits for, then make
+        sure a wake is queued for the earliest forwarder or agent deadline."""
+        agent = self.agent
+        forwarder = self.forwarder
+        if agent is not None:
             pending = self.agent_pending_name
-            if pending is not None and self.agent.outstanding_name != pending and (
-                self.agent.awaited_manifest != pending
+            if pending is not None and agent.outstanding_name != pending and (
+                agent.awaited_manifest != pending
             ):
-                self.forwarder.cancel_local(pending)
+                forwarder.cancel_local(pending)
                 self.agent_pending_name = None
-        self.reschedule(now)
-
-    def next_deadline(self) -> int | None:
-        deadline = self.forwarder.next_deadline()
-        if self.agent is not None:
-            agent_at = self.agent.next_action_at()
+        deadline = forwarder.next_deadline()
+        if agent is not None:
+            agent_at = agent.next_action_at()
             if agent_at is not None and (deadline is None or agent_at < deadline):
                 deadline = agent_at
-        return deadline
-
-    def reschedule(self, now: int) -> None:
-        deadline = self.next_deadline()
         if deadline is None:
             return
         if deadline < now:
@@ -257,7 +255,6 @@ class Simulation:
         self.queue = EventQueue()
         self.now = 0
         self.records: list[tuple[int, str, str, int | None, str]] = []
-        self.counters: dict[str, dict[str, int]] = {}
         self.repo = Repository()
         self.images: dict[str, bytes] = {}  # device class -> published image
         self.psks: dict[str, bytes] = {}
@@ -269,6 +266,9 @@ class Simulation:
             loss.per_transmission,
             1.0 - (1.0 - loss.per_transmission) * (1.0 - loss.collision),
         )
+        # (start, end, edge index) of every attempt still on air at the
+        # latest record; see _record_interval
+        self._airtime: list[tuple[int, int, int]] = []
         self._build_network()
         self._publish_firmware()
         self._wire_outage_and_attacker()
@@ -311,6 +311,7 @@ class Simulation:
                         conflict_sets[a].add(b)
         for edge in self.edges:
             edge.conflicts = sorted(conflict_sets[edge.index])
+            edge.domain = sum(1 << i for i in conflict_sets[edge.index] | {edge.index})
 
     def _device_class_of(self, node_id: str) -> str:
         if self.scenario.multiparty:
@@ -432,8 +433,14 @@ class Simulation:
 
     def log(self, at: int, node: str, event: str, chunk_id: int | None, detail: str) -> None:
         self.records.append((at, node, event, chunk_id, detail))
-        counts = self.counters.setdefault(node, {})
-        counts[event] = counts.get(event, 0) + 1
+
+    @property
+    def counters(self) -> dict[str, dict[str, int]]:
+        """Records per node and event, counted over ``records`` in one pass."""
+        counts: dict[str, dict[str, int]] = {}
+        for (node, event), n in Counter(map(itemgetter(1, 2), self.records)).items():
+            counts.setdefault(node, {})[event] = n
+        return counts
 
     def _agent_emitter(self, node: SimNode):
         def emit(event: str, chunk_id: int | None, detail: str) -> None:
@@ -501,26 +508,24 @@ class Simulation:
         self.queue.push(delivery, on_delivered)
 
     def _medium_overlap(self, edge: Edge, start: int, end: int) -> bool:
-        for idx in edge.conflicts:
-            for s, e in self.edges[idx].intervals:
-                if s < end and start < e:
-                    return True
-        for s, e in edge.intervals:
-            if s < end and start < e:
+        """Whether [start, end) overlaps live airtime on ``edge`` or a conflicting edge."""
+        domain = edge.domain
+        for s, e, idx in self._airtime:
+            if s < end and start < e and domain >> idx & 1:
                 return True
         return False
 
     def _record_interval(self, edge: Edge, start: int, end: int) -> None:
-        """Add an airtime interval to ``edge`` and drop the ones that are over.
+        """Add an airtime interval on ``edge`` and drop the ones that are over.
 
         Every attempt starts at or after the current simulated time, so an
         interval that ended at or before ``self.now`` can never overlap a
-        later one; only live intervals are kept.
+        later one; only live intervals, on any edge, are kept.
         """
         now = self.now
-        live = [iv for iv in edge.intervals if iv[1] > now]
-        live.append((start, end))
-        edge.intervals = live
+        live = [iv for iv in self._airtime if iv[1] > now]
+        live.append((start, end, edge.index))
+        self._airtime = live
 
     def send_packet(self, src: SimNode, face: int, packet: Packet, t: int) -> None:
         """Fragmenting packet send: frames above the MTU split into sub-frames."""
@@ -580,7 +585,8 @@ class Simulation:
     def run(self) -> "SimResult":
         duration = self.scenario.duration_us()
         queue = self.queue
-        while len(queue) and self.pending:
+        heap = queue._heap
+        while heap and self.pending:
             at, _, fn = queue.pop()
             if duration <= 0 or at > duration:
                 break
@@ -595,13 +601,13 @@ class SimResult:
     def __init__(self, sim: Simulation):
         self.scenario = sim.scenario
         self.records = sim.records
-        self.counters = sim.counters
+        self.counters = counters = sim.counters
         self.images = sim.images
         topo = sim.scenario.topology
         self.node_stats: dict[str, dict] = {}
         for dev in topo.devices:
             agent = sim.nodes[dev].agent
-            counts = sim.counters.get(dev, {})
+            counts = counters.get(dev, {})
             aborted = counts.get("Abort", 0) > 0
             fetch_span = None
             if agent.first_chunk_recv_us is not None and agent.last_chunk_recv_us is not None:

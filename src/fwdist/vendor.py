@@ -53,6 +53,10 @@ class MalformedManifest(ValueError):
     pass
 
 
+class InvalidSigningKey(ValueError):
+    pass
+
+
 @dataclass(frozen=True, slots=True)
 class FirmwareImage:
     data: bytes
@@ -217,7 +221,7 @@ def build_manifest(
 
 def signing_key_from_seed(seed: bytes) -> Ed25519PrivateKey:
     if len(seed) != 32:
-        raise ValueError("Ed25519 seeds are 32 bytes")
+        raise InvalidSigningKey(f"Ed25519 seeds are 32 bytes, got {len(seed)}")
     return Ed25519PrivateKey.from_private_bytes(seed)
 
 

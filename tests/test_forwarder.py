@@ -19,7 +19,7 @@ from fwdist.forwarder import (
     Timeout,
 )
 from fwdist.naming import BaseName
-from fwdist.packets import Data, HmacTag, Interest
+from fwdist.packets import Data, HmacTag, ManifestSignature, Interest, Nack
 
 BASE = BaseName("d", "v", "c", 100)
 
@@ -294,3 +294,40 @@ def test_fib_longest_prefix_and_default():
     assert fib.lookup(BASE.chunk(0)) == 3
     assert fib.lookup(BaseName("d", "v", "other", 1).manifest()) == 2
     assert fib.lookup(BaseName("x", "y", "z", 1).manifest()) == 1
+
+
+# -- packets and actions ------------------------------------------------------------
+
+def test_packets_are_immutable():
+    interest = Interest(BASE.chunk(0), 5)
+    data = chunk_data(0)
+    nack = Nack(BASE.manifest(), "no-data")
+    for packet, field in ((interest, "nonce"), (data, "payload"), (data, "auth"), (nack, "reason"),
+                          (data.auth, "tag"), (ManifestSignature(b"s"), "signature")):
+        with pytest.raises(AttributeError):
+            setattr(packet, field, None)
+
+
+def test_interest_checks_run_in_every_constructor():
+    interest = Interest(BASE.chunk(0), 5)
+    assert interest.lifetime_ms == 8000
+    assert interest._replace(nonce=6) == Interest(BASE.chunk(0), 6)
+    for build in (lambda: Interest(BASE.chunk(0), 2**32),
+                  lambda: interest._replace(nonce=-1),
+                  lambda: interest._replace(lifetime_ms=0),
+                  lambda: Interest._make([BASE.chunk(0), 1, -5])):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_actions_are_slotted_and_compare_within_their_class():
+    # actions live only from the forwarder's return to the node's execution,
+    # so they are not frozen; they still take no attribute beyond their fields
+    interest = Interest(BASE.chunk(0), 5)
+    assert Forward(1, interest) == Forward(1, interest)
+    assert Forward(1, interest) != Retransmit(1, interest)
+    assert Aggregate(interest.name) != Timeout(interest.name)
+    for action in (Forward(1, interest), Drop("loop"), Timeout(interest.name)):
+        assert not hasattr(action, "__dict__")
+        with pytest.raises(AttributeError):
+            action.extra = 1

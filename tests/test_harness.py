@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwdist.harness import (
+    CSV_HEADER,
     MalformedCsv,
     NoPayloadRoom,
     OverheadModel,
@@ -216,6 +217,30 @@ def test_parse_csv_rejects_short_rows():
         _parse_csv(["sim_time_us,node,event,chunk_id,detail", "1,n1,DataRecv"])
 
 
+csv_fields = st.text(alphabet=st.sampled_from("0123456789-+_ ,aé\r\t"), max_size=5)
+csv_rows = st.one_of(
+    st.tuples(st.integers(-5, 10**6), csv_fields, csv_fields, st.none() | st.integers(-3, 500),
+              csv_fields).map(lambda r: ",".join("" if v is None else str(v) for v in r)),
+    st.lists(csv_fields, max_size=6).map(",".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300)
+@given(header=st.sampled_from([CSV_HEADER, CSV_HEADER + ",x", ""]), rows=st.lists(csv_rows, max_size=5))
+def test_parse_csv_gives_rows_or_malformed_csv(header, rows):
+    text = "\n".join([header, *rows]) + "\n"
+    try:
+        parsed = _parse_csv(io.StringIO(text, newline=None))  # the line splitting of open()
+    except MalformedCsv:
+        return
+    assert header == CSV_HEADER
+    for t, node, event, chunk_id, detail in parsed:
+        assert type(t) is int and isinstance(node, str) and isinstance(event, str)
+        assert chunk_id is None or type(chunk_id) is int
+        assert isinstance(detail, str) and "\n" not in detail
+
+
 # -- CLI -------------------------------------------------------------------------------------
 
 def run_cli(*args, **kw):
@@ -277,6 +302,12 @@ def test_cli_run_string_boolean_exit_2(tmp_path):
 @pytest.mark.parametrize("override, field", [
     ({"node": {"pit_capacity": "16"}}, "node.pit_capacity"),  # was a TypeError traceback, exit 1
     ({"link": {"retries": -1}}, "link.retries"),  # was accepted, exit 0
+    ({"attacker": {"edge": [["gw"], "n1"], "mode": "forge_tag"}}, "attacker.edge"),  # TypeError
+    ({"outage": {"edge": ["gw", "n1"], "after_install": ["n1"]}}, "outage.after_install"),  # TypeError
+    ({"outage": {"edge": ["gw", "n1"], "at_s": "5"}}, "outage.at_s"),  # string times a million
+    ({"granularity": {"period_s": 86400.5}}, "granularity.period_s"),  # failed later, on the epoch
+    ({"attacker": {"edge": ["gw", "n1"], "mode": "forge_tag", "rate": True}}, "attacker.rate"),  # 1.0
+    ({"granularity": {"period_s": True, "offset_s": False}}, "granularity.period_s"),  # accepted
 ])
 def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field):
     scenario = tmp_path / "bad.json"
@@ -285,6 +316,43 @@ def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field
     assert proc.returncode == 2
     assert field in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "{scenario}", "--axis", "chunk_count", "--values", "10,x", "--seeds", "1"],
+    ["sweep", "{scenario}", "--axis", "chunk_count", "--values", "10", "--seeds", "1,b"],
+    ["sweep", "{scenario}", "--axis", "chunk_count", "--values", "-10", "--seeds", "1"],
+    ["sweep", "{scenario}", "--axis", "poll_period_s", "--values", "0", "--seeds", "1"],
+    ["tables", "{scenario}", "--kind", "retx", "--block-size", "0"],
+    ["tables", "{binary}", "--kind", "retx"],
+    ["overhead", "--firmware-size", "0"],
+    ["run", "{binary}"],
+    ["run", "{missing}"],
+])
+def test_cli_bad_option_values_and_files_exit_2(tmp_path, args):
+    files = {"scenario": write_scenario(tmp_path), "binary": tmp_path / "binary",
+             "missing": tmp_path / "missing.json"}
+    files["binary"].write_bytes(b"\xff\xfe\x00garbage")
+    proc = run_cli(*[a.format(**files) for a in args], timeout=60)  # a zero poll period looped
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("fwdist.cli.run_scenario", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        fwsim_main(["run", str(write_scenario(tmp_path))])
+
+
+def test_sweep_rejects_values_the_scenario_would_reject():
+    for axis, value in (("chunk_count", 0), ("chunk_count", 1.5), ("image_size", True),
+                        ("duration_s", float("nan")), ("poll_stagger_s", -1), ("chunk_size", 2**32)):
+        with pytest.raises(ScenarioInvalid) as err:
+            sweep(chain_raw(), axis, [value], [1])
+        assert err.value.fieldname == axis
 
 
 def _fwsim_quiet(argv) -> int:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,6 +122,57 @@ def test_names_equal_exactly_when_fields_equal(a, b, route_a, route_b):
         if x == y:
             assert hash(x) == hash(y) and hash(x.base) == hash(y.base)
             assert {x: 1}[y] == 1 and {x.base: 1}[y.base] == 1
+
+
+@given(a=name_fields, b=name_fields)
+def test_names_of_different_kinds_or_bases_never_compare_equal(a, b):
+    x, y = _build(a, "direct"), _build(b, "direct")
+    if a[4][0] != b[4][0] or a[:4] != b[:4]:
+        assert x != y and not x == y
+    # a base name (a tuple of four) never equals a full name (a tuple of three)
+    assert x.base != y and y != x.base and not x.base == y
+
+
+# -- names are checked, immutable tuples ----------------------------------------
+
+NAME = BaseName("oilrig", "acme", "valve", 1632261600).chunk(7)
+
+
+def test_names_are_immutable():
+    for name, field in ((NAME, "chunk_id"), (NAME, "base"), (NAME.base, "epoch")):
+        with pytest.raises(AttributeError):
+            setattr(name, field, 1)
+    with pytest.raises(AttributeError):
+        NAME.base.extra = 1
+
+
+def test_make_and_replace_run_the_checks():
+    assert NAME._replace(chunk_id=8) == NAME.base.chunk(8)
+    assert BaseName._make(["d", "v", "c", 5]) == BaseName("d", "v", "c", 5)
+    for build in (lambda: NAME._replace(chunk_id=-1),
+                  lambda: NAME._replace(kind="manifest"),
+                  lambda: NAME._replace(base=("oilrig", "acme", "valve", 1632261600)),
+                  lambda: NAME.base._replace(vendor="a/b"),
+                  lambda: BaseName._make(["d", "v", "c", True]),
+                  lambda: FirmwareName._make([NAME.base, "blob", None])):
+        with pytest.raises(MalformedName):
+            build()
+
+
+def test_names_hash_as_their_field_tuples_and_survive_pickle():
+    assert hash(NAME.base) == hash(("oilrig", "acme", "valve", 1632261600))
+    assert hash(NAME) == hash((NAME.base, "chunk", 7))
+    for name in (NAME, NAME.base, NAME.base.manifest()):
+        copy = pickle.loads(pickle.dumps(name))
+        assert type(copy) is type(name) and copy == name and hash(copy) == hash(name)
+
+
+def test_name_str_and_repr():
+    assert str(NAME) == "/oilrig/acme/valve/1632261600/chunk/7"
+    assert str(NAME.base) == "/oilrig/acme/valve/1632261600"
+    assert repr(NAME) == ("FirmwareName(base=BaseName(deployment='oilrig', vendor='acme', "
+                          "device_class='valve', epoch=1632261600), kind='chunk', chunk_id=7)")
+    assert repr(NAME.base.manifest()).endswith("kind='manifest', chunk_id=None)")
 
 
 # -- epoch alignment ---------------------------------------------------------

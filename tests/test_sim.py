@@ -1,15 +1,18 @@
+import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwdist.naming import BaseName, EncodingModel
+from fwdist.naming import BaseName, EncodingModel, Granularity
 from fwdist.packets import Data, HmacTag, packet_size
 from fwdist.scenario import (
     AgentParams,
     LinkParams,
     LossParams,
     NodeParams,
+    Scenario,
     ScenarioInvalid,
     scenario_from_dict,
 )
@@ -269,20 +272,28 @@ def test_airtime_union_within_wall_clock():
 
 
 def test_record_interval_keeps_exactly_the_live_intervals():
-    sim = Simulation(chain_scenario())
-    edge, neighbor = sim.edges[0], sim.edges[1]
-    assert neighbor.index in edge.conflicts
+    # gw-n1-...-n5: edge 0 (gw-n1) conflicts with edges 1 and 2, not with edge 4
+    nodes = [{'id': 'gw', 'parent': None}] + [
+        {'id': f'n{i}', 'parent': 'gw' if i == 1 else f'n{i - 1}'} for i in range(1, 6)]
+    sim = Simulation(chain_scenario(topology={'nodes': nodes}))
+    edge, neighbor, far = sim.edges[0], sim.edges[1], sim.edges[4]
+    assert neighbor.index in edge.conflicts and far.index not in edge.conflicts
     sim._record_interval(edge, 0, 100)
     sim._record_interval(neighbor, 40, 101)
     sim.now = 100
     sim._record_interval(neighbor, 150, 200)
+    sim._record_interval(far, 250, 500)
     sim._record_interval(edge, 300, 400)
-    assert edge.intervals == [(300, 400)]  # (0, 100) ended at now
-    assert neighbor.intervals == [(40, 101), (150, 200)]  # (40, 101) is still on air
+    # (0, 100) ended at now and is gone; (40, 101) is still on air
+    assert sim._airtime == [(40, 101, 1), (150, 200, 1), (250, 500, 4), (300, 400, 0)]
     assert sim._medium_overlap(edge, 100, 101)
     assert not sim._medium_overlap(edge, 101, 150)
     assert sim._medium_overlap(edge, 199, 300)
+    # (250, 500) on the far edge overlaps in time but never collides with edge 0
     assert not sim._medium_overlap(edge, 200, 300)
+    assert not sim._medium_overlap(edge, 400, 450)
+    assert sim._medium_overlap(edge, 399, 450)
+    assert sim._medium_overlap(far, 200, 300)
 
 
 @settings(max_examples=5, deadline=None)
@@ -406,6 +417,133 @@ def test_block_fields_accept_their_types_at_the_bounds():
     assert (sc.loss.collision, sc.link.retries, sc.node.pit_capacity) == (1, 0, 1)
     assert sc.agent.app_retx_jitter_s == 2.0 and sc.name_encoding == EncodingModel(0, 0)
     assert chain_scenario(loss=None, link=None).link == LinkParams()
+
+
+ATTACKER = {"edge": ["gw", "n1"], "mode": "forge_tag"}
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"attacker": {**ATTACKER, "edge": ["gw", 1]}}, "attacker.edge"),
+    ({"attacker": {**ATTACKER, "rate": False}}, "attacker.rate"),
+    ({"attacker": {**ATTACKER, "rate": float("nan")}}, "attacker.rate"),
+    ({"attacker": {**ATTACKER, "rte": 0.5}}, "attacker.rte"),
+    ({"outage": {"edge": ["gw", "n1"], "at_s": -1}}, "outage.at_s"),
+    ({"outage": {"edge": ["gw", "n1"], "at_s": float("inf")}}, "outage.at_s"),
+    ({"outage": {"edge": ["gw", "n1"], "at_s": True}}, "outage.at_s"),
+    ({"outage": {"edge": ["gw", "n1"], "after_install": "n1", "at": 5}}, "outage.at"),
+    ({"granularity": {"offset_s": False}}, "granularity.offset_s"),
+    ({"granularity": {"offset_s": 1.5}}, "granularity.offset_s"),
+    ({"granularity": {"period_s": 0}}, "granularity.period_s"),
+    ({"granularity": {"period_s": 3600, "offset_s": -3600}}, "granularity.offset_s"),
+    ({"granularity": {"period": 3600}}, "granularity.period"),
+    ({"granularity": None}, "granularity"),
+    ({"duration_s": float("inf")}, "duration_s"),
+    ({"poll_period_s": float("inf")}, "poll_period_s"),
+    ({"epoch": 2**64}, "epoch"),
+    ({"chunk_size": 2**32}, "chunk_size"),
+])
+def test_attacker_outage_granularity_and_bounds_are_strict(override, field):
+    with pytest.raises(ScenarioInvalid) as err:
+        chain_scenario(**override)
+    assert err.value.fieldname == field
+
+
+def test_granularity_default_depends_on_whether_the_block_is_present():
+    # absent: daily at local midnight, UTC+2; present without offset_s: offset 0
+    assert chain_scenario().granularity == Granularity(86400, -7200)
+    assert chain_scenario(granularity={}).granularity == Granularity(86400, 0)
+    assert chain_scenario(granularity={"period_s": 3600}).granularity == Granularity(3600, 0)
+    assert chain_scenario(granularity={"offset_s": -7200}).granularity == Granularity(86400, -7200)
+
+
+def test_attacker_and_outage_blocks_parse():
+    sc = chain_scenario(attacker={**ATTACKER, "rate": 0}, outage={"edge": ["n2", "n1"], "at_s": 0})
+    assert (sc.attacker.edge, sc.attacker.rate) == (("gw", "n1"), 0.0)
+    assert (sc.outage.edge, sc.outage.at_s, sc.outage.after_install) == (("n2", "n1"), 0, None)
+    sc = chain_scenario(outage={"edge": ["gw", "n1"], "after_install": "n1", "at_s": None})
+    assert (sc.outage.at_s, sc.outage.after_install) == (None, "n1")
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**65, 2**65), st.floats(), st.text(max_size=3),
+              st.sampled_from(["gw", "n1", "n9"])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6)
+# every field set, so that one mutated field is the only fault in a scenario
+FULL_SCENARIO = {
+    'strategy': 'cascading', 'image_size': 640, 'chunk_size': 32, 'seed': 7, 'duration_s': 900,
+    'deployment': 'd', 'vendor': 'v', 'device_class': 'c', 'epoch': 1632261600,
+    'granularity': {'period_s': 86400, 'offset_s': -7200}, 'multiparty': False, 'trunc_len': 8,
+    'poll_period_s': 3600, 'poll_stagger_s': 5.0, 'nacks_enabled': False,
+    'loss': {'per_transmission': 0.1, 'collision': 0.6}, 'link': {'retries': 3},
+    'node': {'pit_capacity': 16}, 'agent': {'manifest_retries': 3}, 'name_encoding': {},
+    'attacker': {'edge': ['n1', 'n2'], 'mode': 'forge_tag', 'rate': 0.5},
+    'topology': CHAIN,
+}
+OUTAGES = [{'edge': ['gw', 'n1'], 'at_s': 12.5}, {'edge': ['gw', 'n1'], 'after_install': 'n1'}]
+
+
+def _paths(raw, prefix=()):
+    """Every key path into ``raw``, list items included, leaves and inner nodes alike."""
+    items = raw.items() if isinstance(raw, dict) else enumerate(raw) if isinstance(raw, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(raw, path, value):
+    """A deep copy of ``raw`` with ``path`` set to ``value``, or removed for the sentinel."""
+    raw = json.loads(json.dumps(raw))
+    *head, last = path
+    holder = raw
+    for key in head:
+        holder = holder[key]
+    if value is not _REMOVE:
+        holder[last] = value
+    elif isinstance(holder, dict):
+        holder.pop(last, None)
+    return raw
+
+
+_REMOVE = object()
+
+
+@st.composite
+def mutated_scenarios(draw):
+    raw = {**FULL_SCENARIO, 'outage': draw(st.sampled_from(OUTAGES))}
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(sorted(_paths(raw), key=repr)) | st.tuples(st.text(max_size=2)))
+        raw = _mutate(raw, path, draw(st.just(_REMOVE) | json_values))
+    return raw
+
+
+def _finite_number(value, minimum=None):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+            and (minimum is None or value >= minimum))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=mutated_scenarios())
+def test_scenario_from_dict_gives_a_valid_scenario_or_scenario_invalid(raw):
+    try:
+        sc = scenario_from_dict(raw)
+    except ScenarioInvalid:
+        return
+    assert isinstance(sc, Scenario)
+    nodes = set(sc.topology.nodes)
+    assert isinstance(sc.duration_us(), int) and sc.chunk_count() > 0
+    for value in (sc.duration_s, sc.poll_period_s, sc.poll_stagger_s):
+        assert _finite_number(value, 0)
+    g = sc.granularity
+    assert type(g.period) is int and type(g.offset) is int and abs(g.offset) < g.period
+    if sc.attacker is not None:
+        assert set(sc.attacker.edge) <= nodes and type(sc.attacker.rate) is float
+        assert 0 <= sc.attacker.rate <= 1
+    if sc.outage is not None:
+        assert set(sc.outage.edge) <= nodes
+        assert (sc.outage.at_s is None) != (sc.outage.after_install is None)
+        assert sc.outage.at_s is None or _finite_number(sc.outage.at_s, 0)
+        assert sc.outage.after_install is None or sc.outage.after_install in nodes
 
 
 @pytest.mark.parametrize("node_id", ["", "a,b", 'a"b', "a\nb", "a\rb", "\ud800", 5, None])

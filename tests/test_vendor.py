@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fwdist.naming import BaseName
 from fwdist.vendor import (
@@ -17,6 +17,7 @@ from fwdist.vendor import (
     InconsistentPublication,
     InvalidChunkSize,
     InvalidTruncation,
+    MalformedManifest,
     Manifest,
     Repository,
     build_manifest,
@@ -325,18 +326,47 @@ def test_fwpub_cli_publishes(tmp_path):
     assert loaded.manifest.verify(PUB)
 
 
-def test_fwpub_cli_rejects_bad_chunk_size(tmp_path):
+def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32))):
     img_file = tmp_path / "fw.bin"
     img_file.write_bytes(b"xyz")
     psk_file = tmp_path / "psk.bin"
     psk_file.write_bytes(PSK)
     key_file = tmp_path / "key.bin"
-    key_file.write_bytes(bytes(range(32)))
+    key_file.write_bytes(key)
     cmd = [
         sys.executable, "-c", "import sys; from fwdist.cli import fwpub_main; sys.exit(fwpub_main())",
         "--image", str(img_file), "--deployment", "d", "--vendor", "v",
-        "--class", "c", "--epoch", "10", "--chunk-size", "0",
+        "--class", "c", "--epoch", "10", "--chunk-size", chunk_size,
         "--psk-file", str(psk_file), "--key-file", str(key_file), "--repo", str(tmp_path / "r"),
     ]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def test_fwpub_cli_rejects_bad_chunk_size(tmp_path):
+    proc = _fwpub_small(tmp_path, chunk_size="0")
     assert proc.returncode == 2
+
+
+def test_fwpub_cli_rejects_a_signing_key_of_the_wrong_length(tmp_path):
+    proc = _fwpub_small(tmp_path, key=bytes(31))
+    assert proc.returncode == 2
+    assert "32 bytes" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# -- manifest decoding of arbitrary bytes ----------------------------------------------
+
+VALID_MANIFEST = build_manifest(image(100), 32, KEY, "d", "v").to_bytes()
+spliced_manifests = st.tuples(st.integers(0, len(VALID_MANIFEST)), st.binary(max_size=8),
+                              st.integers(0, len(VALID_MANIFEST))).map(
+    lambda t: VALID_MANIFEST[:t[0]] + t[1] + VALID_MANIFEST[t[2]:])
+
+
+@settings(max_examples=300)
+@given(raw=st.binary(max_size=200) | spliced_manifests)
+def test_manifest_from_bytes_gives_a_manifest_or_malformed_manifest(raw):
+    try:
+        manifest = Manifest.from_bytes(raw)
+    except MalformedManifest:
+        return
+    assert isinstance(manifest.base, BaseName)
+    assert manifest.to_bytes() == raw
