@@ -30,7 +30,7 @@ from .harness import (
     table_csv_lines,
 )
 from .naming import MalformedName
-from .scenario import ScenarioInvalid, load_scenario
+from .scenario import UNREADABLE, ScenarioInvalid, read_scenario
 from .vendor import (
     DuplicateEpoch,
     EmptyImage,
@@ -72,6 +72,14 @@ def _list_of(parse, what: str):
     return parse_list
 
 
+def _file_bytes(path: str) -> bytes:
+    """argparse type: the contents of the file at ``path``."""
+    try:
+        return Path(path).read_bytes()
+    except (FileNotFoundError, *UNREADABLE) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _numeric(text: str):
     try:
         return int(text)
@@ -93,8 +101,9 @@ def _fwsim_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True)
     p_sweep.add_argument("--values", required=True, type=_list_of(_numeric, "numbers"),
                          help="comma-separated axis values")
-    p_sweep.add_argument("--seeds", required=True, type=_list_of(int, "integers"),
-                         help="comma-separated seeds")
+    p_sweep.add_argument("--seeds", type=_list_of(int, "integers"),
+                         help="comma-separated seeds; required unless --axis is seed, "
+                              "whose values are the seeds")
     p_sweep.add_argument("--out", default=None, help="output CSV file (default stdout)")
 
     p_over = sub.add_parser("overhead", help="chunk-wise signature overhead calculator")
@@ -128,15 +137,18 @@ def _emit_lines(lines, out: str | None) -> None:
 
 
 def fwsim_main(argv=None) -> int:
-    args = _fwsim_parser().parse_args(argv)
+    parser = _fwsim_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep" and (args.seeds is None) != (args.axis == "seed"):
+        parser.error("sweep: --axis seed takes no --seeds, its values are the seeds" if args.axis == "seed"
+                     else "sweep: --seeds is required unless --axis is seed")
     try:
         if args.command == "run":
             out_dir = args.out if args.out is not None else "fwsim-out"
             result, summary = run_scenario(args.scenario, seed=args.seed, out_dir=out_dir)
             print(json.dumps(summary, indent=2, sort_keys=True))
         elif args.command == "sweep":
-            scenario = load_scenario(args.scenario)
-            table = sweep(scenario, args.axis, args.values, args.seeds)
+            table = sweep(read_scenario(args.scenario), args.axis, args.values, args.seeds)
             _emit_lines(sweep_csv_lines(table), args.out)
         elif args.command == "overhead":
             model = OverheadModel(
@@ -165,14 +177,15 @@ def fwsim_main(argv=None) -> int:
 
 def _fwpub_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fwpub", description="Publish a firmware image")
-    parser.add_argument("--image", required=True, help="firmware binary")
+    parser.add_argument("--image", required=True, type=_file_bytes, help="firmware binary")
     parser.add_argument("--deployment", required=True)
     parser.add_argument("--vendor", required=True)
     parser.add_argument("--class", dest="device_class", required=True)
     parser.add_argument("--epoch", type=int, required=True, help="aligned version epoch")
     parser.add_argument("--chunk-size", type=int, default=32)
-    parser.add_argument("--psk-file", required=True, help="pre-shared class key")
-    parser.add_argument("--key-file", required=True, help="32-byte Ed25519 signing seed")
+    parser.add_argument("--psk-file", required=True, type=_file_bytes, help="pre-shared class key")
+    parser.add_argument("--key-file", required=True, type=_file_bytes,
+                        help="32-byte Ed25519 signing seed")
     parser.add_argument("--repo", required=True, help="repository directory")
     parser.add_argument("--trunc-len", type=int, default=8, choices=(8, 16, 32))
     return parser
@@ -181,13 +194,10 @@ def _fwpub_parser() -> argparse.ArgumentParser:
 def fwpub_main(argv=None) -> int:
     args = _fwpub_parser().parse_args(argv)
     try:
-        image_bytes = Path(args.image).read_bytes()
-        psk = Path(args.psk_file).read_bytes()
-        seed = Path(args.key_file).read_bytes()
-        key = signing_key_from_seed(seed)
-        image = FirmwareImage(image_bytes, args.device_class, args.epoch)
+        key = signing_key_from_seed(args.key_file)
+        image = FirmwareImage(args.image, args.device_class, args.epoch)
         manifest = build_manifest(image, args.chunk_size, key, args.deployment, args.vendor)
-        chunks = make_chunks(image, manifest.base, args.chunk_size, psk, args.trunc_len)
+        chunks = make_chunks(image, manifest.base, args.chunk_size, args.psk_file, args.trunc_len)
         out = write_publication(Path(args.repo), manifest, chunks)
         print(json.dumps({
             "published": str(out),

@@ -14,12 +14,11 @@ node's DataRecv count equals its chunk count.
 from __future__ import annotations
 
 import json
-import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from .scenario import Scenario, ScenarioInvalid, load_scenario, scenario_from_dict
+from .scenario import UNREADABLE, ScenarioInvalid, load_scenario, scenario_from_dict
 from .sim import run_simulation
 
 
@@ -107,28 +106,15 @@ SWEEPABLE = ("image_size", "chunk_size", "chunk_count", "duration_s", "seed",
              "poll_period_s", "poll_stagger_s")
 
 
-def _apply_axis(scenario: Scenario, axis: str, value):
-    """Set one axis value, held to the rule ``scenario_from_dict`` applies to the field."""
-    integral = axis in ("image_size", "chunk_size", "chunk_count", "seed")
-    if integral:
-        number = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    positive = axis in ("image_size", "chunk_size", "chunk_count", "poll_period_s")
-    if not number or (axis != "seed" and value < 0) or (positive and value == 0) or (
-        axis == "chunk_size" and value >= 2**32
-    ):
-        raise ScenarioInvalid(axis, f"not a valid sweep value: {value!r}")
-    if axis == "chunk_count":
-        scenario.image_size = value * scenario.chunk_size
-    elif integral:
-        setattr(scenario, axis, value)
-    else:
-        setattr(scenario, axis, float(value))
+def sweep(base: dict, axis: str, values, seeds=None) -> dict:
+    """Run every axis value at every seed; on the ``seed`` axis, each value once as its seed.
 
-
-def sweep(base: Scenario | dict, axis: str, values, seeds) -> dict:
-    """Run the cross product of axis values and seeds.
+    ``base`` is a scenario as a JSON object. Each run parses a copy of it with
+    the axis field and the seed set, so a value is accepted exactly when
+    ``scenario_from_dict`` accepts it for that field; ``chunk_count`` sets
+    ``image_size`` to value × chunk_size. A rejected value raises
+    ``ScenarioInvalid`` naming the axis. ``seeds`` is required for every axis
+    but ``seed``, and refused for it.
 
     Returns {"rows": [...], "medians": [...]} where each row is
     (value, seed, completion_time_us, completions, net_retx, app_retx,
@@ -136,17 +122,23 @@ def sweep(base: Scenario | dict, axis: str, values, seeds) -> dict:
     """
     if axis not in SWEEPABLE:
         raise ScenarioInvalid("axis", f"not sweepable: {axis!r} (choose from {SWEEPABLE})")
+    if (seeds is None) != (axis == "seed"):
+        raise ScenarioInvalid("seeds", "required for every axis but seed, whose values are the seeds")
+    chunk_size = scenario_from_dict(base).chunk_size  # and a fault of the base names its field
+    field = "image_size" if axis == "chunk_count" else axis
     rows = []
     medians = []
     for value in values:
         completions = []
-        for seed in seeds:
-            if isinstance(base, dict):
-                scenario = scenario_from_dict(base)
-            else:
-                scenario = replace(base)
-            _apply_axis(scenario, axis, value)
-            scenario.seed = int(seed)
+        for seed in [value] if seeds is None else seeds:
+            raw = dict(base, seed=seed)
+            raw[field] = value * chunk_size if axis == "chunk_count" and type(value) is int else value
+            try:
+                scenario = scenario_from_dict(raw)
+            except ScenarioInvalid as exc:
+                if exc.fieldname != field:
+                    raise
+                raise ScenarioInvalid(axis, f"not a valid sweep value: {value!r} ({exc})") from exc
             result = run_simulation(scenario)
             done = result.completed_nodes()
             completion = result.completion_time_us(done) if done else None
@@ -155,7 +147,7 @@ def sweep(base: Scenario | dict, axis: str, values, seeds) -> dict:
                 totals["NetRetx"] += stats["net_retx"]
                 totals["AppRetx"] += stats["app_retx"]
                 totals["LinkRetx"] += stats["link_retx"]
-            rows.append((value, int(seed), completion, len(done),
+            rows.append((value, scenario.seed, completion, len(done),
                          totals["NetRetx"], totals["AppRetx"], totals["LinkRetx"]))
             completions.append(completion)
         finished = [c for c in completions if c is not None]
@@ -203,7 +195,11 @@ def _parse_csv(lines) -> list[tuple[int, str, str, int | None, str]]:
 
 
 def load_metrics_csv(path: str | Path):
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except UNREADABLE as exc:
+        raise MalformedCsv(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         try:
             return _parse_csv(fh)
         except UnicodeDecodeError as exc:

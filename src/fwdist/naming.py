@@ -157,7 +157,7 @@ class Granularity:
     midnight), e.g. offset -7200 for UTC+2 with a daily period.
     """
 
-    period: int
+    period: int = 86400
     offset: int = 0
 
     def __post_init__(self) -> None:

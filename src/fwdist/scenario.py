@@ -1,63 +1,31 @@
 """Scenario files: experiment configuration schema, defaults, validation.
 
-A scenario is JSON with the following fields (all optional unless noted):
+A scenario is a JSON object. ``SCHEMA`` has one row per accepted key, with
+its bounds in the manner of JSON Schema; the type and the default of each
+field come from the dataclass that holds it. The rows, generated from the
+table:
 
-    topology        "paper" or {"nodes": [{"id": "gw", "parent": null}, ...]}
-    strategy        "concurrent" | "cascading" (required)
-    image_size      firmware size in bytes (required)
-    chunk_size      chunk payload size in bytes (default 32)
-    seed            RNG seed (default 1)
-    duration_s      simulated cutoff in seconds (default 1800)
-    deployment / vendor / device_class
-                    name components (defaults "oilrig"/"acme"/"valve")
-    epoch           published firmware epoch (default 1632261600)
-    granularity     {"period_s": 86400, "offset_s": -7200} when the block is
-                    absent (daily, local midnight at UTC+2); inside a block
-                    that is present, period_s defaults to 86400 and
-                    offset_s to 0
-    multiparty      if true, every device gets its own device class and image
-    trunc_len       HMAC tag truncation: 8, 16, or 32 (default 8)
-    poll_period_s   manifest polling period (default 3600)
-    poll_stagger_s  initial poll spread across devices (default 5.0)
-    nacks_enabled   repository answers unknown epochs with Nacks (default false)
-    loss            {"per_transmission": 0.1, "collision": 0.6}
-    link            {"bandwidth_bps": 250000, "propagation_us": 0,
-                     "base_slot_us": 1000, "retries": 3, "mtu_bytes": 128,
-                     "link_header_bytes": 23}
-    node            {"cs_capacity": 64, "pit_capacity": 16, "seen_capacity": 128,
-                     "proc_delay_us": 1000, "turnaround_us": 2000,
-                     "flash_write_us": 0, "verify_delay_us": 2000,
-                     "install_delay_us": 2000}
-    agent           {"app_retx_base_s": 10.0, "app_retx_jitter_s": 5.0,
-                     "manifest_retries": 3, "digest_retries": 1}
-    attacker        {"edge": ["n6", "n7"], "mode": "tamper_payload" |
-                     "forge_tag" | "replay_stale", "rate": 1.0}
-    outage          {"edge": ["gw", "n1"], "at_s": 120.0} or
-                    {"edge": ["gw", "n1"], "after_install": "n1"}
-    name_encoding   {"component_overhead": 2, "name_overhead": 2}
+{fields}
 
-Every field of the ``loss``, ``link``, ``node``, ``agent`` and
-``name_encoding`` blocks is a finite, non-negative number; fields with an
-integer default take integers only. Loss probabilities are at most 1,
-``link.bandwidth_bps`` and ``node.pit_capacity`` are positive,
-``link.mtu_bytes`` exceeds ``link.link_header_bytes``, and
-``agent.app_retx_jitter_s`` is at most ``agent.app_retx_base_s``. Node IDs
-are non-empty strings without commas, double quotes or line breaks, because
-they are written unquoted into ``metrics.csv``. Top-level numbers are finite;
-``epoch`` and ``chunk_size`` fit the manifest's 8- and 4-byte fields.
-``granularity.period_s`` and ``offset_s`` are integers with
-``|offset_s| < period_s``. The edge ends of ``attacker`` and ``outage`` and
-``outage.after_install`` are node IDs; ``outage.at_s`` is a finite,
-non-negative number and ``attacker.rate`` a number in [0, 1]. No block takes
-a field not listed here, and a bool is never a number. A violation raises
-``ScenarioInvalid`` naming the field.
+``topology`` is "paper" or {"nodes": [{"id": "gw", "parent": null}, ...]}.
+Node IDs are non-empty strings without commas, double quotes or line breaks,
+because they are written unquoted into ``metrics.csv``. A block that is
+present takes its fields' defaults. ``link.mtu_bytes`` exceeds ``link.link_header_bytes``,
+``agent.app_retx_jitter_s`` is at most ``agent.app_retx_base_s``,
+``|granularity.offset_s| < granularity.period_s``, an ``outage`` has exactly
+one of ``at_s`` and ``after_install``, and the edge ends of ``attacker`` and
+``outage`` and ``outage.after_install`` are node IDs. No block takes a key
+that has no row, a bool is never a number, numbers are finite, an ``int``
+field takes integers only and a ``float`` field stores a float. A violation
+raises ``ScenarioInvalid`` naming the field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from .naming import EncodingModel, Granularity
@@ -66,7 +34,9 @@ from .topology import Topology, build_paper_topology, from_node_list, TopologyEr
 STRATEGIES = ("concurrent", "cascading")
 ATTACK_MODES = ("tamper_payload", "forge_tag", "replay_stale")
 # daily epochs at local midnight, UTC+2; used only when the block is absent
-DEFAULT_GRANULARITY = Granularity(86400, -7200)
+DEFAULT_GRANULARITY = Granularity(offset=-7200)
+# Opening a path the user named fails with these for bad input, not for a fault.
+UNREADABLE = (IsADirectoryError, NotADirectoryError, PermissionError)
 
 
 class ScenarioInvalid(ValueError):
@@ -117,7 +87,7 @@ class AgentParams:
 class AttackerSpec:
     edge: tuple[str, str]
     mode: str
-    rate: float
+    rate: float = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,64 +130,162 @@ class Scenario:
         return int(self.duration_s * 1_000_000)
 
 
+# ---------------------------------------------------------------------------
+# the schema: one row per accepted key, "block.key" inside a block. Keywords:
+# minimum, exclusiveMinimum, maximum, exclusiveMaximum and enum as in JSON
+# Schema; "nullable" (null stands for the default) and "attr" (the dataclass
+# field, where it is not named as the key).
+
+NON_NEGATIVE = {"minimum": 0}
+POSITIVE = {"exclusiveMinimum": 0}
+PROBABILITY = {"minimum": 0, "maximum": 1}
+NULLABLE = {"nullable": True}
+
+
+def _parameter_rows(block: str, cls, bounds: dict, **exceptions: dict) -> dict:
+    """The rows of a parameter block: one per field of ``cls``, each with ``bounds`` unless
+    ``exceptions`` names the field; null stands for the whole block's default."""
+    return {block: NULLABLE, **{f"{block}.{name}": exceptions.get(name, bounds)
+                                for name in cls.__dataclass_fields__}}
+
+SCHEMA: dict[str, dict] = {
+    "strategy": {"enum": STRATEGIES},
+    "image_size": POSITIVE,
+    "topology": {},
+    "chunk_size": {"exclusiveMinimum": 0, "exclusiveMaximum": 2**32},  # manifest: 4 bytes
+    "seed": {},
+    "duration_s": NON_NEGATIVE,
+    "deployment": {},
+    "vendor": {},
+    "device_class": {},
+    "epoch": {"exclusiveMinimum": 0, "exclusiveMaximum": 2**64},  # manifest: 8 bytes
+    "granularity": {},
+    "granularity.period_s": {"attr": "period", **POSITIVE},
+    "granularity.offset_s": {"attr": "offset"},
+    "multiparty": {},
+    "trunc_len": {"enum": (8, 16, 32)},
+    "poll_period_s": POSITIVE,
+    "poll_stagger_s": NON_NEGATIVE,
+    "nacks_enabled": {},
+    **_parameter_rows("loss", LossParams, PROBABILITY),
+    **_parameter_rows("link", LinkParams, NON_NEGATIVE, bandwidth_bps=POSITIVE),
+    **_parameter_rows("node", NodeParams, NON_NEGATIVE, pit_capacity=POSITIVE),
+    **_parameter_rows("agent", AgentParams, NON_NEGATIVE),
+    "attacker": NULLABLE,
+    "attacker.edge": {},
+    "attacker.mode": {"enum": ATTACK_MODES},
+    "attacker.rate": PROBABILITY,
+    "outage": NULLABLE,
+    "outage.edge": {},
+    "outage.at_s": {**NULLABLE, **NON_NEGATIVE},
+    "outage.after_install": NULLABLE,
+    **_parameter_rows("name_encoding", EncodingModel, NON_NEGATIVE),
+}
+
+_BLOCK_TYPES = {cls.__name__: cls for cls in (
+    Granularity, LossParams, LinkParams, NodeParams, AgentParams, AttackerSpec, OutageSpec,
+    EncodingModel)}
+_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float)}
+_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
+           "maximum": (operator.le, "<="), "exclusiveMaximum": (operator.lt, "<")}
+
+
+def _layout() -> dict[str, tuple[type, dict]]:
+    """Block path -> (dataclass, {key: (dataclass field, type name, row)}), from ``SCHEMA``."""
+    layout = {"": (Scenario, {})}
+    for path, row in SCHEMA.items():
+        block, _, key = path.rpartition(".")
+        cls, columns = layout[block]
+        spec = cls.__dataclass_fields__[row.get("attr", key)]
+        kind = spec.type.removesuffix(" | None")
+        if kind in _BLOCK_TYPES:
+            layout[path] = (_BLOCK_TYPES[kind], {})
+        columns[key] = (spec, kind, row)
+    return layout
+
+
+_LAYOUT = _layout()
+
+
 def _require(cond: bool, fieldname: str, message: str) -> None:
     if not cond:
         raise ScenarioInvalid(fieldname, message)
 
 
-def _take(raw: dict, key: str, types, default, fieldname: str | None = None):
-    """``raw[key]`` checked against ``types``; bool and numbers never stand in for each other."""
-    value = raw.get(key, default)
-    if value is None and default is None:
-        return None
-    _require(isinstance(value, types) and (types is bool or not isinstance(value, bool)),
-             fieldname or key, f"expected {types}, got {value!r}")
-    _require(not isinstance(value, float) or math.isfinite(value), fieldname or key,
-             f"must be finite, got {value!r}")
+def _block(path: str, raw):
+    """The dataclass of block ``path`` built from the JSON object ``raw``, held to its rows."""
+    cls, columns = _LAYOUT[path]
+    _require(isinstance(raw, dict), path or "scenario", "expected an object")
+    prefix = f"{path}." if path else ""
+    for key in raw:
+        _require(key in columns, f"{prefix}{key}", "unknown field")
+    values = {}
+    for key, (spec, kind, row) in columns.items():
+        value = raw.get(key, MISSING)
+        if value is MISSING or (value is None and "nullable" in row):
+            _require(spec.default is not MISSING or spec.default_factory is not MISSING,
+                     prefix + key, "required")
+            value = spec.default if spec.default is not MISSING else spec.default_factory()
+        else:
+            value = _value(prefix + key, kind, row, value)
+        values[spec.name] = value
+    _cross_field(path, values)
+    return cls(**values)
+
+
+def _value(name: str, kind: str, row: dict, value):
+    """``value`` held to the type ``kind`` and the bounds of ``row``; what the field stores."""
+    if kind in _BLOCK_TYPES:
+        return _block(name, value)
+    if kind == "Topology":
+        return _topology(value)
+    if kind == "tuple[str, str]":
+        _require(isinstance(value, list) and len(value) == 2 and all(isinstance(e, str) for e in value),
+                 name, f"expected [a, b] of two node ids, got {value!r}")
+        return tuple(value)
+    _require(isinstance(value, _TYPES[kind]) and (kind == "bool" or not isinstance(value, bool)),
+             name, f"expected {kind}, got {value!r}")
+    if kind == "float":
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        _require(math.isfinite(value), name, f"must be finite, got {value!r}")
+    for keyword, limit in row.items():
+        if keyword == "enum":
+            _require(value in limit, name, f"must be one of {limit}, got {value!r}")
+        elif keyword in _BOUNDS:
+            test, sign = _BOUNDS[keyword]
+            _require(test(value, limit), name, f"must be {sign} {limit}, got {value!r}")
     return value
 
 
-def _known(block: dict, names, fieldname: str) -> None:
-    """Reject a key of ``block`` that is not one of ``names``."""
-    for key in block:
-        _require(key in names, f"{fieldname}.{key}" if fieldname else key, "unknown field")
-
-
-def _edge(block: dict, fieldname: str) -> tuple[str, str]:
-    edge = block.get("edge")
-    _require(isinstance(edge, list) and len(edge) == 2 and all(isinstance(e, str) for e in edge),
-             fieldname, f"expected [a, b] of two node ids, got {edge!r}")
-    return edge[0], edge[1]
-
-
-def _sub(raw: dict, key: str, cls, fieldname: str):
-    """Build a parameter block whose every field is a finite, non-negative number.
-
-    A field declared ``int`` takes integers only; one declared ``float`` takes
-    any number. A bool is never a number here.
-    """
-    block = raw.get(key)
-    if block is None:
-        return cls()
-    _require(isinstance(block, dict), fieldname, "expected an object")
-    fields = cls.__dataclass_fields__
-    for k, value in block.items():
-        name = f"{fieldname}.{k}"
-        _require(k in fields, name, "unknown field")
-        integral = fields[k].type == "int"
-        _require(isinstance(value, int if integral else (int, float)) and not isinstance(value, bool),
-                 name, f"expected {'an integer' if integral else 'a number'}, got {value!r}")
-        _require(value >= 0 and (isinstance(value, int) or math.isfinite(value)),
-                 name, f"must be finite and non-negative, got {value!r}")
-    return cls(**block)
+def _cross_field(path: str, v: dict) -> None:
+    """The rules between fields of one block, checked before the block is built."""
+    if path == "link":
+        _require(v["mtu_bytes"] > v["link_header_bytes"], "link.mtu_bytes",
+                 "must exceed the link header size")
+    elif path == "agent":
+        _require(v["app_retx_jitter_s"] <= v["app_retx_base_s"], "agent.app_retx_jitter_s",
+                 "must not exceed agent.app_retx_base_s: a retry delay is never negative")
+    elif path == "granularity":
+        _require(abs(v["offset"]) < v["period"], "granularity.offset_s",
+                 "must satisfy |offset_s| < period_s")
+    elif path == "outage":
+        _require((v["at_s"] is None) != (v["after_install"] is None), "outage",
+                 "exactly one of at_s / after_install required")
 
 
 # Node IDs are written unquoted into the node column of metrics.csv.
 NODE_ID_FORBIDDEN = (",", '"', "\n", "\r")
 
 
-def _topology_from_list(nodes: list) -> Topology:
-    for i, item in enumerate(nodes):
+def _topology(raw) -> Topology:
+    if raw == "paper":
+        return build_paper_topology()
+    _require(isinstance(raw, dict) and isinstance(raw.get("nodes"), list), "topology",
+             f"'paper' or a node list, got {raw!r}")
+    for i, item in enumerate(raw["nodes"]):
         fieldname = f"topology.nodes[{i}]"
         _require(isinstance(item, dict), fieldname, "expected an object")
         node_id = item.get("id")
@@ -230,7 +298,7 @@ def _topology_from_list(nodes: list) -> Topology:
         _require(parent is None or isinstance(parent, str), f"{fieldname}.parent",
                  f"must be a node id or null, got {parent!r}")
     try:
-        return from_node_list(nodes)
+        return from_node_list(raw["nodes"])
     except TopologyError as exc:
         raise ScenarioInvalid("topology", str(exc)) from exc
 
@@ -244,138 +312,53 @@ def _utf8(text: str) -> bool:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    _require(isinstance(raw, dict), "scenario", "top level must be an object")
-    _known(raw, (
-        "topology", "strategy", "image_size", "chunk_size", "seed", "duration_s",
-        "deployment", "vendor", "device_class", "epoch", "granularity", "multiparty",
-        "trunc_len", "poll_period_s", "poll_stagger_s", "nacks_enabled", "loss",
-        "link", "node", "agent", "attacker", "outage", "name_encoding",
-    ), "")
-
-    strategy = raw.get("strategy")
-    _require(strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}, got {strategy!r}")
-    image_size = raw.get("image_size")
-    _require(isinstance(image_size, int) and image_size > 0, "image_size", "must be a positive integer")
-
-    chunk_size = _take(raw, "chunk_size", int, 32)
-    _require(0 < chunk_size < 2**32, "chunk_size", "must be positive and below 2**32")
-    seed = _take(raw, "seed", int, 1)
-    duration_s = _take(raw, "duration_s", (int, float), 1800.0)
-    _require(duration_s >= 0, "duration_s", "must be non-negative")
-    epoch = _take(raw, "epoch", int, 1632261600)
-    _require(0 < epoch < 2**64, "epoch", "must be positive and below 2**64")
-    trunc_len = _take(raw, "trunc_len", int, 8)
-    _require(trunc_len in (8, 16, 32), "trunc_len", "must be 8, 16, or 32")
-
-    topo_raw = raw.get("topology", "paper")
-    if topo_raw == "paper":
-        topology = build_paper_topology()
-    elif isinstance(topo_raw, dict) and isinstance(topo_raw.get("nodes"), list):
-        topology = _topology_from_list(topo_raw["nodes"])
-    else:
-        raise ScenarioInvalid("topology", f"'paper' or a node list, got {topo_raw!r}")
-
-    if "granularity" in raw:
-        gran_raw = raw["granularity"]
-        _require(isinstance(gran_raw, dict), "granularity", "expected an object")
-        _known(gran_raw, ("period_s", "offset_s"), "granularity")
-        period = _take(gran_raw, "period_s", int, 86400, "granularity.period_s")
-        _require(period > 0, "granularity.period_s", "must be positive")
-        offset = _take(gran_raw, "offset_s", int, 0, "granularity.offset_s")
-        _require(abs(offset) < period, "granularity.offset_s", "must satisfy |offset_s| < period_s")
-        granularity = Granularity(period, offset)
-    else:
-        granularity = DEFAULT_GRANULARITY
-
-    poll_period_s = _take(raw, "poll_period_s", (int, float), 3600.0)
-    _require(poll_period_s > 0, "poll_period_s", "must be positive")
-    poll_stagger_s = _take(raw, "poll_stagger_s", (int, float), 5.0)
-    _require(poll_stagger_s >= 0, "poll_stagger_s", "must be non-negative")
-
-    loss = _sub(raw, "loss", LossParams, "loss")
-    _require(0 <= loss.per_transmission < 1 or loss.per_transmission == 1.0,
-             "loss.per_transmission", "must lie in [0, 1]")
-    _require(0 <= loss.collision <= 1, "loss.collision", "must lie in [0, 1]")
-    link = _sub(raw, "link", LinkParams, "link")
-    _require(link.bandwidth_bps > 0, "link.bandwidth_bps", "must be positive")
-    _require(link.mtu_bytes > link.link_header_bytes, "link.mtu_bytes",
-             "must exceed the link header size")
-    node = _sub(raw, "node", NodeParams, "node")
-    _require(node.pit_capacity > 0, "node.pit_capacity", "must be positive")
-    agent = _sub(raw, "agent", AgentParams, "agent")
-    _require(agent.app_retx_jitter_s <= agent.app_retx_base_s, "agent.app_retx_jitter_s",
-             "must not exceed agent.app_retx_base_s: a retry delay is never negative")
-
-    attacker = None
-    if raw.get("attacker") is not None:
-        blk = raw["attacker"]
-        _require(isinstance(blk, dict), "attacker", "expected an object")
-        _known(blk, ("edge", "mode", "rate"), "attacker")
-        edge = _edge(blk, "attacker.edge")
-        mode = blk.get("mode")
-        _require(mode in ATTACK_MODES, "attacker.mode", f"must be one of {ATTACK_MODES}")
-        rate = _take(blk, "rate", (int, float), 1.0, "attacker.rate")
-        _require(0 <= rate <= 1, "attacker.rate", "must lie in [0, 1]")
-        attacker = AttackerSpec(edge, mode, float(rate))
-
-    outage = None
-    if raw.get("outage") is not None:
-        blk = raw["outage"]
-        _require(isinstance(blk, dict), "outage", "expected an object")
-        _known(blk, ("edge", "at_s", "after_install"), "outage")
-        edge = _edge(blk, "outage.edge")
-        at_s = _take(blk, "at_s", (int, float), None, "outage.at_s")
-        _require(at_s is None or at_s >= 0, "outage.at_s", f"must be non-negative, got {at_s!r}")
-        after = _take(blk, "after_install", str, None, "outage.after_install")
-        _require((at_s is None) != (after is None), "outage",
-                 "exactly one of at_s / after_install required")
-        outage = OutageSpec(edge, at_s, after)
-
-    encoding = _sub(raw, "name_encoding", EncodingModel, "name_encoding")
-
-    scenario = Scenario(
-        strategy=strategy,
-        image_size=image_size,
-        topology=topology,
-        chunk_size=chunk_size,
-        seed=seed,
-        duration_s=float(duration_s),
-        deployment=_take(raw, "deployment", str, "oilrig"),
-        vendor=_take(raw, "vendor", str, "acme"),
-        device_class=_take(raw, "device_class", str, "valve"),
-        epoch=epoch,
-        granularity=granularity,
-        multiparty=_take(raw, "multiparty", bool, False),
-        trunc_len=trunc_len,
-        poll_period_s=float(poll_period_s),
-        poll_stagger_s=float(poll_stagger_s),
-        nacks_enabled=_take(raw, "nacks_enabled", bool, False),
-        loss=loss,
-        link=link,
-        node=node,
-        agent=agent,
-        attacker=attacker,
-        outage=outage,
-        name_encoding=encoding,
-    )
-
+    scenario = _block("", raw)
     names = set(scenario.topology.nodes)
-    if attacker is not None:
-        _require(attacker.edge[0] in names and attacker.edge[1] in names,
-                 "attacker.edge", "edge endpoints must be topology nodes")
-    if outage is not None:
-        _require(outage.edge[0] in names and outage.edge[1] in names,
-                 "outage.edge", "edge endpoints must be topology nodes")
-        if outage.after_install is not None:
-            _require(outage.after_install in names, "outage.after_install", "unknown node")
+    for fieldname in ("attacker", "outage"):
+        spec = getattr(scenario, fieldname)
+        if spec is not None:
+            _require(set(spec.edge) <= names, f"{fieldname}.edge", "edge endpoints must be topology nodes")
+    if scenario.outage is not None and scenario.outage.after_install is not None:
+        _require(scenario.outage.after_install in names, "outage.after_install", "unknown node")
     return scenario
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def read_scenario(path: str | Path) -> dict:
+    """The JSON value of a scenario file, not yet validated; a file that cannot be read as
+    JSON text raises ``ScenarioInvalid("file")``."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
+    except UNREADABLE as exc:
+        raise ScenarioInvalid("file", f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid("file", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # bytes that are not text, or an over-long integer literal
         raise ScenarioInvalid("file", str(exc)) from exc
-    return scenario_from_dict(raw)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_dict(read_scenario(path))
+
+
+def _field_list() -> str:
+    """One line per row of ``SCHEMA``: its path, type, bounds and default."""
+    lines = []
+    for path, row in SCHEMA.items():
+        block, _, key = path.rpartition(".")
+        spec, kind, _ = _LAYOUT[block][1][key]
+        text = f"    {path:<33}{kind}"
+        text += "".join(f", {_BOUNDS[k][1]} {v}" for k, v in row.items() if k in _BOUNDS)
+        text += f", one of {row['enum']}" if "enum" in row else ""
+        if spec.default_factory is not MISSING:
+            text += f"; default {spec.default_factory.__name__}()"
+        elif spec.default is MISSING:
+            text += "; required"
+        elif spec.default is None or kind not in _BLOCK_TYPES:
+            text += f"; default {spec.default!r}"
+        elif spec.default != _BLOCK_TYPES[kind]():
+            text += f"; default when absent {spec.default!r}"
+        lines.append(text + ("; null means the default" if "nullable" in row else ""))
+    return "\n".join(lines)
+
+
+__doc__ = (__doc__ or "").replace("{fields}", _field_list())

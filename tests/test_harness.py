@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fwdist.harness import (
     CSV_HEADER,
+    SWEEPABLE,
     MalformedCsv,
     NoPayloadRoom,
     OverheadModel,
@@ -25,7 +26,9 @@ from fwdist.harness import (
     sweep,
 )
 from fwdist.cli import fwsim_main
-from fwdist.scenario import ScenarioInvalid
+from fwdist.scenario import ScenarioInvalid, scenario_from_dict
+from fwdist.sim import run_simulation
+from test_sim import json_values
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
                    {'id': 'n2', 'parent': 'n1'}, {'id': 'n3', 'parent': 'n2'}]}
@@ -328,6 +331,13 @@ def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field
     ["overhead", "--firmware-size", "0"],
     ["run", "{binary}"],
     ["run", "{missing}"],
+    ["run", "{scenario.parent}"],  # a directory: IsADirectoryError traceback, exit 1
+    ["run", "{scenario}/x"],  # NotADirectoryError
+    ["sweep", "{scenario.parent}", "--axis", "seed", "--values", "1"],
+    ["tables", "{scenario.parent}", "--kind", "retx"],
+    ["tables", "{scenario}/x", "--kind", "retx"],
+    ["sweep", "{scenario}", "--axis", "seed", "--values", "1,2", "--seeds", "5"],  # ran at seed 5
+    ["sweep", "{scenario}", "--axis", "chunk_count", "--values", "10"],  # no seeds
 ])
 def test_cli_bad_option_values_and_files_exit_2(tmp_path, args):
     files = {"scenario": write_scenario(tmp_path), "binary": tmp_path / "binary",
@@ -353,6 +363,70 @@ def test_sweep_rejects_values_the_scenario_would_reject():
         with pytest.raises(ScenarioInvalid) as err:
             sweep(chain_raw(), axis, [value], [1])
         assert err.value.fieldname == axis
+
+
+def test_sweep_seed_axis_runs_each_value_as_its_seed():
+    table = sweep(chain_raw(), "seed", [1, 2, 3])
+    for row, seed in zip(table["rows"], (1, 2, 3), strict=True):
+        direct = run_simulation(scenario_from_dict(chain_raw(seed=seed)))
+        assert row[:3] == (seed, seed, direct.completion_time_us(direct.completed_nodes()))
+    assert len({row[2] for row in table["rows"]}) == 3
+    for axis, seeds in (("seed", [5]), ("chunk_count", None)):
+        with pytest.raises(ScenarioInvalid) as err:
+            sweep(chain_raw(), axis, [1], seeds)
+        assert err.value.fieldname == "seeds"
+
+
+def test_cli_sweep_seed_axis(tmp_path):
+    proc = run_cli("sweep", str(write_scenario(tmp_path)), "--axis", "seed", "--values", "1,2,3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    rows = [line.split(",") for line in lines[1:lines.index("axis_value,median_completion_time_us")]]
+    assert [row[:2] for row in rows] == [["1", "1"], ["2", "2"], ["3", "3"]]
+    assert len({row[2] for row in rows}) == 3
+
+
+def test_cli_unreadable_scenario_exit_2(tmp_path, monkeypatch, capsys):
+    # root reads any file whatever its mode, so the refusal is simulated
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    scenario = write_scenario(tmp_path)
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert fwsim_main(["run", str(scenario)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+
+
+class _Ran(Exception):
+    pass
+
+
+def _no_run(scenario):
+    raise _Ran
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis=st.sampled_from(SWEEPABLE), value=json_values)
+def test_sweep_accepts_a_value_exactly_when_the_scenario_does(axis, value):
+    if axis == "chunk_count":  # image_size = value x chunk_size; a count is an integer
+        field = {"image_size": value * 32 if type(value) is int else value}
+    else:
+        field = {axis: value}
+    try:
+        scenario_from_dict(chain_raw(**field))
+        accepted = True
+    except ScenarioInvalid:
+        accepted = False
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("fwdist.harness.run_simulation", _no_run)
+        try:
+            sweep(chain_raw(), axis, [value], None if axis == "seed" else [7])
+        except _Ran:
+            assert accepted
+        except ScenarioInvalid as exc:
+            assert not accepted and exc.fieldname == axis
+        else:
+            pytest.fail("no run and no rejection")
 
 
 def _fwsim_quiet(argv) -> int:

@@ -441,6 +441,8 @@ ATTACKER = {"edge": ["gw", "n1"], "mode": "forge_tag"}
     ({"poll_period_s": float("inf")}, "poll_period_s"),
     ({"epoch": 2**64}, "epoch"),
     ({"chunk_size": 2**32}, "chunk_size"),
+    ({"image_size": True}, "image_size"),  # was accepted as a 1-byte image
+    ({"duration_s": 10**400}, "duration_s"),  # an integer beyond the float range; was OverflowError
 ])
 def test_attacker_outage_granularity_and_bounds_are_strict(override, field):
     with pytest.raises(ScenarioInvalid) as err:

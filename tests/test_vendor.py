@@ -353,6 +353,23 @@ def test_fwpub_cli_rejects_a_signing_key_of_the_wrong_length(tmp_path):
     assert "32 bytes" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("option", ["--image", "--psk-file", "--key-file"])
+def test_fwpub_cli_rejects_a_directory_for_a_file_option(tmp_path, option):
+    args = {"--image": "fw.bin", "--psk-file": "psk.bin", "--key-file": "key.bin"}
+    for name, data in (("fw.bin", b"xyz"), ("psk.bin", PSK), ("key.bin", bytes(range(32)))):
+        (tmp_path / name).write_bytes(data)
+    files = [a for name, file in args.items()
+             for a in (name, str(tmp_path if name == option else tmp_path / file))]
+    cmd = [
+        sys.executable, "-c", "import sys; from fwdist.cli import fwpub_main; sys.exit(fwpub_main())",
+        *files, "--deployment", "d", "--vendor", "v", "--class", "c", "--epoch", "10",
+        "--repo", str(tmp_path / "r"),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 2  # was an IsADirectoryError traceback, exit 1
+    assert option in proc.stderr and "Traceback" not in proc.stderr
+
+
 # -- manifest decoding of arbitrary bytes ----------------------------------------------
 
 VALID_MANIFEST = build_manifest(image(100), 32, KEY, "d", "v").to_bytes()
