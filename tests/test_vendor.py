@@ -326,18 +326,17 @@ def test_fwpub_cli_publishes(tmp_path):
     assert loaded.manifest.verify(PUB)
 
 
-def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32))):
-    img_file = tmp_path / "fw.bin"
-    img_file.write_bytes(b"xyz")
-    psk_file = tmp_path / "psk.bin"
-    psk_file.write_bytes(PSK)
-    key_file = tmp_path / "key.bin"
-    key_file.write_bytes(key)
+def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None):
+    """Run fwpub on a 3-byte image; ``directory_for`` names a file option to point at a directory."""
+    files = {"--image": ("fw.bin", b"xyz"), "--psk-file": ("psk.bin", PSK), "--key-file": ("key.bin", key)}
+    paths = []
+    for option, (name, data) in files.items():
+        (tmp_path / name).write_bytes(data)
+        paths += [option, str(tmp_path if option == directory_for else tmp_path / name)]
     cmd = [
         sys.executable, "-c", "import sys; from fwdist.cli import fwpub_main; sys.exit(fwpub_main())",
-        "--image", str(img_file), "--deployment", "d", "--vendor", "v",
-        "--class", "c", "--epoch", "10", "--chunk-size", chunk_size,
-        "--psk-file", str(psk_file), "--key-file", str(key_file), "--repo", str(tmp_path / "r"),
+        *paths, "--deployment", "d", "--vendor", "v",
+        "--class", "c", "--epoch", "10", "--chunk-size", chunk_size, "--repo", str(tmp_path / "r"),
     ]
     return subprocess.run(cmd, capture_output=True, text=True)
 
@@ -355,17 +354,7 @@ def test_fwpub_cli_rejects_a_signing_key_of_the_wrong_length(tmp_path):
 
 @pytest.mark.parametrize("option", ["--image", "--psk-file", "--key-file"])
 def test_fwpub_cli_rejects_a_directory_for_a_file_option(tmp_path, option):
-    args = {"--image": "fw.bin", "--psk-file": "psk.bin", "--key-file": "key.bin"}
-    for name, data in (("fw.bin", b"xyz"), ("psk.bin", PSK), ("key.bin", bytes(range(32)))):
-        (tmp_path / name).write_bytes(data)
-    files = [a for name, file in args.items()
-             for a in (name, str(tmp_path if name == option else tmp_path / file))]
-    cmd = [
-        sys.executable, "-c", "import sys; from fwdist.cli import fwpub_main; sys.exit(fwpub_main())",
-        *files, "--deployment", "d", "--vendor", "v", "--class", "c", "--epoch", "10",
-        "--repo", str(tmp_path / "r"),
-    ]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = _fwpub_small(tmp_path, directory_for=option)
     assert proc.returncode == 2  # was an IsADirectoryError traceback, exit 1
     assert option in proc.stderr and "Traceback" not in proc.stderr
 

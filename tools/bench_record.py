@@ -2,14 +2,14 @@
 """Run the benchmark on a parent and a changed checkout in alternating pairs, and
 write one ``BENCH_*.json`` record of the result.
 
-    python3 tools/bench_record.py --parent ../parent --change . --pairs 10 \\
-        --seconds 40 --out BENCH_6.json
+    python3 tools/bench_record.py --parent ../parent --change . --out BENCH_6.json
 
 Both checkouts must hold ``bench/run.py`` and ``BENCHMARK.json``; the
 workloads, metrics and bounds are read from the change's ``BENCHMARK.json``.
-Pair ``i`` runs every workload at seed ``first_seed + i`` on both sides, as
+There are ``PAIRS`` pairs; pair ``i`` runs every workload at seed
+``FIRST_SEED + i`` on both sides, as
 
-    python3 bench/run.py --workload W --seed N --seconds S --trace 0
+    python3 bench/run.py --workload W --seed N --seconds 40 --trace 0
 
 from the checkout's root, and alternates which side runs first. After each
 run the script reads the report that run wrote to the checkout's
@@ -41,11 +41,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10  # the fewest pairs a gain or a regression is judged on
+SECONDS = 40.0
+FIRST_SEED = 1
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``; its report from ``.bench_out/``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
@@ -82,26 +86,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
-    for i in range(args.pairs):
-        seed = args.first_seed + i
+    for i in range(PAIRS):
+        seed = FIRST_SEED + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in workloads:
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(sides[side], workload, seed, args.seconds)
-                print(f"pair {i + 1}/{args.pairs} {workload} seed {seed} {side}: "
+                pair[side] = run_once(sides[side], workload, seed)
+                print(f"pair {i + 1}/{PAIRS} {workload} seed {seed} {side}: "
                       f"{json.dumps(pair[side]['metrics'], sort_keys=True)}", flush=True)
             pairs.append(pair)
 
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
     host = pairs[0]["parent"]["host"]
     record = {
         "machine": {k: host[k] for k in ("cpu_model", "nproc", "python", "platform")},
-        "command": f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 bench/run.py --workload W --seed N --seconds {SECONDS:g} --trace 0",
         "pairs": [{"workload": p["workload"], "seed": p["seed"], "first": p["first"],
                    **{side: {"failed": p[side]["failed"], "attempted": p[side]["attempted"],
                              "loadavg_start": p[side]["host"]["loadavg_start"],
