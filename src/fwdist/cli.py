@@ -19,7 +19,8 @@ from .harness import (
     MalformedCsv,
     NoPayloadRoom,
     OverheadModel,
-    load_metrics_csv,
+    iter_csv_rows,
+    open_metrics_csv,
     overhead_report,
     progress_table,
     rate_table,
@@ -80,6 +81,26 @@ def _file_bytes(path: str) -> bytes:
         raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _out_dir(path: str) -> str:
+    """argparse type: a directory to write into, which may not exist yet."""
+    ancestor = Path(path)
+    while not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot make directory {path}: {ancestor} is not a directory")
+    return path
+
+
+def _out_file(path: str) -> str:
+    """argparse type: a file to write, in a directory that exists."""
+    parent = Path(path).parent
+    if Path(path).is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write {path}: is a directory")
+    if not parent.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write {path}: {parent} is not an existing directory")
+    return path
+
+
 def _numeric(text: str):
     try:
         return int(text)
@@ -94,7 +115,8 @@ def _fwsim_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one scenario")
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--out", default=None, help="directory for metrics.csv and summary.json")
+    p_run.add_argument("--out", type=_out_dir, default="fwsim-out",
+                       help="directory for metrics.csv and summary.json")
 
     p_sweep = sub.add_parser("sweep", help="run a scenario across an axis and seeds")
     p_sweep.add_argument("scenario")
@@ -104,7 +126,7 @@ def _fwsim_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=_list_of(int, "integers"),
                          help="comma-separated seeds; required unless --axis is seed, "
                               "whose values are the seeds")
-    p_sweep.add_argument("--out", default=None, help="output CSV file (default stdout)")
+    p_sweep.add_argument("--out", type=_out_file, help="output CSV file (default stdout)")
 
     p_over = sub.add_parser("overhead", help="chunk-wise signature overhead calculator")
     p_over.add_argument("--mtu", type=int, default=128)
@@ -122,18 +144,17 @@ def _fwsim_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("csv")
     p_tab.add_argument("--kind", required=True, choices=("progress", "rate", "retx"))
     p_tab.add_argument("--block-size", type=_positive_int, default=100)
-    p_tab.add_argument("--out", default=None)
+    p_tab.add_argument("--out", type=_out_file, help="output CSV file (default stdout)")
     return parser
 
 
 def _emit_lines(lines, out: str | None) -> None:
+    text = (line + "\n" for line in lines)
     if out is None:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(text)
     else:
         with open(out, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(text)
 
 
 def fwsim_main(argv=None) -> int:
@@ -144,8 +165,7 @@ def fwsim_main(argv=None) -> int:
                      else "sweep: --seeds is required unless --axis is seed")
     try:
         if args.command == "run":
-            out_dir = args.out if args.out is not None else "fwsim-out"
-            result, summary = run_scenario(args.scenario, seed=args.seed, out_dir=out_dir)
+            result, summary = run_scenario(args.scenario, seed=args.seed, out_dir=args.out)
             print(json.dumps(summary, indent=2, sort_keys=True))
         elif args.command == "sweep":
             table = sweep(read_scenario(args.scenario), args.axis, args.values, args.seeds)
@@ -161,13 +181,15 @@ def fwsim_main(argv=None) -> int:
             )
             print(json.dumps(overhead_report(model, args.firmware_size), indent=2, sort_keys=True))
         elif args.command == "tables":
-            rows = load_metrics_csv(args.csv)
-            if args.kind == "progress":
-                table = progress_table(rows)
-            elif args.kind == "rate":
-                table = rate_table(rows)
-            else:
-                table = retx_blocks(rows, args.block_size)
+            # one pass over the file; the output is opened once the table is whole
+            with open_metrics_csv(args.csv) as fh:
+                rows = iter_csv_rows(fh)
+                if args.kind == "progress":
+                    table = progress_table(rows)
+                elif args.kind == "rate":
+                    table = rate_table(rows)
+                else:
+                    table = retx_blocks(rows, args.block_size)
             _emit_lines(table_csv_lines(args.kind, table), args.out)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -186,7 +208,7 @@ def _fwpub_parser() -> argparse.ArgumentParser:
     parser.add_argument("--psk-file", required=True, type=_file_bytes, help="pre-shared class key")
     parser.add_argument("--key-file", required=True, type=_file_bytes,
                         help="32-byte Ed25519 signing seed")
-    parser.add_argument("--repo", required=True, help="repository directory")
+    parser.add_argument("--repo", required=True, type=_out_dir, help="repository directory")
     parser.add_argument("--trunc-len", type=int, default=8, choices=(8, 16, 32))
     return parser
 

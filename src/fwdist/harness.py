@@ -91,8 +91,7 @@ def run_scenario(path: str | Path, seed: int | None = None, out_dir: str | Path 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "metrics.csv", "w") as fh:
-            for line in result.csv_lines():
-                fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in result.csv_lines())
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -170,40 +169,52 @@ def sweep_csv_lines(table: dict):
 CSV_HEADER = "sim_time_us,node,event,chunk_id,detail"
 
 
-def _parse_csv(lines) -> list[tuple[int, str, str, int | None, str]]:
-    rows = []
-    it = iter(lines)
+def iter_csv_rows(lines):
+    """Yield each row of metrics.csv ``lines`` as (sim_time_us, node, event, chunk_id, detail).
+
+    Rows are yielded as they are parsed; a malformed line raises
+    ``MalformedCsv`` when it is reached, as does text that does not decode.
+    """
     try:
-        header = next(it).strip()
-    except StopIteration:
-        raise MalformedCsv("empty file") from None
-    if header != CSV_HEADER:
-        raise MalformedCsv(f"unexpected header {header!r}")
-    for lineno, line in enumerate(it, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",", 4)
-        if len(parts) != 5:
-            raise MalformedCsv(f"line {lineno}: expected 5 fields")
-        t, node, event, chunk_id, detail = parts
+        it = iter(lines)
         try:
-            rows.append((int(t), node, event, int(chunk_id) if chunk_id else None, detail))
-        except ValueError as exc:
-            raise MalformedCsv(f"line {lineno}: {exc}") from exc
-    return rows
+            header = next(it).strip()
+        except StopIteration:
+            raise MalformedCsv("empty file") from None
+        if header != CSV_HEADER:
+            raise MalformedCsv(f"unexpected header {header!r}")
+        for lineno, line in enumerate(it, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",", 4)
+            if len(parts) != 5:
+                raise MalformedCsv(f"line {lineno}: expected 5 fields")
+            t, node, event, chunk_id, detail = parts
+            try:
+                row = (int(t), node, event, int(chunk_id) if chunk_id else None, detail)
+            except ValueError as exc:
+                raise MalformedCsv(f"line {lineno}: {exc}") from exc
+            yield row
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"not text: {exc}") from exc
+
+
+def _parse_csv(lines) -> list[tuple[int, str, str, int | None, str]]:
+    return list(iter_csv_rows(lines))
+
+
+def open_metrics_csv(path: str | Path):
+    """Open a metrics.csv for ``iter_csv_rows``; an unreadable path is ``MalformedCsv``."""
+    try:
+        return open(path)
+    except UNREADABLE as exc:
+        raise MalformedCsv(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def load_metrics_csv(path: str | Path):
-    try:
-        fh = open(path)
-    except UNREADABLE as exc:
-        raise MalformedCsv(f"cannot read {path}: {exc.strerror}") from exc
-    with fh:
-        try:
-            return _parse_csv(fh)
-        except UnicodeDecodeError as exc:
-            raise MalformedCsv(f"not text: {exc}") from exc
+    with open_metrics_csv(path) as fh:
+        return list(iter_csv_rows(fh))
 
 
 def progress_table(rows) -> list[tuple[str, int, int]]:

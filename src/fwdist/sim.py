@@ -30,7 +30,7 @@ from .forwarder import (
     ServeNack,
     Timeout,
 )
-from .naming import CHUNK, MANIFEST, BaseName, FirmwareName
+from .naming import CHUNK, FIRMWARE, MANIFEST, BaseName, FirmwareName
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack, Packet, chunk_id_of, packet_size
 from .scenario import Scenario, ScenarioInvalid
 from .vendor import (
@@ -45,6 +45,12 @@ from .vendor import (
 
 class MtuExceeded(ValueError):
     pass
+
+
+# Record details, one shared string each, so the records of a run do not hold
+# a copy per frame or per Interest.
+_LOG_KIND = {cls: cls.__name__.lower() for cls in (Interest, Data, Nack)}
+_AGGREGATED = {kind: kind + ";aggregated" for kind in (MANIFEST, FIRMWARE, CHUNK)}
 
 
 @dataclass(slots=True)
@@ -215,7 +221,7 @@ class SimNode:
                 self.sim.send_packet(self, action.face, action.interest, now)
             elif isinstance(action, Aggregate):
                 self.sim.log(now, self.id, event, chunk_id_of(interest),
-                             interest.name.kind + ";aggregated")
+                             _AGGREGATED[interest.name.kind])
                 self.agent_pending_name = interest.name
             elif isinstance(action, Drop):
                 # No route or table pressure: let the app-layer timer retry.
@@ -535,7 +541,7 @@ class Simulation:
         mtu = link.mtu_bytes
         peer = self.nodes[peer_id]
         dst_face = edge.face_at_child if peer_id == edge.child else edge.face_at_parent
-        kind = type(packet).__name__.lower()
+        kind = _LOG_KIND[type(packet)]
         cid = chunk_id_of(packet)
 
         def arrive(now: int) -> None:

@@ -53,15 +53,54 @@ GOLDEN = {
 }
 
 
-def run_digests(tmp_path, raw: dict) -> tuple[str, str]:
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    assert fwsim_main(["run", str(scenario), "--out", str(out)]) == 0
-    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                 for name in ("metrics.csv", "summary.json"))
+# case -> sha256 of the progress, rate and retx tables ``fwsim tables`` writes
+# from that case's metrics.csv (default block size)
+TABLE_KINDS = ("progress", "rate", "retx")
+GOLDEN_TABLES = {
+    "chain3-tamper": ("b1b907d5ce6565119f308d08a2ed34685ed19ecc2db93eacf5e706ca4fa40f34",
+                      "76c83353b03fd69dc1f17126c103c6ba65a903694f51454f90016bf0b56ad858",
+                      "42ef1c852562330caddedd989054b58734f1356d3eab295effb039d2c68ea150"),
+    "paper-cascading": ("6d4f8b440693097a397ca95f3a2ef2abc829f9a197674e75c573ae7ec0471bc1",
+                        "c0f8f7cfce1c16c63812ab6aee2af89c4f871b500968a5571b014fd1f9e2d506",
+                        "23b3e22d74ec752b5abd46f4bc87a1481e65b143a06205eb44ec652d6b07e13e"),
+    "paper-concurrent": ("b269884412560aa6de0bb02b660ea6d489b2916bb6ee3b8d122019227820fa17",
+                         "9d05c1d24fa284076e0023a0cf1a9cb952721616c39b770769b01d260527cf92",
+                         "98ea51ddb469a20eafbe760e7c61238035967c77bf3285e8c780002c3ef8c0d6"),
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def run_out(tmp_path_factory):
+    """``fwsim run`` output directory of a matrix case, run once per module."""
+    outs = {}
+
+    def out_dir(case: str):
+        if case not in outs:
+            work = tmp_path_factory.mktemp(case)
+            scenario = work / "scenario.json"
+            scenario.write_text(json.dumps(MATRIX[case]))
+            assert fwsim_main(["run", str(scenario), "--out", str(work / "out")]) == 0
+            outs[case] = work / "out"
+        return outs[case]
+    return out_dir
 
 
 @pytest.mark.parametrize("case", sorted(MATRIX))
-def test_golden_digests(case, tmp_path, capsys):
-    assert run_digests(tmp_path, MATRIX[case]) == GOLDEN[case]
+def test_golden_digests(case, run_out):
+    out = run_out(case)
+    assert (sha256_of(out / "metrics.csv"), sha256_of(out / "summary.json")) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TABLES))
+def test_golden_table_digests(case, run_out):
+    out = run_out(case)
+    digests = []
+    for kind in TABLE_KINDS:
+        table = out / f"{kind}.csv"
+        assert fwsim_main(["tables", str(out / "metrics.csv"), "--kind", kind, "--out", str(table)]) == 0
+        digests.append(sha256_of(table))
+    assert tuple(digests) == GOLDEN_TABLES[case]

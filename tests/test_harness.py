@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,54 @@ def test_parse_csv_gives_rows_or_malformed_csv(header, rows):
         assert isinstance(detail, str) and "\n" not in detail
 
 
+TABLE_KINDS = ("progress", "rate", "retx")
+
+
+def write_synthetic_csv(path, rows: int) -> None:
+    """A metrics.csv of ``rows`` rows over 7 nodes, chunk ids below 1000, one row in 100 a DataRecv."""
+    events = ("LinkRetx", "NetRetx", "AppRetx", "InterestSent")
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(f"{i * 10},n{i % 7},{'DataRecv' if i % 100 == 0 else events[i % 4]},{i % 1000},chunk\n"
+                      for i in range(rows))
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_cli_tables_streams_the_csv(tmp_path, kind):
+    # a list of the 80k parsed rows alone takes about 24 MB; one row at a time takes almost nothing
+    csv = tmp_path / "metrics.csv"
+    write_synthetic_csv(csv, 80_000)
+    tracemalloc.start()
+    try:
+        assert fwsim_main(["tables", str(csv), "--kind", kind, "--out", str(tmp_path / "table.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+GOOD_ROWS = "".join(f"{i},n1,DataRecv,{i}," + "\n" for i in range(2000))
+CSV_FAULTS = {
+    "malformed-last-row": (CSV_HEADER + "\n" + GOOD_ROWS + "x,n1,DataRecv,0,\n").encode(),
+    "bad-header": b"sim_time_us,node,event\n1,n1,DataRecv\n",
+    "empty": b"",
+    "not-utf8": (CSV_HEADER + "\n" + GOOD_ROWS).encode() + b"5,n\xff\xfe1,DataRecv,0,\n",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_cli_tables_malformed_csv_exit_2_and_write_nothing(tmp_path, capsys, kind, fault):
+    csv = tmp_path / "metrics.csv"
+    csv.write_bytes(CSV_FAULTS[fault])
+    with pytest.raises(MalformedCsv) as err:
+        load_metrics_csv(csv)
+    out = tmp_path / "table.csv"
+    assert fwsim_main(["tables", str(csv), "--kind", kind, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not out.exists()
+
+
 # -- CLI -------------------------------------------------------------------------------------
 
 def run_cli(*args, **kw):
@@ -338,11 +387,17 @@ def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field
     ["tables", "{scenario}/x", "--kind", "retx"],
     ["sweep", "{scenario}", "--axis", "seed", "--values", "1,2", "--seeds", "5"],  # ran at seed 5
     ["sweep", "{scenario}", "--axis", "chunk_count", "--values", "10"],  # no seeds
+    # output paths, checked before any work: each ended in a traceback, exit 1
+    ["run", "{scenario}", "--out", "{scenario}"],  # FileExistsError after the whole run
+    ["sweep", "{scenario}", "--axis", "seed", "--values", "1", "--out", "{scenario.parent}"],
+    ["tables", "{metrics}", "--kind", "retx", "--out", "{scenario.parent}"],
+    ["tables", "{metrics}", "--kind", "retx", "--out", "{scenario}/x.csv"],
 ])
 def test_cli_bad_option_values_and_files_exit_2(tmp_path, args):
     files = {"scenario": write_scenario(tmp_path), "binary": tmp_path / "binary",
-             "missing": tmp_path / "missing.json"}
+             "missing": tmp_path / "missing.json", "metrics": tmp_path / "metrics.csv"}
     files["binary"].write_bytes(b"\xff\xfe\x00garbage")
+    files["metrics"].write_text(CSV_HEADER + "\n1,n1,NetRetx,0,chunk\n")
     proc = run_cli(*[a.format(**files) for a in args], timeout=60)  # a zero poll period looped
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

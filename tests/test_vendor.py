@@ -327,16 +327,18 @@ def test_fwpub_cli_publishes(tmp_path):
 
 
 def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None):
-    """Run fwpub on a 3-byte image; ``directory_for`` names a file option to point at a directory."""
+    """Run fwpub on a 3-byte image; ``directory_for`` names an option to point at the wrong kind
+    of path: a directory for a file option, a file for ``--repo``."""
     files = {"--image": ("fw.bin", b"xyz"), "--psk-file": ("psk.bin", PSK), "--key-file": ("key.bin", key)}
     paths = []
     for option, (name, data) in files.items():
         (tmp_path / name).write_bytes(data)
         paths += [option, str(tmp_path if option == directory_for else tmp_path / name)]
+    repo = tmp_path / "fw.bin" if directory_for == "--repo" else tmp_path / "r"
     cmd = [
         sys.executable, "-c", "import sys; from fwdist.cli import fwpub_main; sys.exit(fwpub_main())",
         *paths, "--deployment", "d", "--vendor", "v",
-        "--class", "c", "--epoch", "10", "--chunk-size", chunk_size, "--repo", str(tmp_path / "r"),
+        "--class", "c", "--epoch", "10", "--chunk-size", chunk_size, "--repo", str(repo),
     ]
     return subprocess.run(cmd, capture_output=True, text=True)
 
@@ -352,10 +354,11 @@ def test_fwpub_cli_rejects_a_signing_key_of_the_wrong_length(tmp_path):
     assert "32 bytes" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("option", ["--image", "--psk-file", "--key-file"])
+@pytest.mark.parametrize("option", ["--image", "--psk-file", "--key-file", "--repo"])
 def test_fwpub_cli_rejects_a_directory_for_a_file_option(tmp_path, option):
+    # and a file for --repo; each was an IsADirectoryError or NotADirectoryError traceback, exit 1
     proc = _fwpub_small(tmp_path, directory_for=option)
-    assert proc.returncode == 2  # was an IsADirectoryError traceback, exit 1
+    assert proc.returncode == 2
     assert option in proc.stderr and "Traceback" not in proc.stderr
 
 
