@@ -14,7 +14,6 @@ from .naming import (
     MalformedName,
     align_epoch,
     encoded_size,
-    format_name,
     parse_name,
 )
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack, packet_size
@@ -40,7 +39,6 @@ __all__ = [
     "Simulation",
     "align_epoch",
     "encoded_size",
-    "format_name",
     "load_scenario",
     "overhead_report",
     "packet_size",

@@ -101,7 +101,6 @@ class UpdateAgent:
         self._scan_cursor = 0
 
         self.outstanding: int | None = None
-        self.outstanding_name: FirmwareName | None = None
         self.awaited_manifest: FirmwareName | None = None
         self.manifest_retries_left = 0
         self.manifest_retry_at: int | None = None
@@ -142,7 +141,6 @@ class UpdateAgent:
         self.fail_counts = {}
         self._scan_cursor = 0
         self.outstanding = None
-        self.outstanding_name = None
         self.pending_retry_idx = None
         self.phase_deadline = None
 
@@ -219,9 +217,7 @@ class UpdateAgent:
             return None
         if not isinstance(data.auth, ManifestSignature) or data.auth.signature != manifest.signature:
             return None
-        if manifest.image_size <= 0 or manifest.chunk_size <= 0:
-            return None
-        if manifest.chunk_count != -(-manifest.image_size // manifest.chunk_size):
+        if not manifest.layout_consistent():
             return None
         if not manifest.verify(self.vendor_key):
             return None
@@ -254,16 +250,9 @@ class UpdateAgent:
         if idx is None:
             return None
         self.outstanding = idx
-        self.outstanding_name = self.active_manifest.base.chunk(idx)
         is_retry = self.pending_retry_idx == idx
         self.pending_retry_idx = None
-        return Interest(self.outstanding_name, self._nonce()), is_retry
-
-    def _expected_length(self, idx: int) -> int:
-        m = self.active_manifest
-        if idx < m.chunk_count - 1:
-            return m.chunk_size
-        return m.image_size - m.chunk_size * (m.chunk_count - 1)
+        return Interest(self.active_manifest.base.chunk(idx), self._nonce()), is_retry
 
     def on_chunk(self, data: Data, now: int, diverted: bool = False) -> None:
         """Verify and store a chunk; count failures of the requested index."""
@@ -278,12 +267,11 @@ class UpdateAgent:
         if self.received[idx]:
             if idx == self.outstanding:
                 self.outstanding = None
-                self.outstanding_name = None
                 self.ready_at = now + self.config.turnaround_us
             return
         valid = (
             isinstance(data.auth, HmacTag)
-            and len(data.payload) == self._expected_length(idx)
+            and len(data.payload) == m.chunk_length(idx)
             and len(data.auth.tag) == self.config.trunc_len
             and hmac_mod.compare_digest(
                 data.auth.tag, tag_chunk(m.base, idx, data.payload, self.psk, self.config.trunc_len)
@@ -301,11 +289,9 @@ class UpdateAgent:
             self.last_chunk_recv_us = now
             if idx == self.outstanding:
                 self.outstanding = None
-                self.outstanding_name = None
                 self.ready_at = now + self.config.turnaround_us + self.config.flash_write_us
             if self.received_count == m.chunk_count:
                 self.outstanding = None
-                self.outstanding_name = None
                 self.phase_deadline = now + self.config.verify_delay_us
                 self._set_phase(VERIFYING, "")
             return
@@ -319,7 +305,6 @@ class UpdateAgent:
         else:
             # Repeat the request for the invalid chunk right away.
             self.outstanding = None
-            self.outstanding_name = None
             self.ready_at = now + self.config.turnaround_us
 
     def divert_wanted(self, data: Data) -> bool:
@@ -331,10 +316,9 @@ class UpdateAgent:
         return 0 <= name.chunk_id < self.active_manifest.chunk_count and not self.received[name.chunk_id]
 
     def on_timeout(self, name: FirmwareName, now: int) -> None:
-        if self.phase == FETCHING and name == self.outstanding_name:
-            idx = self.outstanding
+        idx = self.outstanding
+        if self.phase == FETCHING and idx is not None and name == self.active_manifest.base.chunk(idx):
             self.outstanding = None
-            self.outstanding_name = None
             self.pending_retry_idx = idx
             self.ready_at = now + self._app_retx_delay()
             return
@@ -408,8 +392,7 @@ class UpdateAgent:
         if not 0 <= idx < manifest.chunk_count or not tags[idx]:
             return None
         start = idx * manifest.chunk_size
-        end = min(start + manifest.chunk_size, manifest.image_size)
-        return Data(name, bytes(source[start:end]), HmacTag(tags[idx]))
+        return Data(name, bytes(source[start : start + manifest.chunk_length(idx)]), HmacTag(tags[idx]))
 
     def serve_lookup(self, name: FirmwareName) -> Data | None:
         """Serve chunks from flash or the in-progress buffer, and manifests.

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    RUN_OUTPUTS,
     MalformedCsv,
     NoPayloadRoom,
     OverheadModel,
@@ -91,6 +92,14 @@ def _out_dir(path: str) -> str:
     return path
 
 
+def _run_out_dir(path: str) -> str:
+    """argparse type: an ``_out_dir`` in which ``fwsim run``'s output files can be written."""
+    for name in RUN_OUTPUTS:
+        if (Path(path) / name).is_dir():
+            raise argparse.ArgumentTypeError(f"cannot write {Path(path) / name}: is a directory")
+    return _out_dir(path)
+
+
 def _out_file(path: str) -> str:
     """argparse type: a file to write, in a directory that exists."""
     parent = Path(path).parent
@@ -115,7 +124,7 @@ def _fwsim_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one scenario")
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--out", type=_out_dir, default="fwsim-out",
+    p_run.add_argument("--out", type=_run_out_dir, default="fwsim-out",
                        help="directory for metrics.csv and summary.json")
 
     p_sweep = sub.add_parser("sweep", help="run a scenario across an axis and seeds")

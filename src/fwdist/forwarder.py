@@ -149,46 +149,37 @@ class Pit:
         return len(self.entries)
 
 
-class _CsEntry:
-    __slots__ = ("data", "arrival", "last_use")
-
-    def __init__(self, data: Data, now: int):
-        self.data = data
-        self.arrival = now
-        self.last_use = now
-
-
 class ContentStore:
-    """Fixed-capacity cache with least-recently-used replacement."""
+    """Fixed-capacity cache with least-recently-used replacement.
+
+    The dict's order is the recency order: least recently used first.
+    """
 
     def __init__(self, capacity: int = 64):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._entries: OrderedDict[FirmwareName, _CsEntry] = OrderedDict()
+        self._entries: OrderedDict[FirmwareName, Data] = OrderedDict()
 
-    def lookup(self, name: FirmwareName, now: int) -> Data | None:
-        entry = self._entries.get(name)
-        if entry is None:
-            return None
-        entry.last_use = now
-        self._entries.move_to_end(name)
-        return entry.data
+    def lookup(self, name: FirmwareName) -> Data | None:
+        data = self._entries.get(name)
+        if data is not None:
+            self._entries.move_to_end(name)
+        return data
 
-    def insert(self, data: Data, now: int) -> FirmwareName | None:
+    def insert(self, data: Data) -> FirmwareName | None:
         """Insert (or refresh) an entry; returns the evicted name, if any."""
         if self.capacity == 0:
             return None
-        existing = self._entries.get(data.name)
-        if existing is not None:
-            existing.data = data
-            existing.last_use = now
-            self._entries.move_to_end(data.name)
+        entries = self._entries
+        if data.name in entries:
+            entries[data.name] = data
+            entries.move_to_end(data.name)
             return None
         evicted = None
-        if len(self._entries) >= self.capacity:
-            evicted, _ = self._entries.popitem(last=False)
-        self._entries[data.name] = _CsEntry(data, now)
+        if len(entries) >= self.capacity:
+            evicted, _ = entries.popitem(last=False)
+        entries[data.name] = data
         return evicted
 
     def __len__(self) -> int:
@@ -199,28 +190,22 @@ class ContentStore:
 
 
 class Fib:
-    """Name-prefix to face table with longest-prefix match.
+    """Face table holding only the default route, which matches every name.
 
-    The empty prefix acts as a default route and matches every name.
+    Every node forwards toward the repository on one uplink, so no other
+    prefix is ever installed.
     """
 
     def __init__(self):
-        self._routes: list[tuple[tuple[str, ...], int]] = []
+        self._default: int | None = None
 
     def add(self, prefix: tuple[str, ...], face: int) -> None:
-        self._routes.append((tuple(prefix), face))
-        self._routes.sort(key=lambda r: -len(r[0]))
+        if prefix:
+            raise ValueError(f"only the default route () can be added, not {prefix!r}")
+        self._default = face
 
     def lookup(self, name: FirmwareName) -> int | None:
-        comps = None  # built only if a non-empty prefix must be compared
-        for prefix, face in self._routes:
-            if not prefix:
-                return face
-            if comps is None:
-                comps = name.components()
-            if comps[: len(prefix)] == prefix:
-                return face
-        return None
+        return self._default
 
 
 class SeenSet:
@@ -284,7 +269,7 @@ class Forwarder:
         # whether from cache, buffer, or an aggregated in-flight request.
         if self._deny(interest):
             return [DenyCascading(interest.name)]
-        cached = self.cs.lookup(interest.name, now)
+        cached = self.cs.lookup(interest.name)
         if cached is not None:
             return [ServeData(face, cached)]
         local = self._local_lookup(interest.name)
@@ -309,10 +294,12 @@ class Forwarder:
             upstream_face=upstream,
             lifetime_ms=interest.lifetime_ms,
         )
-        if self._implicit(interest):
-            entry.local_consumer = True
         if not self.pit.insert(entry):
             return [Drop("pit-full")]
+        # registered only once the entry exists: a refused insert must not
+        # leave the agent awaiting a manifest that nothing will deliver
+        if self._implicit(interest):
+            entry.local_consumer = True
         return [Forward(upstream, interest)]
 
     def on_local_interest(self, interest: Interest, now: int) -> list[Action]:
@@ -335,15 +322,6 @@ class Forwarder:
             return [Drop("pit-full")]
         return [Forward(upstream, interest)]
 
-    def cancel_local(self, name: FirmwareName) -> None:
-        """Withdraw the local consumer from a pending entry (abort path)."""
-        entry = self.pit.find(name)
-        if entry is None:
-            return
-        entry.local_consumer = False
-        if not entry.downstream_faces:
-            self.pit.pop(name)
-
     # -- data / nacks -------------------------------------------------------
 
     def on_data(self, face: int, data: Data, now: int) -> list[Action]:
@@ -363,7 +341,7 @@ class Forwarder:
         elif not entry.local_consumer and _cacheable(data):
             # Own-image chunks live in the agent buffer; the CS caches foreign
             # in-transit objects only.
-            evicted = self.cs.insert(data, now)
+            evicted = self.cs.insert(data)
             actions.append(CacheInsert(data.name, evicted))
         return actions
 

@@ -77,6 +77,9 @@ def overhead_report(model: OverheadModel, firmware_size: int) -> dict:
 # ---------------------------------------------------------------------------
 # scenario execution
 
+RUN_OUTPUTS = ("metrics.csv", "summary.json")  # the files run_scenario writes into out_dir
+
+
 def run_scenario(path: str | Path, seed: int | None = None, out_dir: str | Path | None = None):
     """Execute a scenario file; returns (SimResult, summary dict).
 
@@ -90,9 +93,10 @@ def run_scenario(path: str | Path, seed: int | None = None, out_dir: str | Path 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "metrics.csv", "w") as fh:
+        metrics, summary_json = RUN_OUTPUTS
+        with open(out / metrics, "w") as fh:
             fh.writelines(line + "\n" for line in result.csv_lines())
-        with open(out / "summary.json", "w") as fh:
+        with open(out / summary_json, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result, summary
@@ -198,10 +202,6 @@ def iter_csv_rows(lines):
             yield row
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"not text: {exc}") from exc
-
-
-def _parse_csv(lines) -> list[tuple[int, str, str, int | None, str]]:
-    return list(iter_csv_rows(lines))
 
 
 def open_metrics_csv(path: str | Path):

@@ -116,7 +116,7 @@ def _parse_uint(text: str, field: str) -> int:
 
 
 def parse_name(components) -> FirmwareName:
-    """Parse a component sequence into a FirmwareName.
+    """Parse a component sequence into a FirmwareName; the inverse of ``components()``.
 
     Accepts 5 components (manifest/firmware) or 6 (chunk/<id>).
     """
@@ -134,11 +134,6 @@ def parse_name(components) -> FirmwareName:
             raise MalformedName(f"{suffix} names have exactly 5 components")
         return FirmwareName(base, suffix)
     raise MalformedName(f"unknown suffix {suffix!r}")
-
-
-def format_name(name: FirmwareName) -> tuple[str, ...]:
-    """Inverse of parse_name; parse_name(format_name(n)) == n."""
-    return name.components()
 
 
 def parse_text(text: str) -> FirmwareName:

@@ -97,8 +97,6 @@ class SimNode:
         self.agent: UpdateAgent | None = None
         self.radio_free_at = 0
         self.wake_at: int | None = None
-        self.now = 0
-        self.agent_pending_name: FirmwareName | None = None
         self._serve_cache: dict[FirmwareName, Data] = {}
         self.forwarder = Forwarder(
             nonce_source=lambda: sim.rng.getrandbits(32),
@@ -144,7 +142,6 @@ class SimNode:
     # -- frame handling ---------------------------------------------------------
 
     def on_frame(self, face: int, packet: Packet, now: int) -> None:
-        self.now = now
         if isinstance(packet, Interest):
             actions = self.forwarder.on_interest(face, packet, now)
         elif isinstance(packet, Data):
@@ -174,8 +171,6 @@ class SimNode:
                              action.interest.name.kind)
                 self.sim.send_packet(self, action.face, action.interest, now)
             elif isinstance(action, Timeout):
-                if self.agent_pending_name == action.name:
-                    self.agent_pending_name = None
                 if self.agent is not None:
                     self.agent.on_timeout(action.name, now)
             # Aggregate / Drop / DenyCascading / CacheInsert need no execution
@@ -183,8 +178,6 @@ class SimNode:
     def _deliver_local(self, packet: Data | Nack, now: int) -> None:
         if self.agent is None:
             return
-        if packet.name == self.agent_pending_name:
-            self.agent_pending_name = None
         if isinstance(packet, Nack):
             self.agent.on_nack(packet, now)
         elif packet.name.kind == MANIFEST:
@@ -195,7 +188,6 @@ class SimNode:
     # -- agent drive ---------------------------------------------------------------
 
     def wake(self, now: int) -> None:
-        self.now = now
         if self.wake_at is not None and now < self.wake_at:
             return  # stale wake; a fresher one is scheduled
         self.wake_at = None
@@ -217,29 +209,18 @@ class SimNode:
         for action in actions:
             if isinstance(action, Forward):
                 self.sim.log(now, self.id, event, chunk_id_of(interest), interest.name.kind)
-                self.agent_pending_name = interest.name
                 self.sim.send_packet(self, action.face, action.interest, now)
             elif isinstance(action, Aggregate):
                 self.sim.log(now, self.id, event, chunk_id_of(interest),
                              _AGGREGATED[interest.name.kind])
-                self.agent_pending_name = interest.name
             elif isinstance(action, Drop):
                 # No route or table pressure: let the app-layer timer retry.
                 self.agent.on_timeout(interest.name, now)
 
     def _rearm(self, now: int) -> None:
-        """Withdraw a local PIT entry the agent no longer waits for, then make
-        sure a wake is queued for the earliest forwarder or agent deadline."""
+        """Make sure a wake is queued for the earliest forwarder or agent deadline."""
         agent = self.agent
-        forwarder = self.forwarder
-        if agent is not None:
-            pending = self.agent_pending_name
-            if pending is not None and agent.outstanding_name != pending and (
-                agent.awaited_manifest != pending
-            ):
-                forwarder.cancel_local(pending)
-                self.agent_pending_name = None
-        deadline = forwarder.next_deadline()
+        deadline = self.forwarder.next_deadline()
         if agent is not None:
             agent_at = agent.next_action_at()
             if agent_at is not None and (deadline is None or agent_at < deadline):
@@ -452,10 +433,10 @@ class Simulation:
         def emit(event: str, chunk_id: int | None, detail: str) -> None:
             if event == "ChunkStored":
                 event = "DataRecv"
-            self.log(node.now, node.id, event, chunk_id, detail)
+            self.log(self.now, node.id, event, chunk_id, detail)
             if event == "InstallComplete":
                 if self._outage_trigger_node == node.id and self._outage_edge is not None:
-                    self._outage_edge.severed_at = node.now
+                    self._outage_edge.severed_at = self.now
                 self.pending.discard(node.id)
             elif event == "Abort" and detail.startswith("irrecoverable"):
                 self.pending.discard(node.id)

@@ -57,6 +57,9 @@ class InvalidSigningKey(ValueError):
     pass
 
 
+_LAYOUT_MISMATCH = "manifest chunk count does not match its image size"
+
+
 @dataclass(frozen=True, slots=True)
 class FirmwareImage:
     data: bytes
@@ -157,6 +160,17 @@ class Manifest:
     def to_bytes(self) -> bytes:
         return self.body() + self.signature
 
+    def layout_consistent(self) -> bool:
+        """Whether both sizes are positive and chunk_count = ceil(image_size / chunk_size)."""
+        return (self.image_size > 0 and self.chunk_size > 0
+                and self.chunk_count == -(-self.image_size // self.chunk_size))
+
+    def chunk_length(self, index: int) -> int:
+        """Length of chunk ``index``: every chunk is full except the last."""
+        if index < self.chunk_count - 1:
+            return self.chunk_size
+        return self.image_size - self.chunk_size * (self.chunk_count - 1)
+
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Manifest":
         try:
@@ -242,29 +256,22 @@ class Repository:
         self._store: dict[tuple[str, str, str], dict[int, Publication]] = {}
 
     def publish(self, manifest: Manifest, chunks: list[Chunk], psk: bytes | None = None) -> None:
-        expected_count = -(-manifest.image_size // manifest.chunk_size)
-        if manifest.chunk_count != expected_count or len(chunks) != manifest.chunk_count:
+        if len(chunks) != manifest.chunk_count:
             raise InconsistentPublication(
                 f"chunk count {len(chunks)} does not match manifest {manifest.chunk_count}"
             )
-        total = 0
+        if not manifest.layout_consistent():
+            raise InconsistentPublication(_LAYOUT_MISMATCH)
+        # a consistent layout and these lengths imply that the payloads sum to image_size
         for i, chunk in enumerate(chunks):
             if chunk.index != i:
                 raise InconsistentPublication(f"chunk {i} carries index {chunk.index}")
-            expected_len = (
-                manifest.chunk_size
-                if i < manifest.chunk_count - 1
-                else manifest.image_size - manifest.chunk_size * (manifest.chunk_count - 1)
-            )
-            if len(chunk.payload) != expected_len:
+            if len(chunk.payload) != manifest.chunk_length(i):
                 raise InconsistentPublication(f"chunk {i} has length {len(chunk.payload)}")
             if psk is not None:
                 trunc = len(chunk.tag)
                 if chunk.tag != tag_chunk(manifest.base, i, chunk.payload, psk, trunc):
                     raise InconsistentPublication(f"chunk {i} tag does not verify")
-            total += len(chunk.payload)
-        if total != manifest.image_size:
-            raise InconsistentPublication("payload total does not match image size")
         versions = self._store.setdefault(manifest.base.class_key(), {})
         if manifest.base.epoch in versions:
             raise DuplicateEpoch(f"epoch {manifest.base.epoch} already published")
@@ -279,9 +286,6 @@ class Repository:
         if pub is None or not 0 <= index < len(pub.chunks):
             return None
         return pub.chunks[index]
-
-    def epochs(self, class_key: tuple[str, str, str]) -> list[int]:
-        return sorted(self._store.get(class_key, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +323,8 @@ def read_publication(root: Path, base: BaseName, psk: bytes, vendor_key: Ed25519
     manifest = Manifest.from_bytes((src / "manifest.bin").read_bytes())
     records = (src / "chunks.bin").read_bytes()
     size = manifest.chunk_size
-    if size <= 0 or manifest.chunk_count != -(-manifest.image_size // size):
-        raise InconsistentPublication("manifest chunk count does not match its image size")
+    if not manifest.layout_consistent():
+        raise InconsistentPublication(_LAYOUT_MISMATCH)
     if len(records) != manifest.chunk_count * size:
         raise InconsistentPublication(
             f"chunks.bin holds {len(records)} bytes, expected {manifest.chunk_count * size}"

@@ -313,7 +313,7 @@ def test_criterion_9_forwarder_reference_properties():
                 expected = reference[-1][1]
             else:
                 expected = None
-            got = cs.lookup(d.name, step)
+            got = cs.lookup(d.name)
             lru_ok &= (got.payload if got else None) == expected
         else:
             hit = next((i for i, (n, _) in enumerate(reference) if n == d.name), None)
@@ -323,7 +323,7 @@ def test_criterion_9_forwarder_reference_properties():
             elif len(reference) >= 64:
                 expected_evict = reference.pop(0)[0]
             reference.append((d.name, d.payload))
-            lru_ok &= cs.insert(d, step) == expected_evict
+            lru_ok &= cs.insert(d) == expected_evict
         lru_ok &= len(cs) == len(reference) <= 64
     ok = aggregation_ok and schedule_ok and lru_ok
     criterion("9 forwarder-unit-properties", ok,

@@ -14,6 +14,7 @@ from fwdist.agent import (
     InstalledFirmware,
     UpdateAgent,
 )
+from fwdist.forwarder import Drop, Forward, Forwarder
 from fwdist.naming import BaseName, Granularity
 from fwdist.packets import Data, HmacTag, Interest, ManifestSignature
 from fwdist.vendor import FirmwareImage, build_manifest, make_chunks, signing_key_from_seed, tag_chunk
@@ -110,6 +111,19 @@ def test_implicit_requires_idle_or_serving():
     agent.on_manifest(manifest_data(manifest), now=0)
     assert agent.phase == FETCHING
     assert not agent.wants_implicit(Interest(BaseName("d", "v", "c", EPOCH + 86400).manifest(), nonce=1))
+
+
+def test_implicit_registration_not_taken_on_refused_pit_insert():
+    agent, _ = make_agent()
+    fwd = Forwarder(nonce_source=lambda: 7, pit_capacity=1, implicit=agent.wants_implicit)
+    fwd.fib.add((), 0)
+    foreign = Interest(BaseName("d", "v", "other", EPOCH).manifest(), nonce=1)
+    assert fwd.on_interest(1, foreign, now=0) == [Forward(0, foreign)]
+    own = Interest(BaseName("d", "v", "c", EPOCH).manifest(), nonce=2)
+    assert fwd.on_interest(2, own, now=0) == [Drop("pit-full")]
+    # no entry, so no manifest and no timeout would ever reach an awaiting agent
+    assert agent.phase == IDLE and agent.awaited_manifest is None
+    assert agent.poll_version(now=0, wall_s=EPOCH) is not None
 
 
 # -- manifest handling -------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_cs_hit_serves_cached_data():
     fwd = make_forwarder()
     fwd.fib.add((), 9)
     d = chunk_data(0)
-    fwd.cs.insert(d, now=0)
+    fwd.cs.insert(d)
     actions = fwd.on_interest(1, Interest(d.name, nonce=1), now=5)
     assert actions == [ServeData(1, d)]
 
@@ -94,7 +94,7 @@ def test_deny_cascading_wins_over_cache_and_aggregation():
     d = chunk_data(0)
     fwd = make_forwarder(deny=lambda interest: True)
     fwd.fib.add((), 9)
-    fwd.cs.insert(d, now=0)
+    fwd.cs.insert(d)
     actions = fwd.on_interest(1, Interest(d.name, nonce=1), now=1)
     assert actions == [DenyCascading(d.name)]
     assert fwd.pit.find(d.name) is None  # no state
@@ -128,7 +128,7 @@ def test_data_fans_out_and_caches():
     actions = fwd.on_data(9, d, now=10)
     assert ForwardDownstream((1, 2), d) in actions
     assert fwd.pit.find(d.name) is None
-    assert fwd.cs.lookup(d.name, 11) == d
+    assert fwd.cs.lookup(d.name) == d
 
 
 def test_data_delivers_to_local_consumer():
@@ -159,7 +159,7 @@ def test_forwarded_own_image_chunk_diverts_instead_of_caching():
     actions = fwd.on_data(9, d, now=10)
     assert ForwardDownstream((1,), d) in actions
     assert DivertToBuffer(d) in actions
-    assert fwd.cs.lookup(d.name, 11) is None
+    assert fwd.cs.lookup(d.name) is None
 
 
 # -- retransmission timers ---------------------------------------------------------
@@ -202,14 +202,6 @@ def test_retx_ordering_by_deadline_then_name():
     assert names == [1, 2, 0]
 
 
-def test_cancel_local_removes_consumer_only_entry():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
-    fwd.on_local_interest(Interest(BASE.chunk(0), nonce=1), now=0)
-    fwd.cancel_local(BASE.chunk(0))
-    assert fwd.pit.find(BASE.chunk(0)) is None
-
-
 # -- content store vs brute-force reference ------------------------------------------
 
 
@@ -249,9 +241,9 @@ def test_cs_matches_reference_under_random_ops(capacity):
     for step in range(3000):
         d = rng.choice(universe)
         if rng.random() < 0.5:
-            assert cs.insert(d, now=step) == ref.insert(d)
+            assert cs.insert(d) == ref.insert(d)
         else:
-            assert cs.lookup(d.name, now=step) == ref.lookup(d.name)
+            assert cs.lookup(d.name) == ref.lookup(d.name)
         assert len(cs) == len(ref.rows) <= capacity
     assert cs.names() == [n for n, _ in ref.rows]
 
@@ -260,9 +252,9 @@ def test_cs_capacity_64_eviction_boundary():
     cs = ContentStore(64)
     data = [chunk_data(i, payload=bytes([i % 251])) for i in range(65)]
     for d in data[:64]:
-        assert cs.insert(d, now=0) is None
+        assert cs.insert(d) is None
     assert len(cs) == 64
-    evicted = cs.insert(data[64], now=1)
+    evicted = cs.insert(data[64])
     assert evicted == data[0].name  # least recently used
     assert len(cs) == 64
 
@@ -270,30 +262,31 @@ def test_cs_capacity_64_eviction_boundary():
 def test_cs_reinsert_refreshes_recency():
     cs = ContentStore(2)
     a, b, c = chunk_data(0), chunk_data(1), chunk_data(2)
-    cs.insert(a, 0)
-    cs.insert(b, 1)
-    assert cs.insert(a, 2) is None  # refresh, no eviction
-    assert cs.insert(c, 3) == b.name  # b is now the LRU
+    cs.insert(a)
+    cs.insert(b)
+    assert cs.insert(a) is None  # refresh, no eviction
+    assert cs.insert(c) == b.name  # b is now the LRU
 
 
 def test_cs_payload_fidelity():
     cs = ContentStore(4)
     payload = bytes(range(32))
     d = chunk_data(0, payload=payload)
-    cs.insert(d, 0)
-    assert cs.lookup(d.name, 1).payload == payload
+    cs.insert(d)
+    assert cs.lookup(d.name).payload == payload
 
 
 # -- fib -----------------------------------------------------------------------------
 
-def test_fib_longest_prefix_and_default():
+def test_fib_default_route_matches_every_name():
     fib = Fib()
+    assert fib.lookup(BASE.chunk(0)) is None
     fib.add((), 1)
-    fib.add(("d", "v"), 2)
-    fib.add(("d", "v", "c"), 3)
-    assert fib.lookup(BASE.chunk(0)) == 3
-    assert fib.lookup(BaseName("d", "v", "other", 1).manifest()) == 2
+    assert fib.lookup(BASE.chunk(0)) == 1
     assert fib.lookup(BaseName("x", "y", "z", 1).manifest()) == 1
+    with pytest.raises(ValueError):
+        fib.add(("d", "v"), 2)
+    assert fib.lookup(BASE.chunk(0)) == 1
 
 
 # -- packets and actions ------------------------------------------------------------

@@ -17,7 +17,7 @@ from fwdist.harness import (
     MalformedCsv,
     NoPayloadRoom,
     OverheadModel,
-    _parse_csv,
+    iter_csv_rows,
     load_metrics_csv,
     overhead_report,
     progress_table,
@@ -213,12 +213,12 @@ def test_retx_blocks_shape():
 
 def test_parse_csv_rejects_bad_header():
     with pytest.raises(MalformedCsv):
-        _parse_csv(["wrong,header", "1,n1,DataRecv,0,"])
+        list(iter_csv_rows(["wrong,header", "1,n1,DataRecv,0,"]))
 
 
 def test_parse_csv_rejects_short_rows():
     with pytest.raises(MalformedCsv):
-        _parse_csv(["sim_time_us,node,event,chunk_id,detail", "1,n1,DataRecv"])
+        list(iter_csv_rows(["sim_time_us,node,event,chunk_id,detail", "1,n1,DataRecv"]))
 
 
 csv_fields = st.text(alphabet=st.sampled_from("0123456789-+_ ,aé\r\t"), max_size=5)
@@ -235,7 +235,7 @@ csv_rows = st.one_of(
 def test_parse_csv_gives_rows_or_malformed_csv(header, rows):
     text = "\n".join([header, *rows]) + "\n"
     try:
-        parsed = _parse_csv(io.StringIO(text, newline=None))  # the line splitting of open()
+        parsed = list(iter_csv_rows(io.StringIO(text, newline=None)))  # the line splitting of open()
     except MalformedCsv:
         return
     assert header == CSV_HEADER
@@ -392,15 +392,24 @@ def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field
     ["sweep", "{scenario}", "--axis", "seed", "--values", "1", "--out", "{scenario.parent}"],
     ["tables", "{metrics}", "--kind", "retx", "--out", "{scenario.parent}"],
     ["tables", "{metrics}", "--kind", "retx", "--out", "{scenario}/x.csv"],
+    # an output file of run is a directory: IsADirectoryError after the whole run
+    ["run", "{scenario}", "--out", "{csv_is_dir}"],
+    ["run", "{scenario}", "--out", "{json_is_dir}"],  # metrics.csv was written first
 ])
 def test_cli_bad_option_values_and_files_exit_2(tmp_path, args):
     files = {"scenario": write_scenario(tmp_path), "binary": tmp_path / "binary",
-             "missing": tmp_path / "missing.json", "metrics": tmp_path / "metrics.csv"}
+             "missing": tmp_path / "missing.json", "metrics": tmp_path / "metrics.csv",
+             "csv_is_dir": tmp_path / "out1", "json_is_dir": tmp_path / "out2"}
     files["binary"].write_bytes(b"\xff\xfe\x00garbage")
     files["metrics"].write_text(CSV_HEADER + "\n1,n1,NetRetx,0,chunk\n")
+    (files["csv_is_dir"] / "metrics.csv").mkdir(parents=True)
+    (files["json_is_dir"] / "summary.json").mkdir(parents=True)
     proc = run_cli(*[a.format(**files) for a in args], timeout=60)  # a zero poll period looped
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (files["json_is_dir"] / "metrics.csv").exists()
+    if "{csv_is_dir}" in args or "{json_is_dir}" in args:
+        assert "--out" in proc.stderr
 
 
 def test_cli_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):

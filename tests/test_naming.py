@@ -11,7 +11,6 @@ from fwdist.naming import (
     MalformedName,
     align_epoch,
     encoded_size,
-    format_name,
     parse_name,
     parse_text,
 )
@@ -54,9 +53,9 @@ def test_parse_rejects_malformed(components):
 
 def test_format_suffixes():
     base = BaseName("d", "v", "c", 5)
-    assert format_name(base.chunk(42))[-2:] == ("chunk", "42")
-    assert format_name(base.firmware())[-1] == "firmware"
-    assert format_name(base.manifest())[-1] == "manifest"
+    assert base.chunk(42).components()[-2:] == ("chunk", "42")
+    assert base.firmware().components()[-1] == "firmware"
+    assert base.manifest().components()[-1] == "manifest"
 
 
 identifiers = st.text(
@@ -76,7 +75,7 @@ identifiers = st.text(
 def test_round_trip(deployment, vendor, device_class, epoch, suffix):
     base = BaseName(deployment, vendor, device_class, epoch)
     name = base.manifest() if suffix is None else base.chunk(suffix)
-    assert parse_name(format_name(name)) == name
+    assert parse_name(name.components()) == name
 
 
 def test_text_round_trip():

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fwdist.agent import UpdateAgent
 from fwdist.naming import BaseName, EncodingModel, Granularity
 from fwdist.packets import Data, HmacTag, packet_size
 from fwdist.scenario import (
@@ -16,7 +17,7 @@ from fwdist.scenario import (
     ScenarioInvalid,
     scenario_from_dict,
 )
-from fwdist.sim import MtuExceeded, Simulation, run_simulation
+from fwdist.sim import MtuExceeded, SimNode, Simulation, run_simulation
 from fwdist.topology import build_paper_topology
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
@@ -235,6 +236,28 @@ def test_unpublished_epoch_times_out_when_nacks_disabled():
 
 # -- medium properties ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("p, retries", [(0.3, 1), (0.5, 3), (0.7, 2)])
+def test_arq_follows_the_loss_model(p, retries):
+    # one isolated edge, no collisions: each attempt is lost with probability p,
+    # so a frame is lost after ARQ with probability p^(retries+1)
+    n = 4000
+    sc = chain_scenario(topology={'nodes': CHAIN['nodes'][:2]},
+                        loss={'per_transmission': p, 'collision': 0.0}, link={'retries': retries})
+    sim = Simulation(sc)
+    sim.queue = type(sim.queue)()  # discard setup events
+    gw, edge = sim.nodes['gw'], sim.edges[0]
+    deliveries = []
+    for i in range(n):
+        sim.queue.push(i * 1_000_000, lambda now: sim.transmit(gw, edge, 100, now, deliveries.append))
+    drain(sim, limit=10 * n)
+    lost = n - len(deliveries)
+    q = p ** (retries + 1)
+    assert abs(lost - n * q) <= 4.5 * math.sqrt(n * q * (1 - q))
+    retx = sim.counters['gw'].get('LinkRetx', 0)
+    attempts = n + retx
+    assert abs((retx + lost) / attempts - p) <= 4.5 * math.sqrt(p * (1 - p) / attempts)
+
+
 def test_airtime_union_within_wall_clock():
     # union of busy intervals per interference group cannot exceed 1 s/s
     sc = chain_scenario(image_size=3200)
@@ -320,6 +343,65 @@ def test_medium_overlap_matches_brute_force(seed, strategy):
     sim._record_interval, sim._medium_overlap = spy_record, spy_overlap
     sim.run()
     assert len(answers) > 1000 and 0 < sum(answers) < len(answers)
+
+
+# -- node invariants -------------------------------------------------------------------
+
+NODE_SHAPES = {
+    "tamper": {'attacker': {'edge': ['n2', 'n3'], 'mode': 'tamper_payload', 'rate': 0.3}},
+    "replay": {'attacker': {'edge': ['n1', 'n2'], 'mode': 'replay_stale', 'rate': 0.5}},
+    "pit-1-lossy": {'node': {'pit_capacity': 1}, 'link': {'retries': 1},
+                    'loss': {'per_transmission': 0.4, 'collision': 0.1}},
+    "outage": {'outage': {'edge': ['gw', 'n1'], 'after_install': 'n1'}},
+    "multiparty": {'multiparty': True, 'loss': {'per_transmission': 0.3, 'collision': 0.1}},
+}
+
+
+def local_entries_are_awaited(node):
+    """Every PIT entry the node's own agent consumes is its awaited manifest or outstanding chunk."""
+    agent = node.agent
+    awaited = set()
+    if agent is not None:
+        awaited.add(agent.awaited_manifest)
+        if agent.outstanding is not None:
+            awaited.add(agent.active_manifest.base.chunk(agent.outstanding))
+    stray = [name for name, entry in node.forwarder.pit.entries.items()
+             if entry.local_consumer and name not in awaited]
+    assert not stray, (node.id, agent and agent.phase, stray)
+
+
+# the agent calls a node makes; the rule must hold after each, not only after a whole event
+AGENT_CALLS = ("wants_implicit", "on_manifest", "on_nack", "on_chunk", "on_timeout",
+               "handle_deadlines", "due_poll", "take_request")
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(sorted(NODE_SHAPES)), strategy=st.sampled_from(['concurrent', 'cascading']),
+       seed=st.integers(0, 2**32 - 1))
+def test_local_pit_entries_are_what_the_agent_awaits(shape, strategy, seed):
+    # the agent forgets a name only after the forwarder popped its entry (data,
+    # NACK, timeout) or refused to make one, so no entry outlives its request
+    node_of = {}
+    checks = []
+
+    def checked(method, node_for):
+        def run(self, *args, **kwargs):
+            result = method(self, *args, **kwargs)
+            local_entries_are_awaited(node_for(self))
+            checks.append(method.__name__)
+            return result
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("on_frame", "wake"):
+            mp.setattr(SimNode, name, checked(getattr(SimNode, name), lambda node: node))
+        for name in AGENT_CALLS:
+            mp.setattr(UpdateAgent, name, checked(getattr(UpdateAgent, name), node_of.__getitem__))
+        sim = Simulation(chain_scenario(seed=seed, strategy=strategy, image_size=1600, duration_s=300,
+                                        **NODE_SHAPES[shape]))
+        node_of.update((node.agent, node) for node in sim.nodes.values() if node.agent is not None)
+        sim.run()
+    assert checks.count("on_frame") > 20 and "take_request" in checks
 
 
 def test_cascading_reduces_path_link_retransmissions():

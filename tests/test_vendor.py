@@ -207,7 +207,6 @@ def test_versioned_keying():
     m2, _ = publish_version(repo, 2000, size=128)
     assert repo.lookup_manifest(m1.base).image_size == 96
     assert repo.lookup_manifest(m2.base).image_size == 128
-    assert repo.epochs(("d", "v", "c")) == [1000, 2000]
 
 
 def test_duplicate_epoch_rejected():
@@ -227,6 +226,26 @@ def test_inconsistent_publication_rejected():
     bad_tag = [Chunk(c.index, c.payload, bytes(len(c.tag))) for c in chunks]
     with pytest.raises(InconsistentPublication):
         repo.publish(m, bad_tag, PSK)
+
+
+def test_publish_rejects_zero_chunk_size_and_empty_image():
+    img = image(100)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    chunks = make_chunks(img, m.base, 32, PSK)
+    zero_chunk = Manifest(m.base, m.image_size, m.image_digest, 0, m.chunk_count, m.signature)
+    with pytest.raises(InconsistentPublication, match="chunk count"):  # was ZeroDivisionError
+        Repository().publish(zero_chunk, chunks, PSK)
+    empty = Manifest(m.base, 0, hashlib.sha256(b"").digest(), 32, 0, m.signature)
+    with pytest.raises(InconsistentPublication, match="chunk count"):  # was accepted
+        Repository().publish(empty, [], PSK)
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 96, 100])
+def test_manifest_chunk_layout_matches_make_chunks(size):
+    m = build_manifest(image(size), 32, KEY, "d", "v")
+    assert m.layout_consistent()
+    assert [m.chunk_length(c.index) for c in make_chunks(image(size), m.base, 32, PSK)] == [
+        len(p) for p in chunk_image(image(size), 32)]
 
 
 # -- on-disk layout and fwpub -----------------------------------------------------------
