@@ -154,7 +154,8 @@ SCHEMA: dict[str, dict] = {
     "topology": {},
     "chunk_size": {"exclusiveMinimum": 0, "exclusiveMaximum": 2**32},  # manifest: 4 bytes
     "seed": {},
-    "duration_s": NON_NEGATIVE,
+    # int(duration_s * 10**6) < 2**63: every record time fits a signed 64-bit column
+    "duration_s": {"minimum": 0, "exclusiveMaximum": 2**63 // 1_000_000},
     "deployment": {},
     "vendor": {},
     "device_class": {},

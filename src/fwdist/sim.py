@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
+from operator import rshift
 
 from .agent import AgentConfig, InstalledFirmware, UpdateAgent
 from .forwarder import (
@@ -47,10 +49,78 @@ class MtuExceeded(ValueError):
     pass
 
 
-# Record details, one shared string each, so the records of a run do not hold
-# a copy per frame or per Interest.
+# Record details, built once and not per frame or per Interest.
 _LOG_KIND = {cls: cls.__name__.lower() for cls in (Interest, Data, Nack)}
 _AGGREGATED = {kind: kind + ";aggregated" for kind in (MANIFEST, FIRMWARE, CHUNK)}
+_CHUNK_MASK = (1 << 32) - 1
+
+
+class EventLog:
+    """The event records of one run, kept in two signed 64-bit columns.
+
+    A record is ``(sim_time_us, node, event, chunk_id, detail)``. Its time
+    goes into one ``array('q')``; its ``(node, event, detail)`` is interned
+    as a key number, and the other column holds ``key << 32 | chunk_id + 1``,
+    with 0 in the low half for no chunk. Times are below 2**63 because
+    ``scenario.SCHEMA`` bounds ``duration_s``, and chunk ids below 2**32 - 1
+    because a manifest's ``chunk_count`` is four bytes. Iteration yields the
+    records as tuples, in the order they were appended.
+    """
+
+    __slots__ = ("_times", "_codes", "_keys", "_code_of")
+
+    def __init__(self):
+        self._times = array("q")
+        self._codes = array("q")
+        self._keys: list[tuple[str, str, str]] = []  # key number -> (node, event, detail)
+        self._code_of: dict[str, dict[str, dict[str, int]]] = {}  # node -> event -> detail -> key << 32
+
+    def append(self, at: int, node: str, event: str, chunk_id: int | None, detail: str) -> None:
+        try:
+            code = self._code_of[node][event][detail]
+        except KeyError:
+            code = len(self._keys) << 32
+            self._code_of.setdefault(node, {}).setdefault(event, {})[detail] = code
+            self._keys.append((node, event, detail))
+        self._times.append(at)
+        self._codes.append(code if chunk_id is None else code | chunk_id + 1)
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __eq__(self, other) -> bool:
+        # keys are numbered in order of first use, so equal records give equal columns
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self._times == other._times and self._codes == other._codes and self._keys == other._keys
+
+    def __iter__(self):
+        keys = self._keys
+        for at, code in zip(self._times, self._codes):
+            node, event, detail = keys[code >> 32]
+            cid = code & _CHUNK_MASK
+            yield at, node, event, cid - 1 if cid else None, detail
+
+    def counters(self) -> dict[str, dict[str, int]]:
+        """Records per node and event."""
+        counts: dict[str, dict[str, int]] = {}
+        for key, n in Counter(map(rshift, self._codes, repeat(32))).items():
+            node, event, _ = self._keys[key]
+            by_event = counts.setdefault(node, {})
+            by_event[event] = by_event.get(event, 0) + n
+        return counts
+
+    def csv_rows(self):
+        """The ``metrics.csv`` line of each record, without its line break."""
+        heads = [f"{node},{event}," for node, event, _ in self._keys]
+        tails = [f",{detail}" for _, _, detail in self._keys]
+        for at, code in zip(self._times, self._codes):
+            key = code >> 32
+            cid = code & _CHUNK_MASK
+            if cid:
+                yield f"{at},{heads[key]}{cid - 1}{tails[key]}"
+            else:
+                yield f"{at},{heads[key]}{tails[key]}"
 
 
 @dataclass(slots=True)
@@ -241,7 +311,10 @@ class Simulation:
         self.rng = random.Random(scenario.seed)
         self.queue = EventQueue()
         self.now = 0
-        self.records: list[tuple[int, str, str, int | None, str]] = []
+        self.records = EventLog()
+        # log(at, node, event, chunk_id, detail) appends one record; bound to
+        # the log itself, which saves a call per record
+        self.log = self.records.append
         self.repo = Repository()
         self.images: dict[str, bytes] = {}  # device class -> published image
         self.psks: dict[str, bytes] = {}
@@ -418,17 +491,6 @@ class Simulation:
     def wall_s(self, now_us: int) -> int:
         return self.start_wall_s + now_us // 1_000_000
 
-    def log(self, at: int, node: str, event: str, chunk_id: int | None, detail: str) -> None:
-        self.records.append((at, node, event, chunk_id, detail))
-
-    @property
-    def counters(self) -> dict[str, dict[str, int]]:
-        """Records per node and event, counted over ``records`` in one pass."""
-        counts: dict[str, dict[str, int]] = {}
-        for (node, event), n in Counter(map(itemgetter(1, 2), self.records)).items():
-            counts.setdefault(node, {})[event] = n
-        return counts
-
     def _agent_emitter(self, node: SimNode):
         def emit(event: str, chunk_id: int | None, detail: str) -> None:
             if event == "ChunkStored":
@@ -588,7 +650,7 @@ class SimResult:
     def __init__(self, sim: Simulation):
         self.scenario = sim.scenario
         self.records = sim.records
-        self.counters = counters = sim.counters
+        self.counters = counters = sim.records.counters()
         self.images = sim.images
         topo = sim.scenario.topology
         self.node_stats: dict[str, dict] = {}
@@ -649,9 +711,7 @@ class SimResult:
 
     def csv_lines(self):
         yield "sim_time_us,node,event,chunk_id,detail"
-        for at, node, event, chunk_id, detail in self.records:
-            cid = "" if chunk_id is None else str(chunk_id)
-            yield f"{at},{node},{event},{cid},{detail}"
+        yield from self.records.csv_rows()
 
 
 def run_simulation(scenario: Scenario) -> SimResult:

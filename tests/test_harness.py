@@ -360,6 +360,8 @@ def test_cli_run_string_boolean_exit_2(tmp_path):
     ({"granularity": {"period_s": 86400.5}}, "granularity.period_s"),  # failed later, on the epoch
     ({"attacker": {"edge": ["gw", "n1"], "mode": "forge_tag", "rate": True}}, "attacker.rate"),  # 1.0
     ({"granularity": {"period_s": True, "offset_s": False}}, "granularity.period_s"),  # accepted
+    # logged times past 2**63 µs; accepted, exit 0
+    ({"duration_s": 1e14, "poll_period_s": 1e13, "poll_stagger_s": 1e13}, "duration_s"),
 ])
 def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field):
     scenario = tmp_path / "bad.json"
@@ -423,7 +425,8 @@ def test_cli_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeyp
 
 def test_sweep_rejects_values_the_scenario_would_reject():
     for axis, value in (("chunk_count", 0), ("chunk_count", 1.5), ("image_size", True),
-                        ("duration_s", float("nan")), ("poll_stagger_s", -1), ("chunk_size", 2**32)):
+                        ("duration_s", float("nan")), ("duration_s", 1e14), ("poll_stagger_s", -1),
+                        ("chunk_size", 2**32)):
         with pytest.raises(ScenarioInvalid) as err:
             sweep(chain_raw(), axis, [value], [1])
         assert err.value.fieldname == axis

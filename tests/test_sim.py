@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from fwdist.scenario import (
     ScenarioInvalid,
     scenario_from_dict,
 )
-from fwdist.sim import MtuExceeded, SimNode, Simulation, run_simulation
+from fwdist.sim import EventLog, MtuExceeded, SimNode, Simulation, run_simulation
 from fwdist.topology import build_paper_topology
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
@@ -73,7 +75,7 @@ def test_lossless_link_delivers_first_attempt():
     assert len(deliveries) == 1
     # backoff <= base_slot, airtime 115B at 250 kbps = 3680 us, +prop 500 us
     assert 3680 + 500 <= deliveries[0] <= 1000 + 3680 + 500
-    assert sim.counters.get('gw', {}).get('LinkRetx', 0) == 0
+    assert sim.records.counters().get('gw', {}).get('LinkRetx', 0) == 0
 
 
 def test_dead_link_gives_up_after_four_attempts():
@@ -84,7 +86,7 @@ def test_dead_link_gives_up_after_four_attempts():
     sim.transmit(sim.nodes['gw'], sim.edges[0], 100, 0, deliveries.append)
     drain(sim)
     assert deliveries == []
-    assert sim.counters['gw']['LinkRetx'] == 3  # attempts 2..4 then give up
+    assert sim.records.counters()['gw']['LinkRetx'] == 3  # attempts 2..4 then give up
 
 
 def test_mtu_boundary():
@@ -131,6 +133,61 @@ def test_rate_zero_attacker_is_transparent():
     noop = run_simulation(chain_scenario(
         attacker={'edge': ['n2', 'n3'], 'mode': 'tamper_payload', 'rate': 0.0}))
     assert plain.records == noop.records
+
+
+# -- event log --------------------------------------------------------------------------
+
+log_records = st.lists(st.tuples(
+    st.integers(0, 2**63 - 1), st.text("ab", min_size=1, max_size=2), st.text("XY", min_size=1, max_size=2),
+    st.none() | st.integers(0, 2**32 - 2), st.text("x;", max_size=2)), max_size=30)
+
+
+def reference_csv_rows(records):
+    """metrics.csv rows as rendered from a plain list of record tuples."""
+    for at, node, event, chunk_id, detail in records:
+        cid = "" if chunk_id is None else str(chunk_id)
+        yield f"{at},{node},{event},{cid},{detail}"
+
+
+def event_log(records):
+    log = EventLog()
+    for record in records:
+        log.append(*record)
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_records, log_records)
+def test_event_log_matches_a_list_of_tuples(a, b):
+    for records in (a, b):
+        log = event_log(records)
+        assert list(log) == records and len(log) == len(records)
+        counts = {}
+        for _, node, event, _, _ in records:
+            counts.setdefault(node, Counter())[event] += 1
+        assert log.counters() == counts
+        assert list(log.csv_rows()) == list(reference_csv_rows(records))
+        assert log == event_log(records)
+    assert (event_log(a) == event_log(b)) == (a == b)
+    assert (event_log(a) == event_log(a + b)) == (b == [])
+
+
+def test_run_records_take_at_most_24_bytes_each():
+    # a list of 5-tuples took about 120 B per record
+    sc = chain_scenario(image_size=24000, duration_s=86400,
+                        loss={'per_transmission': 0.7, 'collision': 0.7}, link={'retries': 15})
+    tracemalloc.start()
+    try:
+        sim = Simulation(sc)
+        result = sim.run()
+        count = len(result.records)
+        held = tracemalloc.get_traced_memory()[0]
+        result.records = sim.records = sim.log = None
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count >= 20_000
+    assert held <= 24 * count
 
 
 # -- attacker ---------------------------------------------------------------------------
@@ -236,26 +293,35 @@ def test_unpublished_epoch_times_out_when_nacks_disabled():
 
 # -- medium properties ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("p, retries", [(0.3, 1), (0.5, 3), (0.7, 2)])
-def test_arq_follows_the_loss_model(p, retries):
-    # one isolated edge, no collisions: each attempt is lost with probability p,
-    # so a frame is lost after ARQ with probability p^(retries+1)
+@pytest.mark.parametrize("p, retries, c", [(0.3, 1, None), (0.5, 3, None), (0.7, 2, None),
+                                           (0.2, 2, 0.5), (0.1, 3, 0.6)],
+                         ids=["0.3-1", "0.5-3", "0.7-2", "0.2-2-collided-0.5", "0.1-3-collided-0.6"])
+def test_arq_follows_the_loss_model(p, retries, c):
+    # Each attempt is lost with probability q, so a frame is lost after ARQ with
+    # probability q^(retries+1). On one isolated edge (c None) no attempt collides
+    # and q = p. With airtime live on a conflicting edge for the whole test, every
+    # attempt collides and q = 1-(1-p)(1-c).
     n = 4000
-    sc = chain_scenario(topology={'nodes': CHAIN['nodes'][:2]},
-                        loss={'per_transmission': p, 'collision': 0.0}, link={'retries': retries})
+    sc = chain_scenario(topology={'nodes': CHAIN['nodes'][:2 if c is None else 3]},
+                        loss={'per_transmission': p, 'collision': c or 0.0}, link={'retries': retries})
     sim = Simulation(sc)
     sim.queue = type(sim.queue)()  # discard setup events
     gw, edge = sim.nodes['gw'], sim.edges[0]
+    q = p
+    if c is not None:
+        assert edge.conflicts == [1]  # n1-n2 shares n1 with gw-n1
+        sim._airtime = [(0, 2**62, 1)]  # (start, end, edge index): n1-n2 on air throughout
+        q = 1 - (1 - p) * (1 - c)
     deliveries = []
     for i in range(n):
         sim.queue.push(i * 1_000_000, lambda now: sim.transmit(gw, edge, 100, now, deliveries.append))
     drain(sim, limit=10 * n)
     lost = n - len(deliveries)
-    q = p ** (retries + 1)
-    assert abs(lost - n * q) <= 4.5 * math.sqrt(n * q * (1 - q))
-    retx = sim.counters['gw'].get('LinkRetx', 0)
+    q_frame = q ** (retries + 1)
+    assert abs(lost - n * q_frame) <= 4.5 * math.sqrt(n * q_frame * (1 - q_frame))
+    retx = sim.records.counters()['gw'].get('LinkRetx', 0)
     attempts = n + retx
-    assert abs((retx + lost) / attempts - p) <= 4.5 * math.sqrt(p * (1 - p) / attempts)
+    assert abs((retx + lost) / attempts - q) <= 4.5 * math.sqrt(q * (1 - q) / attempts)
 
 
 def test_airtime_union_within_wall_clock():
@@ -499,6 +565,8 @@ def test_block_fields_accept_their_types_at_the_bounds():
     assert (sc.loss.collision, sc.link.retries, sc.node.pit_capacity) == (1, 0, 1)
     assert sc.agent.app_retx_jitter_s == 2.0 and sc.name_encoding == EncodingModel(0, 0)
     assert chain_scenario(loss=None, link=None).link == LinkParams()
+    longest = math.nextafter(2**63 // 10**6, 0)  # the largest duration_s accepted
+    assert chain_scenario(duration_s=longest).duration_us() < 2**63
 
 
 ATTACKER = {"edge": ["gw", "n1"], "mode": "forge_tag"}
@@ -525,6 +593,7 @@ ATTACKER = {"edge": ["gw", "n1"], "mode": "forge_tag"}
     ({"chunk_size": 2**32}, "chunk_size"),
     ({"image_size": True}, "image_size"),  # was accepted as a 1-byte image
     ({"duration_s": 10**400}, "duration_s"),  # an integer beyond the float range; was OverflowError
+    ({"duration_s": 1e14}, "duration_s"),  # record times past 2**63 µs were accepted
 ])
 def test_attacker_outage_granularity_and_bounds_are_strict(override, field):
     with pytest.raises(ScenarioInvalid) as err:
