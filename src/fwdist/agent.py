@@ -283,7 +283,7 @@ class UpdateAgent:
             self.received[idx] = data.auth.tag
             self.received_count += 1
             self.fail_counts.pop(idx, None)
-            self._emit("ChunkStored", idx, "diverted" if diverted else "")
+            self._emit("DataRecv", idx, "diverted" if diverted else "")
             if self.first_chunk_recv_us is None:
                 self.first_chunk_recv_us = now
             self.last_chunk_recv_us = now

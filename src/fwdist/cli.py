@@ -54,14 +54,21 @@ VALIDATION_ERRORS = (
 )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(low: int, what: str):
+    """argparse type for an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_non_negative_int = _int_from(0, "non-negative")
 
 
 def _list_of(parse, what: str):
@@ -138,11 +145,11 @@ def _fwsim_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", type=_out_file, help="output CSV file (default stdout)")
 
     p_over = sub.add_parser("overhead", help="chunk-wise signature overhead calculator")
-    p_over.add_argument("--mtu", type=int, default=128)
-    p_over.add_argument("--name-bytes", type=int, default=16)
-    p_over.add_argument("--structural-bytes", type=int, default=16)
-    p_over.add_argument("--link-bytes", type=int, default=23)
-    p_over.add_argument("--sig-bytes", type=int, default=64)
+    p_over.add_argument("--mtu", type=_positive_int, default=128)
+    p_over.add_argument("--name-bytes", type=_non_negative_int, default=16)
+    p_over.add_argument("--structural-bytes", type=_non_negative_int, default=16)
+    p_over.add_argument("--link-bytes", type=_non_negative_int, default=23)
+    p_over.add_argument("--sig-bytes", type=_non_negative_int, default=64)
     p_over.add_argument("--compressed", action="store_true",
                         help="model header compression: names elided, structural "
                              "overhead reduced to 6 bytes")

@@ -1,14 +1,20 @@
-"""Minimal NDN-style forwarder: PIT with aggregation, LRU content store, FIB.
+"""Minimal NDN-style forwarder: PIT with aggregation, LRU content store, and
+one upstream face.
+
+The PIT is a dict from name to entry, at most ``pit_capacity`` long. Every
+name goes up the one upstream face: face 0 on a device, ``None`` on the
+gateway, which drops an Interest that nothing answers as "no-route".
 
 The forwarder mutates its own tables and returns explicit action lists; the
 surrounding node decides how to execute them (transmit frames, hand packets to
-the local update agent). Hooks decouple it from the agent:
+the local update agent). Hooks decouple it from the agent and the repository:
 
-* ``local_lookup(name)``  -- serve from flash / chunk buffer / repository
-* ``deny(interest)``      -- cascading-mode chunk denial
-* ``implicit(interest)``  -- register the local agent on a forwarded manifest
-* ``divert(data)``        -- should unsolicited/in-transit chunk Data be
-                             diverted into the local chunk buffer
+* ``local_lookup(name)``   -- serve from flash / chunk buffer / repository
+* ``deny(interest)``       -- cascading-mode chunk denial
+* ``implicit(interest)``   -- register the local agent on a forwarded manifest
+* ``divert(data)``         -- should unsolicited/in-transit chunk Data be
+                              diverted into the local chunk buffer
+* ``nack_lookup(interest)`` -- a NACK for a name the repository does not hold
 
 All timestamps are integer microseconds of simulated time.
 """
@@ -79,12 +85,6 @@ class ForwardDownstream:
 
 
 @dataclass(slots=True)
-class CacheInsert:
-    name: FirmwareName
-    evicted: FirmwareName | None
-
-
-@dataclass(slots=True)
 class DivertToBuffer:
     data: Data
 
@@ -102,7 +102,7 @@ class Timeout:
 
 Action = (
     ServeData | ServeNack | Aggregate | Forward | Drop | DenyCascading
-    | DeliverLocal | ForwardDownstream | CacheInsert | DivertToBuffer
+    | DeliverLocal | ForwardDownstream | DivertToBuffer
     | Retransmit | Timeout
 )
 
@@ -118,35 +118,11 @@ class PitEntry:
     local_consumer: bool = False
     retx_budget: int = RETX_BUDGET
     next_retx_at: int = 0
-    upstream_face: int | None = None
     lifetime_ms: int = 8000
 
     def add_downstream(self, face: int) -> None:
         if face not in self.downstream_faces:
             self.downstream_faces.append(face)
-
-
-class Pit:
-    """Pending Interest Table keyed by exact name."""
-
-    def __init__(self, capacity: int = 16):
-        self.capacity = capacity
-        self.entries: dict[FirmwareName, PitEntry] = {}
-
-    def find(self, name: FirmwareName) -> PitEntry | None:
-        return self.entries.get(name)
-
-    def insert(self, entry: PitEntry) -> bool:
-        if len(self.entries) >= self.capacity:
-            return False
-        self.entries[entry.name] = entry
-        return True
-
-    def pop(self, name: FirmwareName) -> PitEntry | None:
-        return self.entries.pop(name, None)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class ContentStore:
@@ -189,25 +165,6 @@ class ContentStore:
         return list(self._entries)
 
 
-class Fib:
-    """Face table holding only the default route, which matches every name.
-
-    Every node forwards toward the repository on one uplink, so no other
-    prefix is ever installed.
-    """
-
-    def __init__(self):
-        self._default: int | None = None
-
-    def add(self, prefix: tuple[str, ...], face: int) -> None:
-        if prefix:
-            raise ValueError(f"only the default route () can be added, not {prefix!r}")
-        self._default = face
-
-    def lookup(self, name: FirmwareName) -> int | None:
-        return self._default
-
-
 class SeenSet:
     """Bounded FIFO set of (name, nonce) pairs for loop suppression."""
 
@@ -239,6 +196,7 @@ class Forwarder:
         self,
         *,
         nonce_source: Callable[[], int],
+        upstream: int | None = None,
         pit_capacity: int = 16,
         cs_capacity: int = 64,
         seen_capacity: int = 128,
@@ -248,9 +206,10 @@ class Forwarder:
         divert: Callable[[Data], bool] | None = None,
         nack_lookup: Callable[[Interest], Nack | None] | None = None,
     ):
-        self.pit = Pit(pit_capacity)
+        self.upstream = upstream
+        self.pit: dict[FirmwareName, PitEntry] = {}
+        self.pit_capacity = pit_capacity
         self.cs = ContentStore(cs_capacity)
-        self.fib = Fib()
         self.seen = SeenSet(seen_capacity)
         self._nonce = nonce_source
         self._local_lookup = local_lookup or (lambda name: None)
@@ -278,54 +237,50 @@ class Forwarder:
         nack = self._nack_lookup(interest)
         if nack is not None:
             return [ServeNack(face, nack)]
-        entry = self.pit.find(interest.name)
+        entry = self.pit.get(interest.name)
         if entry is not None:
             entry.add_downstream(face)
             if self._implicit(interest):
                 entry.local_consumer = True
             return [Aggregate(interest.name)]
-        upstream = self.fib.lookup(interest.name)
-        if upstream is None:
+        if self.upstream is None:
             return [Drop("no-route")]
-        entry = PitEntry(
+        if len(self.pit) >= self.pit_capacity:
+            return [Drop("pit-full")]
+        self.pit[interest.name] = entry = PitEntry(
             name=interest.name,
             downstream_faces=[face],
             next_retx_at=now + RETX_INTERVAL_US,
-            upstream_face=upstream,
             lifetime_ms=interest.lifetime_ms,
         )
-        if not self.pit.insert(entry):
-            return [Drop("pit-full")]
         # registered only once the entry exists: a refused insert must not
         # leave the agent awaiting a manifest that nothing will deliver
         if self._implicit(interest):
             entry.local_consumer = True
-        return [Forward(upstream, interest)]
+        return [Forward(self.upstream, interest)]
 
     def on_local_interest(self, interest: Interest, now: int) -> list[Action]:
         """Interest originated by this node's own agent."""
-        entry = self.pit.find(interest.name)
+        entry = self.pit.get(interest.name)
         if entry is not None:
             entry.local_consumer = True
             return [Aggregate(interest.name)]
-        upstream = self.fib.lookup(interest.name)
-        if upstream is None:
+        if self.upstream is None:
             return [Drop("no-route")]
-        entry = PitEntry(
+        if len(self.pit) >= self.pit_capacity:
+            return [Drop("pit-full")]
+        self.pit[interest.name] = PitEntry(
             name=interest.name,
             local_consumer=True,
             next_retx_at=now + RETX_INTERVAL_US,
-            upstream_face=upstream,
             lifetime_ms=interest.lifetime_ms,
         )
-        if not self.pit.insert(entry):
-            return [Drop("pit-full")]
-        return [Forward(upstream, interest)]
+        return [Forward(self.upstream, interest)]
 
     # -- data / nacks -------------------------------------------------------
 
     def on_data(self, face: int, data: Data, now: int) -> list[Action]:
-        entry = self.pit.pop(data.name)
+        entry = self.pit.pop(data.name, None)
         if entry is None:
             if self._divert(data):
                 return [DivertToBuffer(data)]
@@ -341,12 +296,11 @@ class Forwarder:
         elif not entry.local_consumer and _cacheable(data):
             # Own-image chunks live in the agent buffer; the CS caches foreign
             # in-transit objects only.
-            evicted = self.cs.insert(data)
-            actions.append(CacheInsert(data.name, evicted))
+            self.cs.insert(data)
         return actions
 
     def on_nack(self, face: int, nack: Nack, now: int) -> list[Action]:
-        entry = self.pit.pop(nack.name)
+        entry = self.pit.pop(nack.name, None)
         if entry is None:
             return [Drop("unsolicited-nack")]
         actions: list[Action] = []
@@ -360,7 +314,7 @@ class Forwarder:
 
     def tick_retransmissions(self, now: int) -> list[Action]:
         """Re-emit or expire pending entries whose deadline has passed."""
-        due = [e for e in self.pit.entries.values() if e.next_retx_at <= now]
+        due = [e for e in self.pit.values() if e.next_retx_at <= now]
         if len(due) > 1:  # a single due entry needs no ordering, nor its components
             due.sort(key=lambda e: (e.next_retx_at, e.name.components()))
         actions: list[Action] = []
@@ -369,16 +323,16 @@ class Forwarder:
                 entry.retx_budget -= 1
                 entry.next_retx_at += RETX_INTERVAL_US
                 retx = Interest(entry.name, self._nonce(), entry.lifetime_ms)
-                actions.append(Retransmit(entry.upstream_face, retx))
+                actions.append(Retransmit(self.upstream, retx))
             else:
-                self.pit.pop(entry.name)
+                del self.pit[entry.name]
                 if entry.local_consumer:
                     actions.append(Timeout(entry.name))
         return actions
 
     def next_deadline(self) -> int | None:
         earliest = None
-        for entry in self.pit.entries.values():
+        for entry in self.pit.values():
             at = entry.next_retx_at
             if earliest is None or at < earliest:
                 earliest = at

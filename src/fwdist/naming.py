@@ -27,11 +27,22 @@ CHUNK = "chunk"
 _SUFFIX_KINDS = (MANIFEST, FIRMWARE, CHUNK)
 
 
+# The manifest and the tag message prefix each component with a 2-byte length
+# and carry the epoch in 8 bytes.
+MAX_COMPONENT_BYTES = 2**16 - 1
+
+
 def _check_identifier(value: str, field: str) -> None:
     if not isinstance(value, str) or not value:
         raise MalformedName(f"{field} must be a non-empty string")
     if SEPARATOR in value:
         raise MalformedName(f"{field} must not contain {SEPARATOR!r}: {value!r}")
+    try:
+        size = len(value.encode("utf-8"))
+    except UnicodeEncodeError:  # lone surrogates, which JSON escapes can carry
+        raise MalformedName(f"{field} must be valid Unicode text: {value!r}") from None
+    if size > MAX_COMPONENT_BYTES:
+        raise MalformedName(f"{field} must encode in at most {MAX_COMPONENT_BYTES} UTF-8 bytes, got {size}")
 
 
 class BaseName(namedtuple("BaseName", "deployment vendor device_class epoch")):
@@ -48,8 +59,8 @@ class BaseName(namedtuple("BaseName", "deployment vendor device_class epoch")):
         _check_identifier(deployment, "deployment")
         _check_identifier(vendor, "vendor")
         _check_identifier(device_class, "device class")
-        if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
-            raise MalformedName(f"epoch must be a non-negative integer, got {epoch!r}")
+        if not isinstance(epoch, int) or isinstance(epoch, bool) or not 0 <= epoch < 2**64:
+            raise MalformedName(f"epoch must be an integer in [0, 2**64), got {epoch!r}")
         return tuple.__new__(cls, (deployment, vendor, device_class, epoch))
 
     @classmethod

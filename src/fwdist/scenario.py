@@ -28,7 +28,7 @@ import operator
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
-from .naming import EncodingModel, Granularity
+from .naming import EncodingModel, Granularity, MalformedName, _check_identifier
 from .topology import Topology, build_paper_topology, from_node_list, TopologyError
 
 STRATEGIES = ("concurrent", "cascading")
@@ -133,12 +133,14 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # the schema: one row per accepted key, "block.key" inside a block. Keywords:
 # minimum, exclusiveMinimum, maximum, exclusiveMaximum and enum as in JSON
-# Schema; "nullable" (null stands for the default) and "attr" (the dataclass
-# field, where it is not named as the key).
+# Schema; "format": "name-component" (a component of every firmware name, held
+# to the rule of ``naming``); "nullable" (null stands for the default) and
+# "attr" (the dataclass field, where it is not named as the key).
 
 NON_NEGATIVE = {"minimum": 0}
 POSITIVE = {"exclusiveMinimum": 0}
 PROBABILITY = {"minimum": 0, "maximum": 1}
+NAME_COMPONENT = {"format": "name-component"}
 NULLABLE = {"nullable": True}
 
 
@@ -156,9 +158,9 @@ SCHEMA: dict[str, dict] = {
     "seed": {},
     # int(duration_s * 10**6) < 2**63: every record time fits a signed 64-bit column
     "duration_s": {"minimum": 0, "exclusiveMaximum": 2**63 // 1_000_000},
-    "deployment": {},
-    "vendor": {},
-    "device_class": {},
+    "deployment": NAME_COMPONENT,
+    "vendor": NAME_COMPONENT,
+    "device_class": NAME_COMPONENT,
     "epoch": {"exclusiveMinimum": 0, "exclusiveMaximum": 2**64},  # manifest: 8 bytes
     "granularity": {},
     "granularity.period_s": {"attr": "period", **POSITIVE},
@@ -255,6 +257,11 @@ def _value(name: str, kind: str, row: dict, value):
     for keyword, limit in row.items():
         if keyword == "enum":
             _require(value in limit, name, f"must be one of {limit}, got {value!r}")
+        elif keyword == "format":
+            try:
+                _check_identifier(value, name)
+            except MalformedName as exc:
+                raise ScenarioInvalid(name, str(exc)) from None
         elif keyword in _BOUNDS:
             test, sign = _BOUNDS[keyword]
             _require(test(value, limit), name, f"must be {sign} {limit}, got {value!r}")
@@ -350,6 +357,7 @@ def _field_list() -> str:
         text = f"    {path:<33}{kind}"
         text += "".join(f", {_BOUNDS[k][1]} {v}" for k, v in row.items() if k in _BOUNDS)
         text += f", one of {row['enum']}" if "enum" in row else ""
+        text += f", format {row['format']}" if "format" in row else ""
         if spec.default_factory is not MISSING:
             text += f"; default {spec.default_factory.__name__}()"
         elif spec.default is MISSING:

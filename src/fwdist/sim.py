@@ -157,57 +157,33 @@ class EventQueue:
 
 
 class SimNode:
-    """One network node: forwarder plus optional update agent or repository."""
+    """One network node: a forwarder plus, on a device, its update agent.
 
-    def __init__(self, sim: "Simulation", node_id: str, is_gateway: bool):
+    A device forwards on face 0, its uplink. The gateway serves from the
+    repository and has no upstream face, so it never holds a PIT entry: no
+    wake, local delivery or timeout reaches it.
+    """
+
+    def __init__(self, sim: "Simulation", node_id: str, agent: UpdateAgent | None):
         self.sim = sim
         self.id = node_id
-        self.is_gateway = is_gateway
         self.faces: dict[int, tuple[Edge, str]] = {}
-        self.agent: UpdateAgent | None = None
+        self.agent = agent
         self.radio_free_at = 0
         self.wake_at: int | None = None
-        self._serve_cache: dict[FirmwareName, Data] = {}
+        if agent is None:
+            hooks = dict(local_lookup=sim.repo_lookup,
+                         nack_lookup=sim.repo_nack if sim.scenario.nacks_enabled else None)
+        else:
+            hooks = dict(upstream=0, local_lookup=agent.serve_lookup, deny=agent.deny,
+                         implicit=agent.wants_implicit, divert=agent.divert_wanted)
         self.forwarder = Forwarder(
             nonce_source=lambda: sim.rng.getrandbits(32),
             pit_capacity=sim.scenario.node.pit_capacity,
             cs_capacity=sim.scenario.node.cs_capacity,
             seen_capacity=sim.scenario.node.seen_capacity,
-            local_lookup=self._local_lookup,
-            deny=self._deny,
-            implicit=self._implicit,
-            divert=self._divert,
-            nack_lookup=self._nack_lookup,
+            **hooks,
         )
-
-    # -- forwarder hooks ------------------------------------------------------
-
-    def _local_lookup(self, name: FirmwareName) -> Data | None:
-        if self.is_gateway:
-            cached = self._serve_cache.get(name)
-            if cached is not None:
-                return cached
-            data = self.sim.repo_lookup(name)
-            if data is not None:
-                self._serve_cache[name] = data
-            return data
-        if self.agent is not None:
-            return self.agent.serve_lookup(name)
-        return None
-
-    def _deny(self, interest: Interest) -> bool:
-        return self.agent is not None and self.agent.deny(interest)
-
-    def _implicit(self, interest: Interest) -> bool:
-        return self.agent is not None and self.agent.wants_implicit(interest)
-
-    def _divert(self, data: Data) -> bool:
-        return self.agent is not None and self.agent.divert_wanted(data)
-
-    def _nack_lookup(self, interest: Interest) -> Nack | None:
-        if not self.is_gateway or not self.sim.scenario.nacks_enabled:
-            return None
-        return self.sim.repo_nack(interest)
 
     # -- frame handling ---------------------------------------------------------
 
@@ -241,13 +217,10 @@ class SimNode:
                              action.interest.name.kind)
                 self.sim.send_packet(self, action.face, action.interest, now)
             elif isinstance(action, Timeout):
-                if self.agent is not None:
-                    self.agent.on_timeout(action.name, now)
-            # Aggregate / Drop / DenyCascading / CacheInsert need no execution
+                self.agent.on_timeout(action.name, now)
+            # Aggregate / Drop / DenyCascading need no execution
 
     def _deliver_local(self, packet: Data | Nack, now: int) -> None:
-        if self.agent is None:
-            return
         if isinstance(packet, Nack):
             self.agent.on_nack(packet, now)
         elif packet.name.kind == MANIFEST:
@@ -262,15 +235,14 @@ class SimNode:
             return  # stale wake; a fresher one is scheduled
         self.wake_at = None
         self._execute(self.forwarder.tick_retransmissions(now), now)
-        if self.agent is not None:
-            self.agent.handle_deadlines(now)
-            poll = self.agent.due_poll(now, self.sim.wall_s(now))
-            if poll is not None:
-                self._send_agent_interest(poll, now, is_retry=False)
-            request = self.agent.take_request(now)
-            if request is not None:
-                interest, is_retry = request
-                self._send_agent_interest(interest, now, is_retry)
+        self.agent.handle_deadlines(now)
+        poll = self.agent.due_poll(now, self.sim.wall_s(now))
+        if poll is not None:
+            self._send_agent_interest(poll, now, is_retry=False)
+        request = self.agent.take_request(now)
+        if request is not None:
+            interest, is_retry = request
+            self._send_agent_interest(interest, now, is_retry)
         self._rearm(now)
 
     def _send_agent_interest(self, interest: Interest, now: int, is_retry: bool) -> None:
@@ -317,6 +289,7 @@ class Simulation:
         self.log = self.records.append
         self.repo = Repository()
         self.images: dict[str, bytes] = {}  # device class -> published image
+        self._repo_data: dict[FirmwareName, Data] = {}  # see repo_lookup
         self.psks: dict[str, bytes] = {}
         self._stale: dict[str, list[Chunk]] = {}
         self.start_wall_s = scenario.epoch + 1
@@ -329,17 +302,22 @@ class Simulation:
         # (start, end, edge index) of every attempt still on air at the
         # latest record; see _record_interval
         self._airtime: list[tuple[int, int, int]] = []
-        self._build_network()
-        self._publish_firmware()
+        agents = self._publish_firmware()
+        self._build_network(agents)
+        # first polls, drawn after every image, in device order
+        stagger_us = int(scenario.poll_stagger_s * 1_000_000)
+        for dev, agent in agents.items():
+            agent.poll_at = self.rng.randrange(0, stagger_us + 1) if stagger_us else 0
+            self.queue.push(agent.poll_at, self.nodes[dev].wake)
         self._wire_outage_and_attacker()
         self.pending = {dev for dev in scenario.topology.devices}
 
     # -- setup -------------------------------------------------------------------
 
-    def _build_network(self) -> None:
+    def _build_network(self, agents: dict[str, UpdateAgent]) -> None:
         topo = self.scenario.topology
         self.nodes: dict[str, SimNode] = {
-            nid: SimNode(self, nid, is_gateway=(nid == topo.root)) for nid in topo.nodes
+            nid: SimNode(self, nid, agents.get(nid)) for nid in topo.nodes
         }
         # Face 0 of every device is its uplink; downlink faces follow.
         self.edges: list[Edge] = []
@@ -378,7 +356,8 @@ class Simulation:
             return f"{self.scenario.device_class}-{node_id}"
         return self.scenario.device_class
 
-    def _publish_firmware(self) -> None:
+    def _publish_firmware(self) -> dict[str, UpdateAgent]:
+        """Publish every device class's image; return each device's agent."""
         sc = self.scenario
         key_seed = hashlib.sha256(b"fwdist-key:" + sc.vendor.encode()).digest()
         self.signing_key = signing_key_from_seed(key_seed)
@@ -408,7 +387,6 @@ class Simulation:
                 )
         # Agents come up with the previous epoch installed.
         previous_epoch = sc.epoch - sc.granularity.period
-        stagger_us = int(sc.poll_stagger_s * 1_000_000)
         agent_cfg = AgentConfig(
             turnaround_us=sc.node.turnaround_us,
             flash_write_us=sc.node.flash_write_us,
@@ -421,11 +399,10 @@ class Simulation:
             poll_period_us=int(sc.poll_period_s * 1_000_000),
             trunc_len=sc.trunc_len,
         )
+        agents = {}
         for dev in sc.topology.devices:
             cls = self._device_class_of(dev)
-            node = self.nodes[dev]
-            factory = b"factory:" + dev.encode()
-            node.agent = UpdateAgent(
+            agents[dev] = UpdateAgent(
                 deployment=sc.deployment,
                 vendor=sc.vendor,
                 device_class=cls,
@@ -433,14 +410,12 @@ class Simulation:
                 vendor_key=self.vendor_public,
                 strategy=sc.strategy,
                 granularity=sc.granularity,
-                installed=InstalledFirmware(factory, previous_epoch),
+                installed=InstalledFirmware(b"factory:" + dev.encode(), previous_epoch),
                 rng=self.rng,
                 config=agent_cfg,
-                emit=self._agent_emitter(node),
+                emit=self._agent_emitter(dev),
             )
-            node.forwarder.fib.add((), 0)  # default route toward the repository
-            node.agent.poll_at = self.rng.randrange(0, stagger_us + 1) if stagger_us else 0
-            self.queue.push(node.agent.poll_at, node.wake)
+        return agents
 
     def _wire_outage_and_attacker(self) -> None:
         sc = self.scenario
@@ -453,11 +428,8 @@ class Simulation:
                 edge.severed_at = int(sc.outage.at_s * 1_000_000)
             else:
                 self._outage_trigger_node = sc.outage.after_install
-        self._attacked_edge: Edge | None = None
         if sc.attacker is not None:
-            edge = self._find_edge(sc.attacker.edge, "attacker.edge")
-            edge.attacked = True
-            self._attacked_edge = edge
+            self._find_edge(sc.attacker.edge, "attacker.edge").attacked = True
 
     def _find_edge(self, pair: tuple[str, str], fieldname: str) -> Edge:
         for edge in self.edges:
@@ -468,17 +440,21 @@ class Simulation:
     # -- repository serving ---------------------------------------------------------
 
     def repo_lookup(self, name: FirmwareName) -> Data | None:
+        """The repository's Data for ``name``, built once per name and then kept."""
+        data = self._repo_data.get(name)
+        if data is not None:
+            return data
         if name.kind == MANIFEST:
             manifest = self.repo.lookup_manifest(name.base)
-            if manifest is None:
-                return None
-            return Data(name, manifest.to_bytes(), ManifestSignature(manifest.signature))
-        if name.kind == CHUNK:
+            if manifest is not None:
+                data = Data(name, manifest.to_bytes(), ManifestSignature(manifest.signature))
+        elif name.kind == CHUNK:
             chunk = self.repo.lookup_chunk(name.base, name.chunk_id)
-            if chunk is None:
-                return None
-            return Data(name, chunk.payload, HmacTag(chunk.tag))
-        return None
+            if chunk is not None:
+                data = Data(name, chunk.payload, HmacTag(chunk.tag))
+        if data is not None:
+            self._repo_data[name] = data
+        return data
 
     def repo_nack(self, interest: Interest) -> Nack | None:
         if self.repo_lookup(interest.name) is not None:
@@ -491,17 +467,15 @@ class Simulation:
     def wall_s(self, now_us: int) -> int:
         return self.start_wall_s + now_us // 1_000_000
 
-    def _agent_emitter(self, node: SimNode):
+    def _agent_emitter(self, node_id: str):
         def emit(event: str, chunk_id: int | None, detail: str) -> None:
-            if event == "ChunkStored":
-                event = "DataRecv"
-            self.log(self.now, node.id, event, chunk_id, detail)
+            self.log(self.now, node_id, event, chunk_id, detail)
             if event == "InstallComplete":
-                if self._outage_trigger_node == node.id and self._outage_edge is not None:
+                if self._outage_trigger_node == node_id and self._outage_edge is not None:
                     self._outage_edge.severed_at = self.now
-                self.pending.discard(node.id)
+                self.pending.discard(node_id)
             elif event == "Abort" and detail.startswith("irrecoverable"):
-                self.pending.discard(node.id)
+                self.pending.discard(node_id)
         return emit
 
     # -- medium ----------------------------------------------------------------------

@@ -80,8 +80,8 @@ class Chunk:
 
 def chunk_image(image: FirmwareImage, chunk_size: int) -> list[bytes]:
     """Split an image into fixed-length payloads; the last one may be short."""
-    if chunk_size <= 0:
-        raise InvalidChunkSize(f"chunk size must be positive, got {chunk_size}")
+    if not 0 < chunk_size < 2**32:  # the manifest carries it in 4 bytes
+        raise InvalidChunkSize(f"chunk size must be in [1, 2**32), got {chunk_size}")
     data = image.data
     return [data[off : off + chunk_size] for off in range(0, len(data), chunk_size)]
 

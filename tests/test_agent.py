@@ -115,8 +115,7 @@ def test_implicit_requires_idle_or_serving():
 
 def test_implicit_registration_not_taken_on_refused_pit_insert():
     agent, _ = make_agent()
-    fwd = Forwarder(nonce_source=lambda: 7, pit_capacity=1, implicit=agent.wants_implicit)
-    fwd.fib.add((), 0)
+    fwd = Forwarder(nonce_source=lambda: 7, upstream=0, pit_capacity=1, implicit=agent.wants_implicit)
     foreign = Interest(BaseName("d", "v", "other", EPOCH).manifest(), nonce=1)
     assert fwd.on_interest(1, foreign, now=0) == [Forward(0, foreign)]
     own = Interest(BaseName("d", "v", "c", EPOCH).manifest(), nonce=2)
@@ -219,7 +218,7 @@ def test_valid_chunk_stored_and_next_requested():
     assert agent.received[0] and agent.received_count == 1
     nxt, _ = agent.take_request(now=10)
     assert nxt.name.chunk_id == 1
-    assert ("DataRecv", 0, "") in [("DataRecv" if e == "ChunkStored" else e, c, d) for e, c, d in events]
+    assert ("DataRecv", 0, "") in events
 
 
 def test_three_tag_failures_abort_irrecoverable():

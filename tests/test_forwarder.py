@@ -10,7 +10,6 @@ from fwdist.forwarder import (
     DenyCascading,
     DivertToBuffer,
     Drop,
-    Fib,
     Forward,
     ForwardDownstream,
     Forwarder,
@@ -36,45 +35,44 @@ def chunk_data(i, payload=b"x" * 8):
 # -- interest pipeline --------------------------------------------------------
 
 def test_forward_via_default_route_creates_pit_entry():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     actions = fwd.on_interest(1, Interest(BASE.chunk(0), nonce=11), now=0)
     assert actions == [Forward(9, Interest(BASE.chunk(0), nonce=11))]
-    entry = fwd.pit.find(BASE.chunk(0))
+    entry = fwd.pit.get(BASE.chunk(0))
     assert entry.downstream_faces == [1]
     assert entry.next_retx_at == 2_000_000
+    # the one upstream face serves every name
+    other = Interest(BaseName("x", "y", "z", 1).manifest(), nonce=12)
+    assert fwd.on_interest(2, other, now=0) == [Forward(9, other)]
 
 
 def test_no_route_drops():
     fwd = make_forwarder()
     actions = fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
     assert actions == [Drop("no-route")]
-    assert fwd.pit.find(BASE.chunk(0)) is None
+    assert fwd.pit.get(BASE.chunk(0)) is None
 
 
 def test_pit_aggregation_single_upstream():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     first = fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
     second = fwd.on_interest(2, Interest(BASE.chunk(0), nonce=2), now=10)
     assert isinstance(first[0], Forward)
     assert second == [Aggregate(BASE.chunk(0))]
-    entry = fwd.pit.find(BASE.chunk(0))
+    entry = fwd.pit.get(BASE.chunk(0))
     assert entry.downstream_faces == [1, 2]
 
 
 def test_nonce_loop_suppression():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     fwd.on_interest(1, Interest(BASE.chunk(0), nonce=7), now=0)
     again = fwd.on_interest(2, Interest(BASE.chunk(0), nonce=7), now=1)
     assert again == [Drop("loop")]
-    assert fwd.pit.find(BASE.chunk(0)).downstream_faces == [1]
+    assert fwd.pit.get(BASE.chunk(0)).downstream_faces == [1]
 
 
 def test_cs_hit_serves_cached_data():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     d = chunk_data(0)
     fwd.cs.insert(d)
     actions = fwd.on_interest(1, Interest(d.name, nonce=1), now=5)
@@ -92,18 +90,15 @@ def test_deny_cascading_wins_over_cache_and_aggregation():
     # A mid-update cascading node must not leak same-class chunks from any
     # delivery path, so the denial check precedes CS, local, and PIT hits.
     d = chunk_data(0)
-    fwd = make_forwarder(deny=lambda interest: True)
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9, deny=lambda interest: True)
     fwd.cs.insert(d)
     actions = fwd.on_interest(1, Interest(d.name, nonce=1), now=1)
     assert actions == [DenyCascading(d.name)]
-    assert fwd.pit.find(d.name) is None  # no state
+    assert fwd.pit.get(d.name) is None  # no state
 
 
 def test_pit_capacity_drops_overflow():
-    fwd = make_forwarder()
-    fwd.pit.capacity = 2
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9, pit_capacity=2)
     fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
     fwd.on_interest(1, Interest(BASE.chunk(1), nonce=2), now=0)
     actions = fwd.on_interest(1, Interest(BASE.chunk(2), nonce=3), now=0)
@@ -111,29 +106,26 @@ def test_pit_capacity_drops_overflow():
 
 
 def test_implicit_registration_on_forwarded_manifest():
-    fwd = make_forwarder(implicit=lambda interest: True)
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9, implicit=lambda interest: True)
     fwd.on_interest(1, Interest(BASE.manifest(), nonce=1), now=0)
-    assert fwd.pit.find(BASE.manifest()).local_consumer
+    assert fwd.pit.get(BASE.manifest()).local_consumer
 
 
 # -- data pipeline ---------------------------------------------------------------
 
 def test_data_fans_out_and_caches():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
     fwd.on_interest(2, Interest(BASE.chunk(0), nonce=2), now=1)
     d = chunk_data(0)
     actions = fwd.on_data(9, d, now=10)
     assert ForwardDownstream((1, 2), d) in actions
-    assert fwd.pit.find(d.name) is None
+    assert fwd.pit.get(d.name) is None
     assert fwd.cs.lookup(d.name) == d
 
 
 def test_data_delivers_to_local_consumer():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     fwd.on_local_interest(Interest(BASE.chunk(0), nonce=1), now=0)
     d = chunk_data(0)
     actions = fwd.on_data(9, d, now=10)
@@ -153,8 +145,7 @@ def test_unsolicited_data_diverted_when_wanted():
 
 def test_forwarded_own_image_chunk_diverts_instead_of_caching():
     d = chunk_data(7)
-    fwd = make_forwarder(divert=lambda data: True)
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9, divert=lambda data: True)
     fwd.on_interest(1, Interest(d.name, nonce=1), now=0)
     actions = fwd.on_data(9, d, now=10)
     assert ForwardDownstream((1,), d) in actions
@@ -165,8 +156,7 @@ def test_forwarded_own_image_chunk_diverts_instead_of_caching():
 # -- retransmission timers ---------------------------------------------------------
 
 def test_retx_schedule_2000ms_spacing_then_timeout():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     fwd.on_local_interest(Interest(BASE.chunk(0), nonce=999), now=0)
     emissions = []
     for t_ms in range(0, 10_001, 1):  # exhaustive 1 ms sweep
@@ -176,23 +166,21 @@ def test_retx_schedule_2000ms_spacing_then_timeout():
     touts = [(t, a) for t, a in emissions if isinstance(a, Timeout)]
     assert [t for t, _ in retx] == [2000, 4000, 6000]
     assert [t for t, _ in touts] == [8000]
-    assert fwd.pit.find(BASE.chunk(0)) is None
+    assert fwd.pit.get(BASE.chunk(0)) is None
     # fresh nonce per retransmission
     nonces = {a.interest.nonce for _, a in retx}
     assert len(nonces) == 3 and 999 not in nonces
 
 
 def test_data_before_timer_cancels_retx():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     fwd.on_local_interest(Interest(BASE.chunk(0), nonce=1), now=0)
     fwd.on_data(9, chunk_data(0), now=1_500_000)
     assert fwd.tick_retransmissions(2_000_000) == []
 
 
 def test_retx_ordering_by_deadline_then_name():
-    fwd = make_forwarder()
-    fwd.fib.add((), 9)
+    fwd = make_forwarder(upstream=9)
     # same deadline: order falls back to name components
     fwd.on_interest(1, Interest(BASE.chunk(2), nonce=1), now=0)
     fwd.on_interest(1, Interest(BASE.chunk(1), nonce=2), now=0)
@@ -274,19 +262,6 @@ def test_cs_payload_fidelity():
     d = chunk_data(0, payload=payload)
     cs.insert(d)
     assert cs.lookup(d.name).payload == payload
-
-
-# -- fib -----------------------------------------------------------------------------
-
-def test_fib_default_route_matches_every_name():
-    fib = Fib()
-    assert fib.lookup(BASE.chunk(0)) is None
-    fib.add((), 1)
-    assert fib.lookup(BASE.chunk(0)) == 1
-    assert fib.lookup(BaseName("x", "y", "z", 1).manifest()) == 1
-    with pytest.raises(ValueError):
-        fib.add(("d", "v"), 2)
-    assert fib.lookup(BASE.chunk(0)) == 1
 
 
 # -- packets and actions ------------------------------------------------------------

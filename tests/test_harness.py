@@ -397,12 +397,24 @@ def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field
     # an output file of run is a directory: IsADirectoryError after the whole run
     ["run", "{scenario}", "--out", "{csv_is_dir}"],
     ["run", "{scenario}", "--out", "{json_is_dir}"],  # metrics.csv was written first
+    # name components the wire format cannot carry: a traceback, exit 1
+    ["run", "{surrogate}"],  # vendor "\ud800": UnicodeEncodeError
+    ["sweep", "{wide}", "--axis", "seed", "--values", "1"],  # 70,000-byte deployment: struct.error
+    # negative sizes were accepted, exit 0
+    ["overhead", "--firmware-size", "100", "--sig-bytes", "-64"],  # overhead -64 bytes
+    ["overhead", "--firmware-size", "100", "--name-bytes", "-1000"],  # capacity 1025
+    ["overhead", "--firmware-size", "100", "--structural-bytes", "-1"],
+    ["overhead", "--firmware-size", "100", "--link-bytes", "-1"],
+    ["overhead", "--firmware-size", "100", "--mtu", "0"],  # NoPayloadRoom, naming no option
 ])
 def test_cli_bad_option_values_and_files_exit_2(tmp_path, args):
     files = {"scenario": write_scenario(tmp_path), "binary": tmp_path / "binary",
              "missing": tmp_path / "missing.json", "metrics": tmp_path / "metrics.csv",
-             "csv_is_dir": tmp_path / "out1", "json_is_dir": tmp_path / "out2"}
+             "csv_is_dir": tmp_path / "out1", "json_is_dir": tmp_path / "out2",
+             "surrogate": tmp_path / "surrogate.json", "wide": tmp_path / "wide.json"}
     files["binary"].write_bytes(b"\xff\xfe\x00garbage")
+    files["surrogate"].write_text(json.dumps(chain_raw(vendor="\ud800")))
+    files["wide"].write_text(json.dumps(chain_raw(deployment="d" * 70_000)))
     files["metrics"].write_text(CSV_HEADER + "\n1,n1,NetRetx,0,chunk\n")
     (files["csv_is_dir"] / "metrics.csv").mkdir(parents=True)
     (files["json_is_dir"] / "summary.json").mkdir(parents=True)
@@ -412,6 +424,8 @@ def test_cli_bad_option_values_and_files_exit_2(tmp_path, args):
     assert not (files["json_is_dir"] / "metrics.csv").exists()
     if "{csv_is_dir}" in args or "{json_is_dir}" in args:
         assert "--out" in proc.stderr
+    if args[0] == "overhead":  # the option rejected, last in each row, is named
+        assert args[-2] in proc.stderr
 
 
 def test_cli_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):

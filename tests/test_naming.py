@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fwdist.naming import (
+    MAX_COMPONENT_BYTES,
     BaseName,
     EncodingModel,
     FirmwareName,
@@ -154,6 +155,20 @@ def test_make_and_replace_run_the_checks():
                   lambda: NAME.base._replace(vendor="a/b"),
                   lambda: BaseName._make(["d", "v", "c", True]),
                   lambda: FirmwareName._make([NAME.base, "blob", None])):
+        with pytest.raises(MalformedName):
+            build()
+
+
+def test_names_fit_the_manifest_encoding():
+    # each component takes a 2-byte length prefix, the epoch 8 bytes
+    widest = "é" * (MAX_COMPONENT_BYTES // 2) + "x"
+    assert len(widest.encode("utf-8")) == MAX_COMPONENT_BYTES
+    base = BaseName(widest, "v", "c", 2**64 - 1)
+    manifest = Manifest(base, 64, bytes(32), 32, 2, bytes(64))
+    assert Manifest.from_bytes(manifest.to_bytes()).base == base
+    for build in (lambda: BaseName(widest + "x", "v", "c", 1),
+                  lambda: BaseName("d", "\ud800", "c", 1),
+                  lambda: BaseName("d", "v", "c", 2**64)):
         with pytest.raises(MalformedName):
             build()
 

@@ -431,7 +431,7 @@ def local_entries_are_awaited(node):
         awaited.add(agent.awaited_manifest)
         if agent.outstanding is not None:
             awaited.add(agent.active_manifest.base.chunk(agent.outstanding))
-    stray = [name for name, entry in node.forwarder.pit.entries.items()
+    stray = [name for name, entry in node.forwarder.pit.items()
              if entry.local_consumer and name not in awaited]
     assert not stray, (node.id, agent and agent.phase, stray)
 
@@ -594,6 +594,10 @@ ATTACKER = {"edge": ["gw", "n1"], "mode": "forge_tag"}
     ({"image_size": True}, "image_size"),  # was accepted as a 1-byte image
     ({"duration_s": 10**400}, "duration_s"),  # an integer beyond the float range; was OverflowError
     ({"duration_s": 1e14}, "duration_s"),  # record times past 2**63 µs were accepted
+    # name components the manifest and the tag message cannot carry
+    ({"vendor": "\ud800"}, "vendor"),  # UnicodeEncodeError at set-up
+    ({"deployment": "d" * 70_000}, "deployment"),  # struct.error: a 2-byte length prefix
+    ({"device_class": "a/b"}, "device_class"),  # MalformedName at set-up, naming no field
 ])
 def test_attacker_outage_granularity_and_bounds_are_strict(override, field):
     with pytest.raises(ScenarioInvalid) as err:

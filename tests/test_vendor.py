@@ -62,6 +62,9 @@ def test_chunking_errors():
         FirmwareImage(b"", "c", 0)
     with pytest.raises(InvalidChunkSize):
         chunk_image(image(10), 0)
+    with pytest.raises(InvalidChunkSize):  # the manifest carries it in 4 bytes
+        chunk_image(image(10), 2**32)
+    assert chunk_image(image(10), 2**32 - 1) == [image(10).data]
 
 
 @given(size=st.integers(min_value=1, max_value=4096), chunk=st.integers(min_value=1, max_value=256))
@@ -345,9 +348,10 @@ def test_fwpub_cli_publishes(tmp_path):
     assert loaded.manifest.verify(PUB)
 
 
-def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None):
+def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None, extra=()):
     """Run fwpub on a 3-byte image; ``directory_for`` names an option to point at the wrong kind
-    of path: a directory for a file option, a file for ``--repo``."""
+    of path: a directory for a file option, a file for ``--repo``. ``extra`` options come last,
+    so they override the defaults."""
     files = {"--image": ("fw.bin", b"xyz"), "--psk-file": ("psk.bin", PSK), "--key-file": ("key.bin", key)}
     paths = []
     for option, (name, data) in files.items():
@@ -357,7 +361,7 @@ def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=
     cmd = [
         sys.executable, "-c", "import sys; from fwdist.cli import fwpub_main; sys.exit(fwpub_main())",
         *paths, "--deployment", "d", "--vendor", "v",
-        "--class", "c", "--epoch", "10", "--chunk-size", chunk_size, "--repo", str(repo),
+        "--class", "c", "--epoch", "10", "--chunk-size", chunk_size, "--repo", str(repo), *extra,
     ]
     return subprocess.run(cmd, capture_output=True, text=True)
 
@@ -371,6 +375,19 @@ def test_fwpub_cli_rejects_a_signing_key_of_the_wrong_length(tmp_path):
     proc = _fwpub_small(tmp_path, key=bytes(31))
     assert proc.returncode == 2
     assert "32 bytes" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--epoch", str(2**64)),  # manifest: 8 bytes
+    ("--chunk-size", str(2**32)),  # manifest: 4 bytes
+    ("--deployment", "d" * 70_000),  # a 2-byte length prefix
+], ids=["epoch", "chunk-size", "deployment"])
+def test_fwpub_cli_rejects_values_the_wire_format_cannot_carry(tmp_path, option, value):
+    # each was a struct.error traceback, exit 1
+    proc = _fwpub_small(tmp_path, extra=[option, value])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("option", ["--image", "--psk-file", "--key-file", "--repo"])
