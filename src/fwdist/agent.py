@@ -3,8 +3,10 @@ wait chunk retrieval with per-chunk HMAC verification and early abort, image
 reassembly, installation, and downstream serving.
 
 The agent owns no timers of its own; the hosting node queries
-``next_action_at`` and drives it. All timestamps are simulated microseconds;
-wall-clock seconds enter only through ``poll_version``.
+``next_action_at`` and drives it. Its parameters come from the scenario: the
+names and strategy, ``trunc_len``, ``poll_period_s``, the device timings of
+``node`` and the retry budgets of ``agent``. All timestamps are simulated
+microseconds; wall-clock seconds enter only through ``poll_version``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
-from .naming import CHUNK, MANIFEST, BaseName, FirmwareName, Granularity, align_epoch
+from .naming import CHUNK, MANIFEST, BaseName, FirmwareName, align_epoch
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack
+from .scenario import Scenario
 from .vendor import Manifest, MalformedManifest, tag_chunk
 
 CONCURRENT = "concurrent"
@@ -42,51 +45,43 @@ class InstalledFirmware:
     previous: bytes | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class AgentConfig:
-    turnaround_us: int = 2000
-    flash_write_us: int = 0
-    verify_delay_us: int = 2000
-    install_delay_us: int = 2000
-    app_retx_base_us: int = 10_000_000
-    app_retx_jitter_us: int = 5_000_000
-    manifest_retries: int = 3
-    digest_retries: int = 1
-    poll_period_us: int = 3_600_000_000
-    trunc_len: int = 8
-
-
 class UpdateAgent:
     def __init__(
         self,
+        scenario: Scenario,
         *,
-        deployment: str,
-        vendor: str,
         device_class: str,
         psk: bytes,
         vendor_key: Ed25519PublicKey,
-        strategy: str,
-        granularity: Granularity,
         installed: InstalledFirmware,
         rng: random.Random,
-        config: AgentConfig = AgentConfig(),
         emit=None,
     ):
-        if strategy not in (CONCURRENT, CASCADING):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.deployment = deployment
-        self.vendor = vendor
+        if scenario.strategy not in (CONCURRENT, CASCADING):
+            raise ValueError(f"unknown strategy {scenario.strategy!r}")
+        self.deployment = scenario.deployment
+        self.vendor = scenario.vendor
         self.device_class = device_class
         self.psk = psk
         self.vendor_key = vendor_key
-        self.strategy = strategy
-        self.granularity = granularity
+        self.strategy = scenario.strategy
+        self.granularity = scenario.granularity
+        self.trunc_len = scenario.trunc_len
+        node, params = scenario.node, scenario.agent
+        self.turnaround_us = node.turnaround_us
+        self.flash_write_us = node.flash_write_us
+        self.verify_delay_us = node.verify_delay_us
+        self.install_delay_us = node.install_delay_us
+        self.manifest_retries = params.manifest_retries
+        self.digest_retries = params.digest_retries
+        self.app_retx_base_us = int(params.app_retx_base_s * 1_000_000)
+        self.app_retx_jitter_us = int(params.app_retx_jitter_s * 1_000_000)
+        self.poll_period_us = int(scenario.poll_period_s * 1_000_000)
         self.installed = installed
         self.installed_manifest: Manifest | None = None
         # verified chunk tags of the installed image, served without re-tagging
         self.installed_tags: list[bytes] | None = None
         self.rng = rng
-        self.config = config
         self._emit = emit or (lambda event, chunk_id, detail: None)
 
         self.phase = IDLE
@@ -130,7 +125,7 @@ class UpdateAgent:
         return self.rng.getrandbits(32)
 
     def _app_retx_delay(self) -> int:
-        base, jitter = self.config.app_retx_base_us, self.config.app_retx_jitter_us
+        base, jitter = self.app_retx_base_us, self.app_retx_jitter_us
         return self.rng.randint(base - jitter, base + jitter)
 
     def _clear_transfer(self) -> None:
@@ -154,17 +149,14 @@ class UpdateAgent:
         if target <= self.installed.epoch or target in self.irrecoverable:
             return None
         base = BaseName(self.deployment, self.vendor, self.device_class, target)
-        self.awaited_manifest = base.manifest()
-        self.manifest_retries_left = self.config.manifest_retries
-        self.manifest_retry_at = None
-        self._set_phase(AWAIT_MANIFEST, f"poll:{target}")
+        self._await_manifest(base.manifest(), f"poll:{target}")
         return Interest(self.awaited_manifest, self._nonce())
 
     def due_poll(self, now: int, wall_s: int) -> Interest | None:
         if self.poll_at is None or now < self.poll_at:
             return None
         while self.poll_at <= now:
-            self.poll_at += self.config.poll_period_us
+            self.poll_at += self.poll_period_us
         return self.poll_version(now, wall_s)
 
     def wants_implicit(self, interest: Interest) -> bool:
@@ -178,11 +170,14 @@ class UpdateAgent:
             return False
         if self.phase not in (IDLE, SERVING):
             return False
-        self.awaited_manifest = name
-        self.manifest_retries_left = self.config.manifest_retries
-        self.manifest_retry_at = None
-        self._set_phase(AWAIT_MANIFEST, "implicit")
+        self._await_manifest(name, "implicit")
         return True
+
+    def _await_manifest(self, name: FirmwareName, detail: str) -> None:
+        self.awaited_manifest = name
+        self.manifest_retries_left = self.manifest_retries
+        self.manifest_retry_at = None
+        self._set_phase(AWAIT_MANIFEST, detail)
 
     def on_manifest(self, data: Data, now: int) -> None:
         if self.phase != AWAIT_MANIFEST or data.name != self.awaited_manifest:
@@ -197,16 +192,21 @@ class UpdateAgent:
             self.awaited_manifest = None
             self._set_phase(IDLE, "already-current")
             return
+        self.awaited_manifest = None
+        self.digest_attempts = 0
+        self._start_fetch(manifest, now, f"epoch:{manifest.base.epoch}")
+
+    def _start_fetch(self, manifest: Manifest, now: int, detail: str) -> None:
+        """Fetch every chunk of ``manifest`` into an empty buffer."""
         self.active_manifest = manifest
         self.buffer = bytearray(manifest.image_size)
         self.received = [None] * manifest.chunk_count
         self.received_count = 0
         self.fail_counts = {}
-        self.digest_attempts = 0
         self._scan_cursor = 0
-        self.awaited_manifest = None
-        self.ready_at = now + self.config.turnaround_us
-        self._set_phase(FETCHING, f"epoch:{manifest.base.epoch}")
+        self.phase_deadline = None
+        self.ready_at = now + self.turnaround_us
+        self._set_phase(FETCHING, detail)
 
     def _validate_manifest(self, data: Data) -> Manifest | None:
         try:
@@ -267,14 +267,14 @@ class UpdateAgent:
         if self.received[idx]:
             if idx == self.outstanding:
                 self.outstanding = None
-                self.ready_at = now + self.config.turnaround_us
+                self.ready_at = now + self.turnaround_us
             return
         valid = (
             isinstance(data.auth, HmacTag)
             and len(data.payload) == m.chunk_length(idx)
-            and len(data.auth.tag) == self.config.trunc_len
+            and len(data.auth.tag) == self.trunc_len
             and hmac_mod.compare_digest(
-                data.auth.tag, tag_chunk(m.base, idx, data.payload, self.psk, self.config.trunc_len)
+                data.auth.tag, tag_chunk(m.base, idx, data.payload, self.psk, self.trunc_len)
             )
         )
         if valid:
@@ -289,10 +289,10 @@ class UpdateAgent:
             self.last_chunk_recv_us = now
             if idx == self.outstanding:
                 self.outstanding = None
-                self.ready_at = now + self.config.turnaround_us + self.config.flash_write_us
+                self.ready_at = now + self.turnaround_us + self.flash_write_us
             if self.received_count == m.chunk_count:
                 self.outstanding = None
-                self.phase_deadline = now + self.config.verify_delay_us
+                self.phase_deadline = now + self.verify_delay_us
                 self._set_phase(VERIFYING, "")
             return
         self._emit("TagFail", idx, "diverted" if diverted else "")
@@ -305,7 +305,7 @@ class UpdateAgent:
         else:
             # Repeat the request for the invalid chunk right away.
             self.outstanding = None
-            self.ready_at = now + self.config.turnaround_us
+            self.ready_at = now + self.turnaround_us
 
     def divert_wanted(self, data: Data) -> bool:
         if self.strategy != CONCURRENT or self.phase != FETCHING:
@@ -353,22 +353,15 @@ class UpdateAgent:
     def _finish_verification(self, now: int) -> None:
         m = self.active_manifest
         if hashlib.sha256(bytes(self.buffer)).digest() == m.image_digest:
-            self.phase_deadline = now + self.config.install_delay_us
+            self.phase_deadline = now + self.install_delay_us
             self._set_phase(INSTALLING, "")
             return
         self.digest_attempts += 1
-        if self.digest_attempts > self.config.digest_retries:
+        if self.digest_attempts > self.digest_retries:
             self._abort("irrecoverable:digest;vendor-report", None)
             return
         # One full re-retrieval before giving up.
-        self.received = [None] * m.chunk_count
-        self.received_count = 0
-        self.buffer = bytearray(m.image_size)
-        self.fail_counts = {}
-        self._scan_cursor = 0
-        self.phase_deadline = None
-        self.ready_at = now + self.config.turnaround_us
-        self._set_phase(FETCHING, "digest-retry")
+        self._start_fetch(m, now, "digest-retry")
         self._emit("TagFail", None, "digest-mismatch")
 
     def _install(self, now: int) -> None:
@@ -379,7 +372,7 @@ class UpdateAgent:
         self.installed_manifest = m
         self.installed_tags = self.received
         self._clear_transfer()
-        self.poll_at = now + self.config.poll_period_us
+        self.poll_at = now + self.poll_period_us
         self.install_time_us = now
         self._set_phase(SERVING, f"epoch:{m.base.epoch}")
         self._emit("InstallComplete", None, f"epoch:{m.base.epoch}")

@@ -42,6 +42,7 @@ from .vendor import (
     InvalidSigningKey,
     InvalidTruncation,
     build_manifest,
+    check_path_component,
     make_chunks,
     signing_key_from_seed,
     write_publication,
@@ -144,13 +145,15 @@ def _fwsim_parser() -> argparse.ArgumentParser:
                               "whose values are the seeds")
     p_sweep.add_argument("--out", type=_out_file, help="output CSV file (default stdout)")
 
-    p_over = sub.add_parser("overhead", help="chunk-wise signature overhead calculator")
-    p_over.add_argument("--mtu", type=_positive_int, default=128)
-    p_over.add_argument("--name-bytes", type=_non_negative_int, default=16)
-    p_over.add_argument("--structural-bytes", type=_non_negative_int, default=16)
-    p_over.add_argument("--link-bytes", type=_non_negative_int, default=23)
-    p_over.add_argument("--sig-bytes", type=_non_negative_int, default=64)
-    p_over.add_argument("--compressed", action="store_true",
+    # an option left out is absent from the namespace and takes OverheadModel's default
+    p_over = sub.add_parser("overhead", help="chunk-wise signature overhead calculator",
+                            argument_default=argparse.SUPPRESS)
+    p_over.add_argument("--mtu", type=_positive_int)
+    p_over.add_argument("--name-bytes", type=_non_negative_int)
+    p_over.add_argument("--structural-bytes", type=_non_negative_int)
+    p_over.add_argument("--link-bytes", dest="link_header_bytes", type=_non_negative_int)
+    p_over.add_argument("--sig-bytes", dest="signature_bytes", type=_non_negative_int)
+    p_over.add_argument("--compressed", dest="compression_enabled", action="store_true",
                         help="model header compression: names elided, structural "
                              "overhead reduced to 6 bytes")
     p_over.add_argument("--firmware-size", type=_positive_int, required=True,
@@ -187,15 +190,9 @@ def fwsim_main(argv=None) -> int:
             table = sweep(read_scenario(args.scenario), args.axis, args.values, args.seeds)
             _emit_lines(sweep_csv_lines(table), args.out)
         elif args.command == "overhead":
-            model = OverheadModel(
-                mtu=args.mtu,
-                name_bytes=args.name_bytes,
-                structural_bytes=args.structural_bytes,
-                link_header_bytes=args.link_bytes,
-                signature_bytes=args.sig_bytes,
-                compression_enabled=args.compressed,
-            )
-            print(json.dumps(overhead_report(model, args.firmware_size), indent=2, sort_keys=True))
+            given = {k: v for k, v in vars(args).items() if k not in ("command", "firmware_size")}
+            report = overhead_report(OverheadModel(**given), args.firmware_size)
+            print(json.dumps(report, indent=2, sort_keys=True))
         elif args.command == "tables":
             # one pass over the file; the output is opened once the table is whole
             with open_metrics_csv(args.csv) as fh:
@@ -232,6 +229,10 @@ def _fwpub_parser() -> argparse.ArgumentParser:
 def fwpub_main(argv=None) -> int:
     args = _fwpub_parser().parse_args(argv)
     try:
+        # each is one directory of the publication path; checked before any signing
+        for option, value in (("--deployment", args.deployment), ("--vendor", args.vendor),
+                              ("--class", args.device_class)):
+            check_path_component(value, option)
         key = signing_key_from_seed(args.key_file)
         image = FirmwareImage(args.image, args.device_class, args.epoch)
         manifest = build_manifest(image, args.chunk_size, key, args.deployment, args.vendor)

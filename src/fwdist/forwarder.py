@@ -1,7 +1,7 @@
 """Minimal NDN-style forwarder: PIT with aggregation, LRU content store, and
 one upstream face.
 
-The PIT is a dict from name to entry, at most ``pit_capacity`` long. Every
+The PIT is a dict from name to entry, at most ``node.pit_capacity`` long. Every
 name goes up the one upstream face: face 0 on a device, ``None`` on the
 gateway, which drops an Interest that nothing answers as "no-route".
 
@@ -27,6 +27,7 @@ from typing import Callable
 
 from .naming import CHUNK, MANIFEST, FirmwareName
 from .packets import Data, Interest, Nack
+from .scenario import NodeParams
 
 RETX_INTERVAL_US = 2_000_000
 RETX_BUDGET = 3
@@ -131,7 +132,7 @@ class ContentStore:
     The dict's order is the recency order: least recently used first.
     """
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
@@ -168,7 +169,7 @@ class ContentStore:
 class SeenSet:
     """Bounded FIFO set of (name, nonce) pairs for loop suppression."""
 
-    def __init__(self, capacity: int = 128):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._order: deque = deque()
         self._members: set = set()
@@ -197,9 +198,7 @@ class Forwarder:
         *,
         nonce_source: Callable[[], int],
         upstream: int | None = None,
-        pit_capacity: int = 16,
-        cs_capacity: int = 64,
-        seen_capacity: int = 128,
+        node: NodeParams = NodeParams(),
         local_lookup: Callable[[FirmwareName], Data | None] | None = None,
         deny: Callable[[Interest], bool] | None = None,
         implicit: Callable[[Interest], bool] | None = None,
@@ -208,9 +207,9 @@ class Forwarder:
     ):
         self.upstream = upstream
         self.pit: dict[FirmwareName, PitEntry] = {}
-        self.pit_capacity = pit_capacity
-        self.cs = ContentStore(cs_capacity)
-        self.seen = SeenSet(seen_capacity)
+        self.pit_capacity = node.pit_capacity
+        self.cs = ContentStore(node.cs_capacity)
+        self.seen = SeenSet(node.seen_capacity)
         self._nonce = nonce_source
         self._local_lookup = local_lookup or (lambda name: None)
         self._deny = deny or (lambda interest: False)

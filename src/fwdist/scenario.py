@@ -129,6 +129,12 @@ class Scenario:
     def duration_us(self) -> int:
         return int(self.duration_s * 1_000_000)
 
+    def device_class_of(self, node_id: str) -> str:
+        """The class of device ``node_id``: its own class in a multiparty scenario."""
+        if self.multiparty:
+            return f"{self.device_class}-{node_id}"
+        return self.device_class
+
 
 # ---------------------------------------------------------------------------
 # the schema: one row per accepted key, "block.key" inside a block. Keywords:
@@ -328,6 +334,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
             _require(set(spec.edge) <= names, f"{fieldname}.edge", "edge endpoints must be topology nodes")
     if scenario.outage is not None and scenario.outage.after_install is not None:
         _require(scenario.outage.after_install in names, "outage.after_install", "unknown node")
+    topology = scenario.topology
+    for i, node_id in enumerate(topology.nodes):
+        if scenario.multiparty and node_id != topology.root:
+            try:  # a device's class is a component of every firmware name it fetches
+                _check_identifier(scenario.device_class_of(node_id), "its device class")
+            except MalformedName as exc:
+                raise ScenarioInvalid(f"topology.nodes[{i}].id", str(exc)) from None
     return scenario
 
 

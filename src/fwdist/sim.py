@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import rshift
 
-from .agent import AgentConfig, InstalledFirmware, UpdateAgent
+from .agent import InstalledFirmware, UpdateAgent
 from .forwarder import (
     Aggregate,
     DeliverLocal,
@@ -179,9 +179,7 @@ class SimNode:
                          implicit=agent.wants_implicit, divert=agent.divert_wanted)
         self.forwarder = Forwarder(
             nonce_source=lambda: sim.rng.getrandbits(32),
-            pit_capacity=sim.scenario.node.pit_capacity,
-            cs_capacity=sim.scenario.node.cs_capacity,
-            seen_capacity=sim.scenario.node.seen_capacity,
+            node=sim.scenario.node,
             **hooks,
         )
 
@@ -351,11 +349,6 @@ class Simulation:
             edge.conflicts = sorted(conflict_sets[edge.index])
             edge.domain = sum(1 << i for i in conflict_sets[edge.index] | {edge.index})
 
-    def _device_class_of(self, node_id: str) -> str:
-        if self.scenario.multiparty:
-            return f"{self.scenario.device_class}-{node_id}"
-        return self.scenario.device_class
-
     def _publish_firmware(self) -> dict[str, UpdateAgent]:
         """Publish every device class's image; return each device's agent."""
         sc = self.scenario
@@ -364,7 +357,7 @@ class Simulation:
         self.vendor_public = self.signing_key.public_key()
         classes: list[str] = []
         for dev in sc.topology.devices:
-            cls = self._device_class_of(dev)
+            cls = sc.device_class_of(dev)
             if cls not in classes:
                 classes.append(cls)
         stale_needed = sc.attacker is not None and sc.attacker.mode == "replay_stale"
@@ -387,32 +380,16 @@ class Simulation:
                 )
         # Agents come up with the previous epoch installed.
         previous_epoch = sc.epoch - sc.granularity.period
-        agent_cfg = AgentConfig(
-            turnaround_us=sc.node.turnaround_us,
-            flash_write_us=sc.node.flash_write_us,
-            verify_delay_us=sc.node.verify_delay_us,
-            install_delay_us=sc.node.install_delay_us,
-            app_retx_base_us=int(sc.agent.app_retx_base_s * 1_000_000),
-            app_retx_jitter_us=int(sc.agent.app_retx_jitter_s * 1_000_000),
-            manifest_retries=sc.agent.manifest_retries,
-            digest_retries=sc.agent.digest_retries,
-            poll_period_us=int(sc.poll_period_s * 1_000_000),
-            trunc_len=sc.trunc_len,
-        )
         agents = {}
         for dev in sc.topology.devices:
-            cls = self._device_class_of(dev)
+            cls = sc.device_class_of(dev)
             agents[dev] = UpdateAgent(
-                deployment=sc.deployment,
-                vendor=sc.vendor,
+                sc,
                 device_class=cls,
                 psk=self.psks[cls],
                 vendor_key=self.vendor_public,
-                strategy=sc.strategy,
-                granularity=sc.granularity,
                 installed=InstalledFirmware(b"factory:" + dev.encode(), previous_epoch),
                 rng=self.rng,
-                config=agent_cfg,
                 emit=self._agent_emitter(dev),
             )
         return agents

@@ -27,9 +27,9 @@ class Topology:
     """Tree rooted at the gateway; every non-root has exactly one parent."""
 
     parents: dict[str, str | None]
-    ranks: dict[str, int] = field(default_factory=dict)
-    children: dict[str, list[str]] = field(default_factory=dict)
-    root: str = ""
+    ranks: dict[str, int] = field(init=False)
+    children: dict[str, list[str]] = field(init=False)
+    root: str = field(init=False)
 
     def __post_init__(self) -> None:
         roots = [n for n, p in self.parents.items() if p is None]

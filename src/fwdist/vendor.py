@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .naming import BaseName
+from .naming import BaseName, MalformedName
 
 TRUNCATION_LENGTHS = (8, 16, 32)
 SIGNATURE_BYTES = 64
@@ -294,7 +294,22 @@ class Repository:
 #   chunks.bin     fixed-length payload records (last record zero-padded)
 
 
+NAME_MAX = 255  # bytes in a file name, on common file systems
+
+
+def check_path_component(value: str, field: str) -> None:
+    """Raise MalformedName unless ``value`` names one directory inside its parent: the naming
+    rule allows "." and "..", and components of up to 65,535 bytes."""
+    if value in (".", ".."):
+        raise MalformedName(f"{field} must not be {value!r}: it names no directory of its own")
+    size = len(value.encode("utf-8", "surrogatepass"))  # a lone surrogate is the naming rule's to reject
+    if size > NAME_MAX:
+        raise MalformedName(f"{field} must be at most {NAME_MAX} UTF-8 bytes to name a directory, got {size}")
+
+
 def publication_dir(root: Path, base: BaseName) -> Path:
+    for field in ("deployment", "vendor", "device_class"):
+        check_path_component(getattr(base, field), field)
     return Path(root) / base.deployment / base.vendor / base.device_class / str(base.epoch)
 
 

@@ -4,7 +4,6 @@ import random
 from fwdist import agent as agent_mod
 from fwdist.agent import (
     AWAIT_MANIFEST,
-    AgentConfig,
     CASCADING,
     CONCURRENT,
     FETCHING,
@@ -17,6 +16,7 @@ from fwdist.agent import (
 from fwdist.forwarder import Drop, Forward, Forwarder
 from fwdist.naming import BaseName, Granularity
 from fwdist.packets import Data, HmacTag, Interest, ManifestSignature
+from fwdist.scenario import NodeParams, Scenario
 from fwdist.vendor import FirmwareImage, build_manifest, make_chunks, signing_key_from_seed, tag_chunk
 
 KEY = signing_key_from_seed(bytes(range(32)))
@@ -26,16 +26,17 @@ DAY = Granularity(86400, 0)
 EPOCH = 86400 * 100
 PREV = EPOCH - 86400
 
-CFG = AgentConfig(turnaround_us=0, verify_delay_us=0, install_delay_us=0)
+NODE = NodeParams(turnaround_us=0, verify_delay_us=0, install_delay_us=0)
 
 
-def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None, config=CFG):
+def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None):
     sink = events if events is not None else []
+    scenario = Scenario(strategy=strategy, image_size=96, deployment="d", vendor="v",
+                        granularity=DAY, node=NODE)
     agent = UpdateAgent(
-        deployment="d", vendor="v", device_class="c",
-        psk=PSK, vendor_key=PUB, strategy=strategy, granularity=DAY,
+        scenario, device_class="c", psk=PSK, vendor_key=PUB,
         installed=InstalledFirmware(b"factory", installed_epoch),
-        rng=random.Random(seed), config=config,
+        rng=random.Random(seed),
         emit=lambda ev, cid, detail: sink.append((ev, cid, detail)),
     )
     return agent, sink
@@ -115,7 +116,8 @@ def test_implicit_requires_idle_or_serving():
 
 def test_implicit_registration_not_taken_on_refused_pit_insert():
     agent, _ = make_agent()
-    fwd = Forwarder(nonce_source=lambda: 7, upstream=0, pit_capacity=1, implicit=agent.wants_implicit)
+    fwd = Forwarder(nonce_source=lambda: 7, upstream=0, node=NodeParams(pit_capacity=1),
+                    implicit=agent.wants_implicit)
     foreign = Interest(BaseName("d", "v", "other", EPOCH).manifest(), nonce=1)
     assert fwd.on_interest(1, foreign, now=0) == [Forward(0, foreign)]
     own = Interest(BaseName("d", "v", "c", EPOCH).manifest(), nonce=2)

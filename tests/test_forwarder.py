@@ -19,6 +19,7 @@ from fwdist.forwarder import (
 )
 from fwdist.naming import BaseName
 from fwdist.packets import Data, HmacTag, ManifestSignature, Interest, Nack
+from fwdist.scenario import NodeParams
 
 BASE = BaseName("d", "v", "c", 100)
 
@@ -98,7 +99,7 @@ def test_deny_cascading_wins_over_cache_and_aggregation():
 
 
 def test_pit_capacity_drops_overflow():
-    fwd = make_forwarder(upstream=9, pit_capacity=2)
+    fwd = make_forwarder(upstream=9, node=NodeParams(pit_capacity=2))
     fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
     fwd.on_interest(1, Interest(BASE.chunk(1), nonce=2), now=0)
     actions = fwd.on_interest(1, Interest(BASE.chunk(2), nonce=3), now=0)

@@ -362,6 +362,9 @@ def test_cli_run_string_boolean_exit_2(tmp_path):
     ({"granularity": {"period_s": True, "offset_s": False}}, "granularity.period_s"),  # accepted
     # logged times past 2**63 µs; accepted, exit 0
     ({"duration_s": 1e14, "poll_period_s": 1e13, "poll_stagger_s": 1e13}, "duration_s"),
+    # the device class "valve-n/1": exit 2 on a MalformedName at set-up, naming no node
+    ({"multiparty": True, "topology": {"nodes": [CHAIN["nodes"][0], {"id": "n/1", "parent": "gw"}]}},
+     "topology.nodes[1].id"),
 ])
 def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field):
     scenario = tmp_path / "bad.json"

@@ -20,7 +20,7 @@ from fwdist.scenario import (
     scenario_from_dict,
 )
 from fwdist.sim import EventLog, MtuExceeded, SimNode, Simulation, run_simulation
-from fwdist.topology import build_paper_topology
+from fwdist.topology import Topology, build_paper_topology
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
                    {'id': 'n2', 'parent': 'n1'}, {'id': 'n3', 'parent': 'n2'}]}
@@ -51,6 +51,14 @@ def test_paper_topology_long_path():
 def test_paper_topology_deterministic():
     a, b = build_paper_topology(), build_paper_topology()
     assert a.parents == b.parents
+
+
+def test_topology_ranks_children_and_root_come_from_parents_alone():
+    topo = Topology({"gw": None, "a": "gw", "b": "a"})
+    assert (topo.root, topo.ranks, topo.children) == ("gw", {"gw": 0, "a": 1, "b": 2},
+                                                      {"gw": ["a"], "a": ["b"], "b": []})
+    with pytest.raises(TypeError):  # were accepted, then overwritten
+        Topology({"gw": None}, ranks={"gw": 5})
 
 
 # -- frame transmission ------------------------------------------------------------
@@ -598,6 +606,9 @@ ATTACKER = {"edge": ["gw", "n1"], "mode": "forge_tag"}
     ({"vendor": "\ud800"}, "vendor"),  # UnicodeEncodeError at set-up
     ({"deployment": "d" * 70_000}, "deployment"),  # struct.error: a 2-byte length prefix
     ({"device_class": "a/b"}, "device_class"),  # MalformedName at set-up, naming no field
+    # a multiparty device's class "valve-a/b": MalformedName at set-up, naming no node
+    ({"multiparty": True, "topology": {"nodes": [CHAIN["nodes"][0], {"id": "a/b", "parent": "gw"}]}},
+     "topology.nodes[1].id"),
 ])
 def test_attacker_outage_granularity_and_bounds_are_strict(override, field):
     with pytest.raises(ScenarioInvalid) as err:
@@ -727,3 +738,27 @@ def test_backoff_draw_equals_randrange(seed, slot, retries):
         assert starts[-1] == 10 + twin.randrange(0, (1 << attempt) * slot + 1)
         twin.random()  # the loss draw that follows
         assert sim.rng.getstate() == twin.getstate()
+
+
+def test_scenario_node_and_agent_values_reach_the_components():
+    # distinct non-default values, large against a lossless hop's round trip, so a value
+    # dropped or wired to the wrong place changes a gap below
+    node = {"turnaround_us": 30_000, "flash_write_us": 20_000, "verify_delay_us": 7_000,
+            "install_delay_us": 11_000, "pit_capacity": 5, "cs_capacity": 9, "seen_capacity": 50}
+    hop = {"topology": {"nodes": CHAIN["nodes"][:2]}, "loss": {"per_transmission": 0, "collision": 0}}
+    sim = Simulation(chain_scenario(**hop, node=node))
+    for n in sim.nodes.values():
+        assert (n.forwarder.pit_capacity, n.forwarder.cs.capacity, n.forwarder.seen.capacity) == (5, 9, 50)
+    records = [(t, e, d) for (t, n, e, c, d) in sim.run().records if n == "n1"]
+    phase = {d: t for t, e, d in records if e == "PhaseChange"}
+    installed = next(t for t, e, d in records if e == "InstallComplete")
+    assert phase["VerifyingImage->Installing"] - phase["Fetching->VerifyingImage"] == 7_000
+    assert installed - phase["VerifyingImage->Installing"] == 11_000
+    recv = [t for t, e, d in records if e == "DataRecv"]
+    assert len(recv) == 20 and min(b - a for a, b in zip(recv, recv[1:])) >= 30_000 + 20_000
+    # with the uplink down from the start each poll times out within 10 s, and the agent
+    # polls again one poll period after the last
+    down = chain_scenario(**hop, outage={"edge": ["gw", "n1"], "at_s": 0}, poll_period_s=20,
+                          agent={"manifest_retries": 0}, duration_s=90)
+    polls = [t for (t, n, e, c, d) in run_simulation(down).records if d.startswith("Idle->AwaitManifest")]
+    assert len(polls) == 5 and {b - a for a, b in zip(polls, polls[1:])} == {20_000_000}

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwdist.naming import BaseName
+from fwdist.naming import BaseName, MalformedName
 from fwdist.vendor import (
     Chunk,
     DuplicateEpoch,
@@ -381,13 +381,43 @@ def test_fwpub_cli_rejects_a_signing_key_of_the_wrong_length(tmp_path):
     ("--epoch", str(2**64)),  # manifest: 8 bytes
     ("--chunk-size", str(2**32)),  # manifest: 4 bytes
     ("--deployment", "d" * 70_000),  # a 2-byte length prefix
-], ids=["epoch", "chunk-size", "deployment"])
+    ("--deployment", "\udcff"),  # the byte 0xff in argv: not UTF-8 text
+], ids=["epoch", "chunk-size", "deployment", "not-utf-8"])
 def test_fwpub_cli_rejects_values_the_wire_format_cannot_carry(tmp_path, option, value):
     # each was a struct.error traceback, exit 1
     proc = _fwpub_small(tmp_path, extra=[option, value])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--deployment", ".."),  # wrote <repo>/../v/c/10, outside the repository, exit 0
+    ("--vendor", "."),  # wrote <repo>/d/v/c/10, where deployment "d" and vendor "v" go, exit 0
+    ("--class", "é" * 128),  # 256 UTF-8 bytes: OSError "File name too long" after signing, exit 1
+], ids=["dot-dot", "dot", "256-bytes"])
+def test_fwpub_cli_rejects_a_component_that_is_no_directory_name(tmp_path, option, value):
+    proc = _fwpub_small(tmp_path, extra=[option, value])
+    assert proc.returncode == 2
+    assert option in proc.stderr and "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fw.bin", "key.bin", "psk.bin"]
+
+
+def test_fwpub_cli_accepts_a_255_byte_component(tmp_path):
+    proc = _fwpub_small(tmp_path, extra=["--class", "c" * 255])
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "r" / "d" / "v" / ("c" * 255) / "10" / "chunks.bin").is_file()
+
+
+def test_read_publication_refuses_a_component_that_leaves_the_repository(tmp_path):
+    img = image(100)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    repo = tmp_path / "d" / "repo"
+    repo.mkdir()
+    # <repo>/../v/c/1000 is the publication of d/v/c/1000, which loaded
+    with pytest.raises(MalformedName, match="deployment"):
+        read_publication(repo, BaseName("..", "v", "c", 1000), PSK, PUB)
 
 
 @pytest.mark.parametrize("option", ["--image", "--psk-file", "--key-file", "--repo"])
