@@ -15,13 +15,14 @@ import hashlib
 import hmac as hmac_mod
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from .naming import CHUNK, MANIFEST, BaseName, FirmwareName, align_epoch
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack
 from .scenario import Scenario
-from .vendor import Manifest, MalformedManifest, tag_chunk
+from .vendor import Chunk, Manifest, MalformedManifest, tag_chunk
 
 CONCURRENT = "concurrent"
 CASCADING = "cascading"
@@ -55,8 +56,13 @@ class UpdateAgent:
         vendor_key: Ed25519PublicKey,
         installed: InstalledFirmware,
         rng: random.Random,
+        published: Callable[[BaseName, int], Chunk | None],
         emit=None,
     ):
+        """``published(base, index)`` returns a chunk whose tag was
+        checked against its payload under ``psk``, or None; a received chunk
+        with that payload is then checked against that tag instead of one
+        computed again. It must only return chunks checked under ``psk``."""
         if scenario.strategy not in (CONCURRENT, CASCADING):
             raise ValueError(f"unknown strategy {scenario.strategy!r}")
         self.deployment = scenario.deployment
@@ -82,6 +88,7 @@ class UpdateAgent:
         # verified chunk tags of the installed image, served without re-tagging
         self.installed_tags: list[bytes] | None = None
         self.rng = rng
+        self.published = published
         self._emit = emit or (lambda event, chunk_id, detail: None)
 
         self.phase = IDLE
@@ -273,9 +280,7 @@ class UpdateAgent:
             isinstance(data.auth, HmacTag)
             and len(data.payload) == m.chunk_length(idx)
             and len(data.auth.tag) == self.trunc_len
-            and hmac_mod.compare_digest(
-                data.auth.tag, tag_chunk(m.base, idx, data.payload, self.psk, self.trunc_len)
-            )
+            and hmac_mod.compare_digest(data.auth.tag, self._expected_tag(m.base, idx, data.payload))
         )
         if valid:
             offset = idx * m.chunk_size
@@ -306,6 +311,14 @@ class UpdateAgent:
             # Repeat the request for the invalid chunk right away.
             self.outstanding = None
             self.ready_at = now + self.turnaround_us
+
+    def _expected_tag(self, base: BaseName, idx: int, payload: bytes) -> bytes:
+        """The tag of ``payload`` as chunk ``idx`` of ``base``: the published
+        chunk's checked tag when the payloads match, else computed."""
+        known = self.published(base, idx)
+        if known is not None and known.payload == payload and len(known.tag) == self.trunc_len:
+            return known.tag
+        return tag_chunk(base, idx, payload, self.psk, self.trunc_len)
 
     def divert_wanted(self, data: Data) -> bool:
         if self.strategy != CONCURRENT or self.phase != FETCHING:

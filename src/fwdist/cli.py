@@ -41,6 +41,7 @@ from .vendor import (
     InvalidChunkSize,
     InvalidSigningKey,
     InvalidTruncation,
+    MIN_PSK_BYTES,
     build_manifest,
     check_path_component,
     make_chunks,
@@ -88,6 +89,15 @@ def _file_bytes(path: str) -> bytes:
         return Path(path).read_bytes()
     except (FileNotFoundError, *UNREADABLE) as exc:
         raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _psk_bytes(path: str) -> bytes:
+    """argparse type: a pre-shared class key of at least ``MIN_PSK_BYTES`` bytes, from a file."""
+    psk = _file_bytes(path)
+    if len(psk) < MIN_PSK_BYTES:
+        raise argparse.ArgumentTypeError(
+            f"{path} holds a {len(psk)}-byte key; a class key needs at least {MIN_PSK_BYTES} bytes")
+    return psk
 
 
 def _out_dir(path: str) -> str:
@@ -218,7 +228,8 @@ def _fwpub_parser() -> argparse.ArgumentParser:
     parser.add_argument("--class", dest="device_class", required=True)
     parser.add_argument("--epoch", type=int, required=True, help="aligned version epoch")
     parser.add_argument("--chunk-size", type=int, default=32)
-    parser.add_argument("--psk-file", required=True, type=_file_bytes, help="pre-shared class key")
+    parser.add_argument("--psk-file", required=True, type=_psk_bytes,
+                        help=f"pre-shared class key, at least {MIN_PSK_BYTES} bytes")
     parser.add_argument("--key-file", required=True, type=_file_bytes,
                         help="32-byte Ed25519 signing seed")
     parser.add_argument("--repo", required=True, type=_out_dir, help="repository directory")

@@ -378,7 +378,11 @@ class Simulation:
                     FirmwareImage(stale_bytes, cls, stale_epoch),
                     stale_base, sc.chunk_size, psk, sc.trunc_len,
                 )
-        # Agents come up with the previous epoch installed.
+        # Agents come up with the previous epoch installed. Every publication
+        # in self.repo was checked by publish(..., psk) under its class's PSK
+        # and tagged with sc.trunc_len, so an agent may take a published
+        # chunk's tag as the tag of an equal payload; a publication stored
+        # without that check must never be offered here.
         previous_epoch = sc.epoch - sc.granularity.period
         agents = {}
         for dev in sc.topology.devices:
@@ -391,6 +395,7 @@ class Simulation:
                 installed=InstalledFirmware(b"factory:" + dev.encode(), previous_epoch),
                 rng=self.rng,
                 emit=self._agent_emitter(dev),
+                published=self.repo.lookup_chunk,
             )
         return agents
 

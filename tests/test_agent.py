@@ -1,6 +1,8 @@
 import hashlib
 import random
 
+from hypothesis import given, strategies as st
+
 from fwdist import agent as agent_mod
 from fwdist.agent import (
     AWAIT_MANIFEST,
@@ -17,7 +19,14 @@ from fwdist.forwarder import Drop, Forward, Forwarder
 from fwdist.naming import BaseName, Granularity
 from fwdist.packets import Data, HmacTag, Interest, ManifestSignature
 from fwdist.scenario import NodeParams, Scenario
-from fwdist.vendor import FirmwareImage, build_manifest, make_chunks, signing_key_from_seed, tag_chunk
+from fwdist.vendor import (
+    FirmwareImage,
+    Repository,
+    build_manifest,
+    make_chunks,
+    signing_key_from_seed,
+    tag_chunk,
+)
 
 KEY = signing_key_from_seed(bytes(range(32)))
 PUB = KEY.public_key()
@@ -29,7 +38,12 @@ PREV = EPOCH - 86400
 NODE = NodeParams(turnaround_us=0, verify_delay_us=0, install_delay_us=0)
 
 
-def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None):
+def nothing_published(base, index):
+    return None
+
+
+def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None,
+               published=nothing_published):
     sink = events if events is not None else []
     scenario = Scenario(strategy=strategy, image_size=96, deployment="d", vendor="v",
                         granularity=DAY, node=NODE)
@@ -38,14 +52,15 @@ def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None):
         installed=InstalledFirmware(b"factory", installed_epoch),
         rng=random.Random(seed),
         emit=lambda ev, cid, detail: sink.append((ev, cid, detail)),
+        published=published,
     )
     return agent, sink
 
 
-def make_firmware(size=96, chunk_size=32, epoch=EPOCH):
-    img = FirmwareImage(bytes((i * 7) % 256 for i in range(size)), "c", epoch)
+def make_firmware(size=96, chunk_size=32, epoch=EPOCH, cls="c", psk=PSK, step=7, trunc_len=8):
+    img = FirmwareImage(bytes((i * step) % 256 for i in range(size)), cls, epoch)
     manifest = build_manifest(img, chunk_size, KEY, "d", "v")
-    chunks = make_chunks(img, manifest.base, chunk_size, PSK)
+    chunks = make_chunks(img, manifest.base, chunk_size, psk, trunc_len)
     return img, manifest, chunks
 
 
@@ -290,6 +305,86 @@ def test_divert_requires_concurrent_mode():
     _, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
     assert not agent.divert_wanted(chunk_packet(manifest, chunks[1]))
+
+
+# -- verification from the publication ------------------------------------------------------------
+
+OTHER_PSK = hashlib.sha256(b"agent-psk-other").digest()
+_, PUBLISHED, PUBLISHED_CHUNKS = make_firmware(size=80)
+_, STALE, STALE_CHUNKS = make_firmware(size=80, epoch=PREV, step=11)
+_, OTHER, OTHER_CHUNKS = make_firmware(size=80, cls="other", psk=OTHER_PSK, step=13)
+
+
+def published_repository():
+    """Every publication checked under its class's PSK, as the simulation publishes them."""
+    repo = Repository()
+    repo.publish(PUBLISHED, PUBLISHED_CHUNKS, PSK)
+    repo.publish(STALE, STALE_CHUNKS, PSK)
+    repo.publish(OTHER, OTHER_CHUNKS, OTHER_PSK)
+    return repo
+
+
+def delivery(kind, idx, pos):
+    """Data for chunk ``idx`` of the current epoch, made as ``kind`` says."""
+    good = PUBLISHED_CHUNKS[idx]
+    payload, tag = good.payload, good.tag
+    if kind == "flipped":
+        at = pos % len(payload)
+        payload = payload[:at] + bytes([payload[at] ^ 0x01]) + payload[at + 1:]
+    elif kind == "forged":
+        tag = bytes([tag[0] ^ 0x80]) + tag[1:]
+    elif kind == "long-tag":
+        tag = tag + b"\x00"
+    elif kind == "short-payload":
+        payload = payload[:-1]
+    elif kind == "stale":
+        payload, tag = STALE_CHUNKS[idx].payload, STALE_CHUNKS[idx].tag
+    elif kind == "other-class":
+        payload, tag = OTHER_CHUNKS[idx].payload, OTHER_CHUNKS[idx].tag
+    return Data(PUBLISHED.base.chunk(idx), payload, HmacTag(tag))
+
+
+DELIVERY_KINDS = ["published", "flipped", "forged", "long-tag", "short-payload", "stale", "other-class"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(DELIVERY_KINDS), st.integers(0, 2), st.integers(0, 31),
+                          st.booleans()), min_size=1, max_size=25))
+def test_verification_from_the_publication_accepts_exactly_what_computing_accepts(deliveries):
+    repo = published_repository()
+    runs = []
+    for published in (nothing_published, repo.lookup_chunk):
+        agent, events = make_agent(published=published)
+        start_fetch(agent, PUBLISHED)
+        for now, (kind, idx, pos, diverted) in enumerate(deliveries, start=1):
+            events.append(("request", agent.take_request(now)))
+            agent.on_chunk(delivery(kind, idx, pos), now=now, diverted=diverted)
+        runs.append((events, agent.received, agent.fail_counts, agent.phase))
+    assert runs[0] == runs[1]
+
+
+def test_a_published_tag_of_another_length_is_not_taken_and_the_tag_is_computed(monkeypatch):
+    _, manifest, long_tagged = make_firmware(size=80, trunc_len=16)
+    repo = Repository()
+    repo.publish(manifest, long_tagged, PSK)
+    agent, events = make_agent(published=repo.lookup_chunk)  # trunc_len 8
+    start_fetch(agent, manifest)
+    computed = []
+    monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: computed.append(a) or tag_chunk(*a))
+    agent.take_request(now=1)
+    agent.on_chunk(chunk_packet(manifest, PUBLISHED_CHUNKS[0]), now=1)
+    assert computed == [(manifest.base, 0, PUBLISHED_CHUNKS[0].payload, PSK, 8)]
+    assert ("DataRecv", 0, "") in events and agent.received[0] == PUBLISHED_CHUNKS[0].tag
+
+
+def test_a_published_payload_is_checked_without_computing_a_tag(monkeypatch):
+    agent, events = make_agent(published=published_repository().lookup_chunk)
+    start_fetch(agent, PUBLISHED)
+    monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: None)
+    for chunk in PUBLISHED_CHUNKS:
+        agent.take_request(now=1)
+        agent.on_chunk(chunk_packet(PUBLISHED, chunk), now=1)
+    assert agent.phase == VERIFYING
+    assert [c for e, c, _ in events if e == "DataRecv"] == [0, 1, 2]
 
 
 # -- finalize ------------------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from fwdist.vendor import (
     read_publication,
     signing_key_from_seed,
     tag_chunk,
+    tag_chunks,
     write_publication,
 )
 
@@ -118,18 +119,33 @@ def _oracle_tag(base, index, payload, psk, trunc):
     return hmac_mod.new(psk, message, hashlib.sha256).digest()[:trunc]
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1),
+# from the empty key to keys longer than SHA-256's 64-byte block, which are hashed first
+KEY_LENGTHS = (0, 1, 31, 32, 63, 64, 65, 200)
+TAG_BASES = [BASE, BaseName("d", "v", "c", 1001), BaseName("dep", "ven", "cls", 7),
+             BaseName("d\u00e9", "v", "c", 2**63)]
+
+
+def _key(length):
+    return bytes((length + i) % 256 for i in range(length))
+
+
+@given(st.lists(st.tuples(st.sampled_from(KEY_LENGTHS), st.integers(0, 3), st.integers(0, 2**32 - 1),
                           st.binary(max_size=40), st.sampled_from([8, 16, 32])),
                 min_size=1, max_size=30))
 def test_tag_interleaved_keys_and_bases_match_fresh_hmac(calls):
-    # tag_chunk keeps keyed state per PSK and a name prefix per base: no state
-    # may leak from one PSK or base into the next call
-    psks = [hashlib.sha256(bytes([i])).digest() for i in range(3)] + [b"short key"]
-    bases = [BASE, BaseName("d", "v", "c", 1001), BaseName("dep", "ven", "cls", 7),
-             BaseName("d\u00e9", "v", "c", 2**63)]
-    for psk_i, base_i, index, payload, trunc in calls:
-        base, psk = bases[base_i], psks[psk_i]
+    # no state may leak from one PSK or base into the next call
+    for key_len, base_i, index, payload, trunc in calls:
+        base, psk = TAG_BASES[base_i], _key(key_len)
         assert tag_chunk(base, index, payload, psk, trunc) == _oracle_tag(base, index, payload, psk, trunc)
+
+
+@given(st.sampled_from(KEY_LENGTHS), st.integers(0, 3), st.sampled_from([8, 16, 32]),
+       st.lists(st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=100)), max_size=20))
+def test_tag_chunks_equals_tag_chunk_per_item_and_fresh_hmac(key_len, base_i, trunc, items):
+    base, psk = TAG_BASES[base_i], _key(key_len)
+    batch = tag_chunks(base, items, psk, trunc)
+    assert batch == [tag_chunk(base, index, payload, psk, trunc) for index, payload in items]
+    assert batch == [_oracle_tag(base, index, payload, psk, trunc) for index, payload in items]
 
 
 def test_tag_binds_base_name_and_index():
@@ -231,6 +247,37 @@ def test_inconsistent_publication_rejected():
         repo.publish(m, bad_tag, PSK)
 
 
+def _retagged(chunks, base, trunc_of):
+    """``chunks`` with valid tags, chunk ``i`` truncated to ``trunc_of(i)`` bytes."""
+    return [Chunk(c.index, c.payload, tag_chunk(base, c.index, c.payload, PSK, 32)[:trunc_of(c.index)])
+            for c in chunks]
+
+
+@pytest.mark.parametrize("trunc_of, fault", [
+    (lambda i: 12, "chunk 0 has a tag of 12 bytes"),  # raised InvalidTruncation from the tag check
+    (lambda i: 8 if i % 2 == 0 else 16, "chunk 1 has a tag of 16 bytes"),  # accepted
+    (lambda i: 16 if i < 3 else 8, "chunk 3 has a tag of 8 bytes"),  # accepted
+], ids=["12-byte", "alternating-8-16", "last-8"])
+@pytest.mark.parametrize("psk", [PSK, None], ids=["checked", "unchecked"])
+def test_publish_requires_one_tag_length_from_the_truncation_lengths(trunc_of, fault, psk):
+    img = image(100)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    chunks = _retagged(make_chunks(img, m.base, 32, PSK), m.base, trunc_of)
+    repo = Repository()
+    with pytest.raises(InconsistentPublication, match=fault):
+        repo.publish(m, chunks, psk)
+    assert repo.lookup_manifest(m.base) is None
+
+
+@pytest.mark.parametrize("trunc", [8, 16, 32])
+def test_publish_accepts_each_truncation_length(trunc):
+    img = image(100)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    repo = Repository()
+    repo.publish(m, make_chunks(img, m.base, 32, PSK, trunc), PSK)
+    assert len(repo.lookup_chunk(m.base, 3).tag) == trunc
+
+
 def test_publish_rejects_zero_chunk_size_and_empty_image():
     img = image(100)
     m = build_manifest(img, 32, KEY, "d", "v")
@@ -241,6 +288,12 @@ def test_publish_rejects_zero_chunk_size_and_empty_image():
     empty = Manifest(m.base, 0, hashlib.sha256(b"").digest(), 32, 0, m.signature)
     with pytest.raises(InconsistentPublication, match="chunk count"):  # was accepted
         Repository().publish(empty, [], PSK)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1, 2**32])
+def test_build_manifest_rejects_a_chunk_size_the_manifest_cannot_carry(chunk_size):
+    with pytest.raises(InvalidChunkSize):
+        build_manifest(image(100), chunk_size, KEY, "d", "v")
 
 
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 96, 100])
@@ -348,11 +401,11 @@ def test_fwpub_cli_publishes(tmp_path):
     assert loaded.manifest.verify(PUB)
 
 
-def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None, extra=()):
+def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None, extra=(), psk=PSK):
     """Run fwpub on a 3-byte image; ``directory_for`` names an option to point at the wrong kind
     of path: a directory for a file option, a file for ``--repo``. ``extra`` options come last,
     so they override the defaults."""
-    files = {"--image": ("fw.bin", b"xyz"), "--psk-file": ("psk.bin", PSK), "--key-file": ("key.bin", key)}
+    files = {"--image": ("fw.bin", b"xyz"), "--psk-file": ("psk.bin", psk), "--key-file": ("key.bin", key)}
     paths = []
     for option, (name, data) in files.items():
         (tmp_path / name).write_bytes(data)
@@ -375,6 +428,24 @@ def test_fwpub_cli_rejects_a_signing_key_of_the_wrong_length(tmp_path):
     proc = _fwpub_small(tmp_path, key=bytes(31))
     assert proc.returncode == 2
     assert "32 bytes" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("size", [0, 31])
+def test_fwpub_cli_rejects_a_psk_shorter_than_32_bytes(tmp_path, size):
+    # was exit 0, every chunk tagged under a key anyone could guess
+    proc = _fwpub_small(tmp_path, psk=bytes(range(size)))
+    assert proc.returncode == 2
+    assert "--psk-file" in proc.stderr and "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fw.bin", "key.bin", "psk.bin"]
+
+
+@pytest.mark.parametrize("size", [32, 100])
+def test_fwpub_cli_accepts_a_psk_of_32_bytes_or_more(tmp_path, size):
+    psk = bytes(range(size))
+    proc = _fwpub_small(tmp_path, psk=psk)
+    assert proc.returncode == 0, proc.stderr
+    loaded = read_publication(tmp_path / "r", BaseName("d", "v", "c", 10), psk, PUB)
+    assert loaded.chunks == [Chunk(0, b"xyz", tag_chunk(BaseName("d", "v", "c", 10), 0, b"xyz", psk))]
 
 
 @pytest.mark.parametrize("option, value", [
