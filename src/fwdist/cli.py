@@ -42,6 +42,7 @@ from .vendor import (
     InvalidSigningKey,
     InvalidTruncation,
     MIN_PSK_BYTES,
+    ShortKey,
     build_manifest,
     check_path_component,
     make_chunks,
@@ -52,7 +53,7 @@ from .vendor import (
 VALIDATION_ERRORS = (
     ScenarioInvalid, NoPayloadRoom, MalformedCsv, MalformedName,
     EmptyImage, InvalidChunkSize, InvalidSigningKey, InvalidTruncation,
-    InconsistentPublication, DuplicateEpoch, FileNotFoundError,
+    InconsistentPublication, DuplicateEpoch, ShortKey, FileNotFoundError,
 )
 
 

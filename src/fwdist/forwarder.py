@@ -3,7 +3,8 @@ one upstream face.
 
 The PIT is a dict from name to entry, at most ``node.pit_capacity`` long. Every
 name goes up the one upstream face: face 0 on a device, ``None`` on the
-gateway, which drops an Interest that nothing answers as "no-route".
+gateway, which drops an Interest that nothing answers as "no-route". On this
+tree an Interest never comes back to a node, so there is no nonce loop check.
 
 The forwarder mutates its own tables and returns explicit action lists; the
 surrounding node decides how to execute them (transmit frames, hand packets to
@@ -21,7 +22,7 @@ All timestamps are integer microseconds of simulated time.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -119,7 +120,6 @@ class PitEntry:
     local_consumer: bool = False
     retx_budget: int = RETX_BUDGET
     next_retx_at: int = 0
-    lifetime_ms: int = 8000
 
     def add_downstream(self, face: int) -> None:
         if face not in self.downstream_faces:
@@ -166,26 +166,6 @@ class ContentStore:
         return list(self._entries)
 
 
-class SeenSet:
-    """Bounded FIFO set of (name, nonce) pairs for loop suppression."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._order: deque = deque()
-        self._members: set = set()
-
-    def check_and_add(self, name: FirmwareName, nonce: int) -> bool:
-        """True if the pair was already seen; records it otherwise."""
-        key = (name, nonce)
-        if key in self._members:
-            return True
-        self._members.add(key)
-        self._order.append(key)
-        if len(self._order) > self.capacity:
-            self._members.discard(self._order.popleft())
-        return False
-
-
 def _cacheable(data: Data) -> bool:
     return data.name.kind in (CHUNK, MANIFEST)
 
@@ -209,7 +189,6 @@ class Forwarder:
         self.pit: dict[FirmwareName, PitEntry] = {}
         self.pit_capacity = node.pit_capacity
         self.cs = ContentStore(node.cs_capacity)
-        self.seen = SeenSet(node.seen_capacity)
         self._nonce = nonce_source
         self._local_lookup = local_lookup or (lambda name: None)
         self._deny = deny or (lambda interest: False)
@@ -220,8 +199,6 @@ class Forwarder:
     # -- interests ----------------------------------------------------------
 
     def on_interest(self, face: int, interest: Interest, now: int) -> list[Action]:
-        if self.seen.check_and_add(interest.name, interest.nonce):
-            return [Drop("loop")]
         # Cascading denial comes before any delivery path: a node that has not
         # completed its own update must not leak same-class chunks downstream,
         # whether from cache, buffer, or an aggregated in-flight request.
@@ -250,7 +227,6 @@ class Forwarder:
             name=interest.name,
             downstream_faces=[face],
             next_retx_at=now + RETX_INTERVAL_US,
-            lifetime_ms=interest.lifetime_ms,
         )
         # registered only once the entry exists: a refused insert must not
         # leave the agent awaiting a manifest that nothing will deliver
@@ -272,7 +248,6 @@ class Forwarder:
             name=interest.name,
             local_consumer=True,
             next_retx_at=now + RETX_INTERVAL_US,
-            lifetime_ms=interest.lifetime_ms,
         )
         return [Forward(self.upstream, interest)]
 
@@ -321,7 +296,7 @@ class Forwarder:
             if entry.retx_budget > 0:
                 entry.retx_budget -= 1
                 entry.next_retx_at += RETX_INTERVAL_US
-                retx = Interest(entry.name, self._nonce(), entry.lifetime_ms)
+                retx = Interest(entry.name, self._nonce())
                 actions.append(Retransmit(self.upstream, retx))
             else:
                 del self.pit[entry.name]

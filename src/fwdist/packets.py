@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .naming import CHUNK, DEFAULT_ENCODING, EncodingModel, FirmwareName, encoded_size
 
 # Structural bytes per packet beyond the name: outer packet framing, payload
-# and auth field headers, freshness/lifetime fields.
+# and auth field headers, freshness/lifetime fields (sized, not modelled).
 DATA_STRUCT_BYTES = 7
 INTEREST_STRUCT_BYTES = 7
 NACK_STRUCT_BYTES = 8
@@ -38,17 +38,15 @@ class ManifestSignature(NamedTuple):
 Auth = HmacTag | ManifestSignature | None
 
 
-class Interest(namedtuple("Interest", "name nonce lifetime_ms")):
-    """Request for one name; every constructor, ``_make`` included, checks the fields."""
+class Interest(namedtuple("Interest", "name nonce")):
+    """Request for one name; every constructor, ``_make`` included, checks the nonce."""
 
     __slots__ = ()
 
-    def __new__(cls, name: FirmwareName, nonce: int, lifetime_ms: int = 8000):
-        if lifetime_ms <= 0:
-            raise ValueError("interest lifetime must be positive")
+    def __new__(cls, name: FirmwareName, nonce: int):
         if not 0 <= nonce < 2**32:
             raise ValueError("nonce must fit 32 bits")
-        return tuple.__new__(cls, (name, nonce, lifetime_ms))
+        return tuple.__new__(cls, (name, nonce))
 
     @classmethod
     def _make(cls, iterable) -> "Interest":
@@ -59,13 +57,11 @@ class Data(NamedTuple):
     name: FirmwareName
     payload: bytes
     auth: Auth = None
-    freshness_ms: int = 0
 
 
 class Nack(NamedTuple):
     name: FirmwareName
     reason: str
-    freshness_ms: int = 0
 
 
 Packet = Interest | Data | Nack

@@ -67,7 +67,6 @@ class LinkParams:
 class NodeParams:
     cs_capacity: int = 64
     pit_capacity: int = 16
-    seen_capacity: int = 128
     proc_delay_us: int = 1000
     turnaround_us: int = 2000
     flash_write_us: int = 0

@@ -45,10 +45,6 @@ from .vendor import (
 )
 
 
-class MtuExceeded(ValueError):
-    pass
-
-
 # Record details, built once and not per frame or per Interest.
 _LOG_KIND = {cls: cls.__name__.lower() for cls in (Interest, Data, Nack)}
 _AGGREGATED = {kind: kind + ";aggregated" for kind in (MANIFEST, FIRMWARE, CHUNK)}
@@ -441,8 +437,7 @@ class Simulation:
     def repo_nack(self, interest: Interest) -> Nack | None:
         if self.repo_lookup(interest.name) is not None:
             return None
-        freshness = int(self.scenario.poll_period_s * 1000)
-        return Nack(interest.name, "no-data", freshness)
+        return Nack(interest.name, "no-data")
 
     # -- clock / logging ------------------------------------------------------------
 
@@ -472,11 +467,9 @@ class Simulation:
         ``LinkRetx`` record. ``on_delivered(time)`` is scheduled for the end of
         the first successful attempt plus the propagation delay. A frame whose
         attempts are all lost, or that would arrive after the link is severed,
-        is dropped with no further record.
+        is dropped with no further record. ``send_packet`` keeps every frame
+        within ``link.mtu_bytes``.
         """
-        link = self.scenario.link
-        if size_bytes > link.mtu_bytes:
-            raise MtuExceeded(f"frame of {size_bytes} bytes exceeds {link.mtu_bytes}-byte MTU")
         self._attempt(src, edge, size_bytes, 0, t, on_delivered, log_kind, chunk_id)
 
     def _attempt(self, src: SimNode, edge: Edge, size: int, attempt: int, t: int,
@@ -571,19 +564,19 @@ class Simulation:
             return data
         if spec.mode == "tamper_payload":
             payload = bytes([data.payload[0] ^ 0xFF]) + data.payload[1:]
-            return Data(data.name, payload, data.auth, data.freshness_ms)
+            return Data(data.name, payload, data.auth)
         if spec.mode == "forge_tag":
             tag = bytes(b ^ 0xFF for b in data.auth.tag) if isinstance(data.auth, HmacTag) else b"\x00" * 8
-            return Data(data.name, data.payload, HmacTag(tag), data.freshness_ms)
+            return Data(data.name, data.payload, HmacTag(tag))
         # replay_stale: substitute the same-index chunk of the previous epoch,
         # renamed to the current version; its tag binds the old base name.
         cls = data.name.base.device_class
         stale = self._stale.get(cls)
         idx = data.name.chunk_id
         if stale is not None and 0 <= idx < len(stale):
-            return Data(data.name, stale[idx].payload, HmacTag(stale[idx].tag), data.freshness_ms)
+            return Data(data.name, stale[idx].payload, HmacTag(stale[idx].tag))
         payload = bytes([data.payload[0] ^ 0xFF]) + data.payload[1:]
-        return Data(data.name, payload, data.auth, data.freshness_ms)
+        return Data(data.name, payload, data.auth)
 
     # -- execution ----------------------------------------------------------------
 

@@ -67,15 +67,6 @@ class Topology:
     def edges(self) -> list[tuple[str, str]]:
         return [(p, n) for n, p in self.parents.items() if p is not None]
 
-    def max_rank(self) -> int:
-        return max(self.ranks.values())
-
-    def path_to_root(self, node: str) -> list[str]:
-        path = [node]
-        while self.parents[path[-1]] is not None:
-            path.append(self.parents[path[-1]])
-        return path
-
     def neighbors(self, node: str) -> list[str]:
         out = []
         parent = self.parents[node]
@@ -110,15 +101,4 @@ def from_node_list(nodes: list[dict]) -> Topology:
         if node in parents:
             raise TopologyError(f"duplicate node id {node!r}")
         parents[node] = item.get("parent")
-    return Topology(parents)
-
-
-def chain(length: int) -> Topology:
-    """Gateway plus a single path of the given hop count (test helper)."""
-    parents: dict[str, str | None] = {GATEWAY: None}
-    previous = GATEWAY
-    for i in range(1, length + 1):
-        name = f"n{i}"
-        parents[name] = previous
-        previous = name
     return Topology(parents)

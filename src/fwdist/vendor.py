@@ -57,7 +57,17 @@ class InvalidSigningKey(ValueError):
     pass
 
 
+class ShortKey(ValueError):
+    pass
+
+
 _LAYOUT_MISMATCH = "manifest chunk count does not match its image size"
+
+
+def _check_psk(psk: bytes) -> None:
+    """Raise ShortKey unless ``psk`` holds at least ``MIN_PSK_BYTES`` bytes."""
+    if len(psk) < MIN_PSK_BYTES:
+        raise ShortKey(f"a class key needs at least {MIN_PSK_BYTES} bytes, got {len(psk)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,7 +289,7 @@ class Repository:
     def __init__(self):
         self._store: dict[tuple[str, str, str], dict[int, Publication]] = {}
 
-    def publish(self, manifest: Manifest, chunks: list[Chunk], psk: bytes | None = None) -> None:
+    def publish(self, manifest: Manifest, chunks: list[Chunk], psk: bytes) -> None:
         if len(chunks) != manifest.chunk_count:
             raise InconsistentPublication(
                 f"chunk count {len(chunks)} does not match manifest {manifest.chunk_count}"
@@ -300,11 +310,11 @@ class Repository:
             if len(chunk.tag) != trunc:
                 raise InconsistentPublication(
                     f"chunk {i} has a tag of {len(chunk.tag)} bytes, chunk 0 one of {trunc}")
-        if psk is not None:
-            expected = tag_chunks(manifest.base, ((c.index, c.payload) for c in chunks), psk, trunc)
-            for chunk, tag in zip(chunks, expected):
-                if chunk.tag != tag:
-                    raise InconsistentPublication(f"chunk {chunk.index} tag does not verify")
+        _check_psk(psk)
+        expected = tag_chunks(manifest.base, ((c.index, c.payload) for c in chunks), psk, trunc)
+        for chunk, tag in zip(chunks, expected):
+            if chunk.tag != tag:
+                raise InconsistentPublication(f"chunk {chunk.index} tag does not verify")
         versions = self._store.setdefault(manifest.base.class_key(), {})
         if manifest.base.epoch in versions:
             raise DuplicateEpoch(f"epoch {manifest.base.epoch} already published")
@@ -365,8 +375,10 @@ def read_publication(root: Path, base: BaseName, psk: bytes, vendor_key: Ed25519
     Raises InconsistentPublication if ``chunks.bin`` does not hold exactly
     ``chunk_count`` records of ``chunk_size`` bytes, if the image they hold
     does not match the manifest's digest, or if the manifest's signature does
-    not verify under ``vendor_key``.
+    not verify under ``vendor_key``, and ShortKey if ``psk`` is too short to
+    tag chunks.
     """
+    _check_psk(psk)
     src = publication_dir(root, base)
     manifest = Manifest.from_bytes((src / "manifest.bin").read_bytes())
     records = (src / "chunks.bin").read_bytes()

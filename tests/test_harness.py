@@ -365,6 +365,7 @@ def test_cli_run_string_boolean_exit_2(tmp_path):
     # the device class "valve-n/1": exit 2 on a MalformedName at set-up, naming no node
     ({"multiparty": True, "topology": {"nodes": [CHAIN["nodes"][0], {"id": "n/1", "parent": "gw"}]}},
      "topology.nodes[1].id"),
+    ({"node": {"seen_capacity": 128}}, "node.seen_capacity"),  # an option no longer kept
 ])
 def test_cli_run_mistyped_or_out_of_range_block_exit_2(tmp_path, override, field):
     scenario = tmp_path / "bad.json"

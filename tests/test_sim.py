@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fwdist.agent import UpdateAgent
 from fwdist.naming import BaseName, EncodingModel, Granularity
-from fwdist.packets import Data, HmacTag, packet_size
+from fwdist.packets import Data, HmacTag, Interest, packet_size
 from fwdist.scenario import (
     AgentParams,
     LinkParams,
@@ -19,7 +19,7 @@ from fwdist.scenario import (
     ScenarioInvalid,
     scenario_from_dict,
 )
-from fwdist.sim import EventLog, MtuExceeded, SimNode, Simulation, run_simulation
+from fwdist.sim import EventLog, SimNode, Simulation, run_simulation
 from fwdist.topology import Topology, build_paper_topology
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
@@ -39,12 +39,12 @@ def chain_scenario(**overrides):
 def test_paper_topology_counts():
     topo = build_paper_topology()
     assert len(topo.nodes) == 31  # gateway + 30 devices
-    assert topo.max_rank() == 7
+    assert max(topo.ranks.values()) == 7
 
 
 def test_paper_topology_long_path():
     topo = build_paper_topology()
-    assert len(topo.path_to_root("n7")) == 8  # 7 hops to the gateway
+    assert topo.ranks["n7"] == 7  # 7 hops to the gateway
     assert [topo.ranks[n] for n in PATH] == list(range(1, 8))
 
 
@@ -95,13 +95,6 @@ def test_dead_link_gives_up_after_four_attempts():
     drain(sim)
     assert deliveries == []
     assert sim.records.counters()['gw']['LinkRetx'] == 3  # attempts 2..4 then give up
-
-
-def test_mtu_boundary():
-    sim = Simulation(chain_scenario())
-    sim.transmit(sim.nodes['gw'], sim.edges[0], 115, 0, lambda t: None)
-    with pytest.raises(MtuExceeded):
-        sim.transmit(sim.nodes['gw'], sim.edges[0], 129, 0, lambda t: None)
 
 
 def test_experiment_packet_sizes():
@@ -478,6 +471,38 @@ def test_local_pit_entries_are_what_the_agent_awaits(shape, strategy, seed):
     assert checks.count("on_frame") > 20 and "take_request" in checks
 
 
+PAPER_SMALL = {'topology': 'paper', 'image_size': 320, 'duration_s': 600}
+INTEREST_SHAPES = {
+    "paper-concurrent": lambda seed: chain_scenario(seed=seed, **PAPER_SMALL),
+    "paper-cascading": lambda seed: chain_scenario(seed=seed, strategy='cascading', **PAPER_SMALL),
+    "multiparty": lambda seed: chain_scenario(seed=seed, multiparty=True, **PAPER_SMALL),
+    "replay": lambda seed: chain_scenario(seed=seed, **NODE_SHAPES["replay"]),
+    "outage": lambda seed: chain_scenario(seed=seed, **NODE_SHAPES["outage"]),
+    "pit-1-half-loss": lambda seed: chain_scenario(seed=seed, node={'pit_capacity': 1},
+                                                   loss={'per_transmission': 0.5, 'collision': 0.1}),
+    "nacks": lambda seed: not_yet_published_scenario(seed=seed, nacks_enabled=True),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", sorted(INTEREST_SHAPES))
+def test_no_node_receives_the_same_interest_twice(monkeypatch, shape, seed):
+    # every node forwards on its one uplink, so an Interest cannot come back to a
+    # node; this is why the forwarder keeps no (name, nonce) loop check
+    received = Counter()
+    on_frame = SimNode.on_frame
+
+    def counted(self, face, packet, now):
+        if isinstance(packet, Interest):
+            received[self.id, packet.name, packet.nonce] += 1
+        return on_frame(self, face, packet, now)
+
+    monkeypatch.setattr(SimNode, "on_frame", counted)
+    run_simulation(INTEREST_SHAPES[shape](seed))
+    assert len(received) >= 10
+    assert [key for key, times in received.items() if times > 1] == []
+
+
 def test_cascading_reduces_path_link_retransmissions():
     # ordering asserted across a small seed ensemble
     wins = 0
@@ -567,7 +592,7 @@ def test_block_cross_field_ranges(override, field):
 def test_block_fields_accept_their_types_at_the_bounds():
     sc = chain_scenario(loss={"per_transmission": 0, "collision": 1},
                         link={"retries": 0, "base_slot_us": 0, "link_header_bytes": 0},
-                        node={"pit_capacity": 1, "cs_capacity": 0, "seen_capacity": 0},
+                        node={"pit_capacity": 1, "cs_capacity": 0},
                         agent={"app_retx_base_s": 2, "app_retx_jitter_s": 2.0, "digest_retries": 0},
                         name_encoding={"component_overhead": 0, "name_overhead": 0})
     assert (sc.loss.collision, sc.link.retries, sc.node.pit_capacity) == (1, 0, 1)
@@ -744,11 +769,11 @@ def test_scenario_node_and_agent_values_reach_the_components():
     # distinct non-default values, large against a lossless hop's round trip, so a value
     # dropped or wired to the wrong place changes a gap below
     node = {"turnaround_us": 30_000, "flash_write_us": 20_000, "verify_delay_us": 7_000,
-            "install_delay_us": 11_000, "pit_capacity": 5, "cs_capacity": 9, "seen_capacity": 50}
+            "install_delay_us": 11_000, "pit_capacity": 5, "cs_capacity": 9}
     hop = {"topology": {"nodes": CHAIN["nodes"][:2]}, "loss": {"per_transmission": 0, "collision": 0}}
     sim = Simulation(chain_scenario(**hop, node=node))
     for n in sim.nodes.values():
-        assert (n.forwarder.pit_capacity, n.forwarder.cs.capacity, n.forwarder.seen.capacity) == (5, 9, 50)
+        assert (n.forwarder.pit_capacity, n.forwarder.cs.capacity) == (5, 9)
     records = [(t, e, d) for (t, n, e, c, d) in sim.run().records if n == "n1"]
     phase = {d: t for t, e, d in records if e == "PhaseChange"}
     installed = next(t for t, e, d in records if e == "InstallComplete")

@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fwdist.cli import VALIDATION_ERRORS
 from fwdist.naming import BaseName, MalformedName
 from fwdist.vendor import (
     Chunk,
@@ -20,6 +21,7 @@ from fwdist.vendor import (
     MalformedManifest,
     Manifest,
     Repository,
+    ShortKey,
     build_manifest,
     chunk_image,
     make_chunks,
@@ -318,6 +320,23 @@ def test_publication_dir_round_trip(tmp_path):
     assert loaded.manifest == m
     assert [c.payload for c in loaded.chunks] == [c.payload for c in chunks]
     assert [c.tag for c in loaded.chunks] == [c.tag for c in chunks]
+
+
+@pytest.mark.parametrize("psk", [b"", bytes(range(31))], ids=["empty", "31-byte"])
+def test_publish_and_read_publication_refuse_a_short_psk(tmp_path, psk):
+    # both were accepted: every chunk tagged under a key anyone can recompute
+    img = image(70)
+    m = build_manifest(img, 32, KEY, "d", "v")
+    chunks = make_chunks(img, m.base, 32, psk)  # tagging itself takes a key of any length
+    repo = Repository()
+    with pytest.raises(ShortKey, match="at least 32 bytes, got"):
+        repo.publish(m, chunks, psk)
+    assert repo.lookup_manifest(m.base) is None
+    write_publication(tmp_path, m, chunks)
+    with pytest.raises(ShortKey, match="at least 32 bytes, got"):
+        read_publication(tmp_path, m.base, psk, PUB)
+    assert ShortKey in VALIDATION_ERRORS
+    assert read_publication(tmp_path, m.base, PSK, PUB).manifest == m
 
 
 def test_read_publication_rejects_truncated_chunks_file(tmp_path):
