@@ -14,7 +14,6 @@ from .naming import (
     MalformedName,
     align_epoch,
     encoded_size,
-    parse_name,
 )
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack, packet_size
 from .scenario import Scenario, ScenarioInvalid, load_scenario, scenario_from_dict
@@ -42,7 +41,6 @@ __all__ = [
     "load_scenario",
     "overhead_report",
     "packet_size",
-    "parse_name",
     "run_simulation",
     "scenario_from_dict",
     "sweep",

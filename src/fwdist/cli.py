@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale
 import sys
 from pathlib import Path
 
@@ -179,12 +180,30 @@ def _fwsim_parser() -> argparse.ArgumentParser:
 
 
 def _emit_lines(lines, out: str | None) -> None:
-    text = (line + "\n" for line in lines)
-    if out is None:
-        sys.stdout.writelines(text)
+    """Write ``lines`` to the file ``out`` or to stdout once every line is built.
+
+    The lines are kept as the bytes the text stream would write, so a table
+    with a row per received chunk takes its output size and no more; a fault
+    while building them writes nothing.
+    """
+    # an in-memory stdout, such as the io.StringIO of contextlib.redirect_stdout, has no byte buffer
+    buffer = getattr(sys.stdout, "buffer", None) if out is None else None
+    if buffer is not None:
+        encoding, errors = sys.stdout.encoding, sys.stdout.errors
     else:
-        with open(out, "w") as fh:
-            fh.writelines(text)
+        encoding, errors = locale.getpreferredencoding(False), "strict"
+    text = bytearray()
+    for line in lines:
+        text += line.encode(encoding, errors)
+        text += b"\n"
+    if out is not None:
+        with open(out, "wb") as fh:
+            fh.write(text)
+    elif buffer is not None:
+        sys.stdout.flush()
+        buffer.write(text)
+    else:
+        sys.stdout.write(text.decode(encoding))
 
 
 def fwsim_main(argv=None) -> int:
@@ -214,7 +233,7 @@ def fwsim_main(argv=None) -> int:
                     table = rate_table(rows)
                 else:
                     table = retx_blocks(rows, args.block_size)
-            _emit_lines(table_csv_lines(args.kind, table), args.out)
+                _emit_lines(table_csv_lines(args.kind, table), args.out)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

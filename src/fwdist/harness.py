@@ -217,16 +217,14 @@ def load_metrics_csv(path: str | Path):
         return list(iter_csv_rows(fh))
 
 
-def progress_table(rows) -> list[tuple[str, int, int]]:
-    """Per-node cumulative chunk count over time: (node, sim_time_us, total)."""
+def progress_table(rows):
+    """Per-node cumulative chunk count over time: yields (node, sim_time_us, total) per chunk."""
     counts: dict[str, int] = {}
-    out = []
     for t, node, event, chunk_id, _ in rows:
         if event != "DataRecv" or chunk_id is None:
             continue
-        counts[node] = counts.get(node, 0) + 1
-        out.append((node, t, counts[node]))
-    return out
+        counts[node] = total = counts.get(node, 0) + 1
+        yield node, t, total
 
 
 def rate_table(rows) -> list[tuple[str, int, int]]:

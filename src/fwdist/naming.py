@@ -15,7 +15,7 @@ from functools import lru_cache
 
 
 class MalformedName(ValueError):
-    """A component sequence does not describe a valid firmware name."""
+    """The fields given do not make a valid firmware name."""
 
 
 SEPARATOR = "/"
@@ -119,41 +119,6 @@ class FirmwareName(namedtuple("FirmwareName", "base kind chunk_id")):
         return SEPARATOR + SEPARATOR.join(self.components())
 
 
-def _parse_uint(text: str, field: str) -> int:
-    # int() tolerates "+5", "_", whitespace; names do not.
-    if not text.isdigit():
-        raise MalformedName(f"{field} must be a decimal integer, got {text!r}")
-    return int(text)
-
-
-def parse_name(components) -> FirmwareName:
-    """Parse a component sequence into a FirmwareName; the inverse of ``components()``.
-
-    Accepts 5 components (manifest/firmware) or 6 (chunk/<id>).
-    """
-    comps = list(components)
-    if len(comps) < 5:
-        raise MalformedName(f"expected at least 5 components, got {len(comps)}")
-    base = BaseName(comps[0], comps[1], comps[2], _parse_uint(comps[3], "epoch"))
-    suffix = comps[4]
-    if suffix == CHUNK:
-        if len(comps) != 6:
-            raise MalformedName("chunk names have exactly 6 components")
-        return base.chunk(_parse_uint(comps[5], "chunk id"))
-    if suffix in (MANIFEST, FIRMWARE):
-        if len(comps) != 5:
-            raise MalformedName(f"{suffix} names have exactly 5 components")
-        return FirmwareName(base, suffix)
-    raise MalformedName(f"unknown suffix {suffix!r}")
-
-
-def parse_text(text: str) -> FirmwareName:
-    """Parse the canonical textual form "/dep/vendor/class/epoch/suffix...". """
-    if not text.startswith(SEPARATOR):
-        raise MalformedName(f"textual names start with {SEPARATOR!r}")
-    return parse_name(text[1:].split(SEPARATOR))
-
-
 @dataclass(frozen=True, slots=True)
 class Granularity:
     """Epoch quantization: period in seconds plus a signed phase shift.
@@ -196,18 +161,22 @@ class EncodingModel:
 DEFAULT_ENCODING = EncodingModel()
 
 
-@lru_cache(maxsize=65536)
-def _encoded_size(name: FirmwareName, component_overhead: int, name_overhead: int) -> int:
-    total = name_overhead
-    for comp in name.components():
-        total += len(comp.encode("utf-8")) + component_overhead
-    return total
+@lru_cache(maxsize=1024)
+def _base_size(base: BaseName, component_overhead: int, name_overhead: int) -> int:
+    return name_overhead + sum(len(comp.encode("utf-8")) + component_overhead
+                               for comp in base.components())
 
 
 def encoded_size(name: FirmwareName, model: EncodingModel = DEFAULT_ENCODING) -> int:
     """Modeled wire size of a name in bytes (size model, not a serializer).
 
-    Cached per name and overheads, so a name's components are built once, not
-    on every send, and the cache key hashes no model object.
+    The base's size is cached per base and overheads, one entry per device
+    class and epoch; the suffix is sized on each call, so no full name is
+    kept past its run.
     """
-    return _encoded_size(name, model.component_overhead, model.name_overhead)
+    overhead = model.component_overhead
+    # every suffix kind is ASCII, so its length is its UTF-8 length
+    size = _base_size(name.base, overhead, model.name_overhead) + len(name.kind) + overhead
+    if name.chunk_id is not None:
+        size += len(str(name.chunk_id)) + overhead
+    return size

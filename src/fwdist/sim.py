@@ -283,7 +283,6 @@ class Simulation:
         self.log = self.records.append
         self.repo = Repository()
         self.images: dict[str, bytes] = {}  # device class -> published image
-        self._repo_data: dict[FirmwareName, Data] = {}  # see repo_lookup
         self.psks: dict[str, bytes] = {}
         self._stale: dict[str, list[Chunk]] = {}
         self.start_wall_s = scenario.epoch + 1
@@ -418,21 +417,16 @@ class Simulation:
     # -- repository serving ---------------------------------------------------------
 
     def repo_lookup(self, name: FirmwareName) -> Data | None:
-        """The repository's Data for ``name``, built once per name and then kept."""
-        data = self._repo_data.get(name)
-        if data is not None:
-            return data
+        """The repository's Data for ``name``, built on each lookup and not kept."""
         if name.kind == MANIFEST:
             manifest = self.repo.lookup_manifest(name.base)
             if manifest is not None:
-                data = Data(name, manifest.to_bytes(), ManifestSignature(manifest.signature))
+                return Data(name, manifest.to_bytes(), ManifestSignature(manifest.signature))
         elif name.kind == CHUNK:
             chunk = self.repo.lookup_chunk(name.base, name.chunk_id)
             if chunk is not None:
-                data = Data(name, chunk.payload, HmacTag(chunk.tag))
-        if data is not None:
-            self._repo_data[name] = data
-        return data
+                return Data(name, chunk.payload, HmacTag(chunk.tag))
+        return None
 
     def repo_nack(self, interest: Interest) -> Nack | None:
         if self.repo_lookup(interest.name) is not None:
@@ -626,9 +620,6 @@ class SimResult:
             }
             self.node_stats[dev]["installed_bytes"] = agent.installed.data
             self.node_stats[dev]["device_class"] = agent.device_class
-
-    def install_time(self, node: str) -> int | None:
-        return self.node_stats[node]["install_time_us"]
 
     def completed_nodes(self) -> list[str]:
         return [n for n, s in self.node_stats.items()

@@ -99,7 +99,7 @@ def test_criterion_3a_concurrent_leaders(ensemble):
     hits = 0
     for seed in SEEDS:
         r = ensemble[("concurrent", seed)]
-        installs = {n: r.install_time(n) for n in PATH}
+        installs = {n: r.node_stats[n]["install_time_us"] for n in PATH}
         if any(v is None for v in installs.values()):
             continue
         if max(installs["n1"], installs["n2"]) < min(installs[n] for n in PATH[2:]):
@@ -112,7 +112,7 @@ def test_criterion_3b_cascading_rank_order_and_faster_fetches(ensemble):
     span_hits = {n: 0 for n in PATH}
     for seed in SEEDS:
         casc = ensemble[("cascading", seed)]
-        installs = [casc.install_time(n) for n in PATH]
+        installs = [casc.node_stats[n]["install_time_us"] for n in PATH]
         if all(v is not None for v in installs) and installs == sorted(installs):
             order_hits += 1
         conc = ensemble[("concurrent", seed)]
@@ -206,7 +206,7 @@ def test_criterion_6_replication_resilience():
             "outage": {"edge": ["gw", "n1"], "after_install": "n1"},
         })
         r = run_simulation(sc)
-        if all(r.install_time(n) is not None for n in PATH[1:]):
+        if all(r.node_stats[n]["install_time_us"] is not None for n in PATH[1:]):
             hits += 1
     criterion("6 replication-resilience", hits == 10, f"{hits}/10 seeds, n2..n7 complete")
 

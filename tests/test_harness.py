@@ -88,7 +88,7 @@ def test_run_scenario_emits_csv_and_summary(tmp_path):
     assert summary["completions"] == 3
     saved = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert saved["completions"] == 3
-    assert saved["nodes"]["n3"]["install_time_us"] == result.install_time("n3")
+    assert saved["nodes"]["n3"]["install_time_us"] == result.node_stats["n3"]["install_time_us"]
 
 
 def test_run_scenario_duration_zero(tmp_path):
@@ -102,7 +102,7 @@ def test_run_scenario_duration_zero(tmp_path):
 def test_run_scenario_rank_correlated_completions(tmp_path):
     path = write_scenario(tmp_path, seed=3)
     result, _ = run_scenario(path)
-    assert result.install_time("n1") < result.install_time("n3")
+    assert result.node_stats["n1"]["install_time_us"] < result.node_stats["n3"]["install_time_us"]
 
 
 def test_run_scenario_invalid_strategy(tmp_path):
@@ -269,6 +269,38 @@ def test_cli_tables_streams_the_csv(tmp_path, kind):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_cli_tables_progress_of_only_datarecv_keeps_its_output_bytes(tmp_path):
+    # one output row per input row: a list of the 80k (node, time, total) rows took 14.5 MB
+    csv = tmp_path / "metrics.csv"
+    with open(csv, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(f"{i * 10},n{i % 7},DataRecv,{i % 1000},\n" for i in range(80_000))
+    out = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        assert fwsim_main(["tables", str(csv), "--kind", "progress", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    lines = out.read_text().splitlines()
+    assert len(lines) == 80_001 and lines[-1] == f"n3,799990,{len(range(3, 80_000, 7))}"
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_cli_tables_stdout_matches_out_file(tmp_path, capsys, kind):
+    csv = tmp_path / "metrics.csv"
+    write_synthetic_csv(csv, 2000)
+    argv = ["tables", str(csv), "--kind", kind]
+    assert fwsim_main(argv + ["--out", str(tmp_path / "table.csv")]) == 0
+    written = (tmp_path / "table.csv").read_text()
+    assert fwsim_main(argv) == 0  # a stdout with a byte buffer
+    assert capsys.readouterr().out == written
+    with contextlib.redirect_stdout(io.StringIO()) as text:  # and one without
+        assert fwsim_main(argv) == 0
+    assert text.getvalue() == written
 
 
 GOOD_ROWS = "".join(f"{i},n1,DataRecv,{i}," + "\n" for i in range(2000))
@@ -539,7 +571,7 @@ def test_cli_tables_read_back_every_accepted_node_id(node_id):
                                  "--out", str(out)]) == 0
         rows = load_metrics_csv(Path(tmp) / "metrics.csv")
         assert {node for _, node, *_ in rows} == {node_id}
-        assert len(progress_table(rows)) == 2  # both chunks of the image
+        assert len(list(progress_table(rows))) == 2  # both chunks of the image
 
 
 def test_cli_sweep(tmp_path):

@@ -12,44 +12,37 @@ from fwdist.naming import (
     MalformedName,
     align_epoch,
     encoded_size,
-    parse_name,
-    parse_text,
 )
 from fwdist.vendor import Manifest
 
 PAPER_EXAMPLE = ["OilRig-3", "IoTCompany-5", "Valve-7", "1632261600", "manifest"]
 
 
-def test_parse_paper_example():
-    name = parse_name(PAPER_EXAMPLE)
-    assert name.base == BaseName("OilRig-3", "IoTCompany-5", "Valve-7", 1632261600)
-    assert name.kind == "manifest"
-    assert name.chunk_id is None
+def test_paper_example_components():
+    name = BaseName("OilRig-3", "IoTCompany-5", "Valve-7", 1632261600).manifest()
+    assert name.components() == tuple(PAPER_EXAMPLE)
+    assert str(name) == "/" + "/".join(PAPER_EXAMPLE)
 
 
-def test_parse_minimal_chunk_name():
-    name = parse_name(["D", "V", "C", "0", "chunk", "0"])
-    assert name.base.epoch == 0
-    assert name.kind == "chunk"
-    assert name.chunk_id == 0
+def test_minimal_chunk_name_components():
+    assert BaseName("D", "V", "C", 0).chunk(0).components() == ("D", "V", "C", "0", "chunk", "0")
 
 
-@pytest.mark.parametrize(
-    "components",
-    [
-        ["D", "V", "C", "10", "chunk", "-1"],   # negative chunk id
-        ["D", "V", "C"],                        # wrong arity
-        ["D", "V", "C", "x", "manifest"],       # non-numeric epoch
-        ["D", "V", "C", "1", "blob"],           # unknown suffix
-        ["D", "V", "C", "1", "chunk"],          # chunk without id
-        ["D", "V", "C", "1", "manifest", "0"],  # manifest with trailing component
-        ["", "V", "C", "1", "manifest"],        # empty identifier
-        ["D/e", "V", "C", "1", "manifest"],     # separator in identifier
-    ],
-)
-def test_parse_rejects_malformed(components):
+MALFORMED = {
+    "negative-chunk-id": lambda: BaseName("D", "V", "C", 10).chunk(-1),
+    "non-integer-epoch": lambda: BaseName("D", "V", "C", "1"),
+    "unknown-suffix": lambda: FirmwareName(BaseName("D", "V", "C", 1), "blob"),
+    "chunk-without-id": lambda: FirmwareName(BaseName("D", "V", "C", 1), "chunk"),
+    "manifest-with-id": lambda: FirmwareName(BaseName("D", "V", "C", 1), "manifest", 0),
+    "empty-identifier": lambda: BaseName("", "V", "C", 1),
+    "separator-in-identifier": lambda: BaseName("D/e", "V", "C", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_constructors_reject_malformed(case):
     with pytest.raises(MalformedName):
-        parse_name(components)
+        MALFORMED[case]()
 
 
 def test_format_suffixes():
@@ -76,12 +69,16 @@ identifiers = st.text(
 def test_round_trip(deployment, vendor, device_class, epoch, suffix):
     base = BaseName(deployment, vendor, device_class, epoch)
     name = base.manifest() if suffix is None else base.chunk(suffix)
-    assert parse_name(name.components()) == name
+    tail = ("manifest",) if suffix is None else ("chunk", str(suffix))
+    assert name.components() == (deployment, vendor, device_class, str(epoch)) + tail
+    # no component holds the separator, so the text splits back into the components
+    assert str(name).split("/") == ["", *name.components()]
 
 
 def test_text_round_trip():
     name = BaseName("oilrig", "acme", "valve", 1632261600).chunk(7)
-    assert parse_text(str(name)) == name
+    assert str(name) == "/oilrig/acme/valve/1632261600/chunk/7"
+    assert tuple(str(name).split("/")[1:]) == name.components()
 
 
 # -- equality and hashing ------------------------------------------------------
@@ -99,18 +96,12 @@ def _build(fields, route):
     deployment, vendor, device_class, epoch, (kind, chunk_id) = fields
     if route == "direct":
         return FirmwareName(BaseName(deployment, vendor, device_class, epoch), kind, chunk_id)
-    comps = [deployment, vendor, device_class, str(epoch), kind]
-    comps += [] if chunk_id is None else [str(chunk_id)]
-    if route == "parse_name":
-        return parse_name(comps)
-    if route == "parse_text":
-        return parse_text("/" + "/".join(comps))
     manifest = Manifest(BaseName(deployment, vendor, device_class, epoch), 64, bytes(32), 32, 2,
                         bytes(64))
     return FirmwareName(Manifest.from_bytes(manifest.to_bytes()).base, kind, chunk_id)
 
 
-ROUTES = st.sampled_from(["direct", "parse_name", "parse_text", "manifest"])
+ROUTES = st.sampled_from(["direct", "manifest"])
 
 
 @given(a=name_fields, b=name_fields, route_a=ROUTES, route_b=ROUTES)
@@ -119,6 +110,9 @@ def test_names_equal_exactly_when_fields_equal(a, b, route_a, route_b):
         x, y = _build(a, route_a), _build(fb, route_b)
         assert (x == y) == (a == fb) and (x != y) == (a != fb)
         assert (x.base == y.base) == (a[:4] == fb[:4])
+        # components and text tell names apart exactly as equality does
+        assert (x.components() == y.components()) == (a == fb)
+        assert (str(x) == str(y)) == (a == fb)
         if x == y:
             assert hash(x) == hash(y) and hash(x.base) == hash(y.base)
             assert {x: 1}[y] == 1 and {x.base: 1}[y.base] == 1
@@ -251,7 +245,7 @@ def test_experiment_names_are_45_bytes():
 
 def test_empty_overhead_model_sums_raw_lengths():
     model = EncodingModel(component_overhead=0, name_overhead=0)
-    name = parse_name(["a", "b", "c", "0", "manifest"])
+    name = BaseName("a", "b", "c", 0).manifest()
     # 1 + 1 + 1 + 1 + 8
     assert encoded_size(name, model) == 12
 
@@ -267,3 +261,26 @@ def test_chunk_names_share_base_prefix():
     names = [EXPERIMENT_BASE.chunk(i) for i in range(5)]
     prefixes = {n.components()[:4] for n in names}
     assert prefixes == {EXPERIMENT_BASE.components()}
+
+
+overheads = st.integers(min_value=0, max_value=64)
+# one-, two-, three- and four-byte UTF-8 characters
+sized_identifiers = st.one_of(identifiers, st.text(alphabet="a\u00e9\u20ac\U0001F600", min_size=1, max_size=6))
+
+
+@given(
+    deployment=sized_identifiers,
+    vendor=sized_identifiers,
+    device_class=sized_identifiers,
+    epoch=st.one_of(st.sampled_from([0, 9, 10, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    suffix=st.one_of(st.sampled_from(["manifest", "firmware"]),
+                     st.sampled_from([0, 9, 10, 99, 100, 2**32 - 2]),
+                     st.integers(0, 2**32 - 2)),
+    model=st.one_of(st.just(EncodingModel()), st.builds(EncodingModel, overheads, overheads)),
+)
+def test_encoded_size_counts_every_component(deployment, vendor, device_class, epoch, suffix, model):
+    base = BaseName(deployment, vendor, device_class, epoch)
+    name = FirmwareName(base, suffix) if isinstance(suffix, str) else base.chunk(suffix)
+    expected = model.name_overhead + sum(len(c.encode("utf-8")) + model.component_overhead
+                                         for c in name.components())
+    assert encoded_size(name, model) == expected

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwdist.agent import UpdateAgent
-from fwdist.naming import BaseName, EncodingModel, Granularity
+from fwdist.naming import BaseName, EncodingModel, FirmwareName, Granularity
 from fwdist.packets import Data, HmacTag, Interest, packet_size
 from fwdist.scenario import (
     AgentParams,
@@ -191,6 +192,19 @@ def test_run_records_take_at_most_24_bytes_each():
     assert held <= 24 * count
 
 
+def test_no_name_or_data_outlives_its_run():
+    # a module-level cache of full names, or a per-run table of Data that a
+    # cache keeps alive, would hold these after the result is dropped
+    deployment = "names-outlive-no-run"
+    result = run_simulation(chain_scenario(deployment=deployment, multiparty=True))
+    assert len(result.completed_nodes()) == 3  # three device classes of 20 chunks each
+    del result
+    gc.collect()
+    names = (o.name if isinstance(o, Data) else o for o in gc.get_objects()
+             if isinstance(o, (Data, FirmwareName)))
+    assert not any(name.base.deployment == deployment for name in names)
+
+
 # -- attacker ---------------------------------------------------------------------------
 
 def test_tamper_rate_one_aborts_victim_only():
@@ -263,7 +277,7 @@ def test_sever_after_n1_install_cascading_still_completes():
                         outage={'edge': ['gw', 'n1'], 'after_install': 'n1'})
     result = run_simulation(sc)
     assert all(s['install_time_us'] is not None for s in result.node_stats.values())
-    inst = [result.install_time(n) for n in ('n1', 'n2', 'n3')]
+    inst = [result.node_stats[n]["install_time_us"] for n in ('n1', 'n2', 'n3')]
     assert inst == sorted(inst)
 
 
