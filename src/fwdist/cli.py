@@ -207,11 +207,7 @@ def _emit_lines(lines, out: str | None) -> None:
 
 
 def fwsim_main(argv=None) -> int:
-    parser = _fwsim_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep" and (args.seeds is None) != (args.axis == "seed"):
-        parser.error("sweep: --axis seed takes no --seeds, its values are the seeds" if args.axis == "seed"
-                     else "sweep: --seeds is required unless --axis is seed")
+    args = _fwsim_parser().parse_args(argv)
     try:
         if args.command == "run":
             result, summary = run_scenario(args.scenario, seed=args.seed, out_dir=args.out)

@@ -3,19 +3,22 @@ one upstream face.
 
 The PIT is a dict from name to entry, at most ``node.pit_capacity`` long. Every
 name goes up the one upstream face: face 0 on a device, ``None`` on the
-gateway, which drops an Interest that nothing answers as "no-route". On this
+gateway. An Interest that neither the gateway's content store nor the
+repository answers gets a ``no-data`` Nack when ``nacks`` is set (the
+scenario's ``nacks_enabled``), and is otherwise dropped as "no-route". On this
 tree an Interest never comes back to a node, so there is no nonce loop check.
 
 The forwarder mutates its own tables and returns explicit action lists; the
-surrounding node decides how to execute them (transmit frames, hand packets to
-the local update agent). Hooks decouple it from the agent and the repository:
+surrounding node decides how to execute them. Every packet the node sends is
+one ``Forward(face, packet)``; the other actions hand packets to the local
+update agent or only report an outcome. Hooks decouple it from the agent and
+the repository:
 
 * ``local_lookup(name)``   -- serve from flash / chunk buffer / repository
 * ``deny(interest)``       -- cascading-mode chunk denial
 * ``implicit(interest)``   -- register the local agent on a forwarded manifest
 * ``divert(data)``         -- should unsolicited/in-transit chunk Data be
                               diverted into the local chunk buffer
-* ``nack_lookup(interest)`` -- a NACK for a name the repository does not hold
 
 All timestamps are integer microseconds of simulated time.
 """
@@ -43,18 +46,6 @@ RETX_BUDGET = 3
 
 
 @dataclass(slots=True)
-class ServeData:
-    face: int
-    data: Data
-
-
-@dataclass(slots=True)
-class ServeNack:
-    face: int
-    nack: Nack
-
-
-@dataclass(slots=True)
 class Aggregate:
     name: FirmwareName
 
@@ -62,7 +53,7 @@ class Aggregate:
 @dataclass(slots=True)
 class Forward:
     face: int
-    interest: Interest
+    packet: Interest | Data | Nack
 
 
 @dataclass(slots=True)
@@ -77,12 +68,6 @@ class DenyCascading:
 
 @dataclass(slots=True)
 class DeliverLocal:
-    packet: Data | Nack
-
-
-@dataclass(slots=True)
-class ForwardDownstream:
-    faces: tuple[int, ...]
     packet: Data | Nack
 
 
@@ -103,8 +88,7 @@ class Timeout:
 
 
 Action = (
-    ServeData | ServeNack | Aggregate | Forward | Drop | DenyCascading
-    | DeliverLocal | ForwardDownstream | DivertToBuffer
+    Aggregate | Forward | Drop | DenyCascading | DeliverLocal | DivertToBuffer
     | Retransmit | Timeout
 )
 
@@ -183,7 +167,7 @@ class Forwarder:
         deny: Callable[[Interest], bool] | None = None,
         implicit: Callable[[Interest], bool] | None = None,
         divert: Callable[[Data], bool] | None = None,
-        nack_lookup: Callable[[Interest], Nack | None] | None = None,
+        nacks: bool = False,
     ):
         self.upstream = upstream
         self.pit: dict[FirmwareName, PitEntry] = {}
@@ -194,7 +178,7 @@ class Forwarder:
         self._deny = deny or (lambda interest: False)
         self._implicit = implicit or (lambda interest: False)
         self._divert = divert or (lambda data: False)
-        self._nack_lookup = nack_lookup or (lambda interest: None)
+        self.nacks = nacks
 
     # -- interests ----------------------------------------------------------
 
@@ -206,13 +190,10 @@ class Forwarder:
             return [DenyCascading(interest.name)]
         cached = self.cs.lookup(interest.name)
         if cached is not None:
-            return [ServeData(face, cached)]
+            return [Forward(face, cached)]
         local = self._local_lookup(interest.name)
         if local is not None:
-            return [ServeData(face, local)]
-        nack = self._nack_lookup(interest)
-        if nack is not None:
-            return [ServeNack(face, nack)]
+            return [Forward(face, local)]
         entry = self.pit.get(interest.name)
         if entry is not None:
             entry.add_downstream(face)
@@ -220,6 +201,8 @@ class Forwarder:
                 entry.local_consumer = True
             return [Aggregate(interest.name)]
         if self.upstream is None:
+            if self.nacks:
+                return [Forward(face, Nack(interest.name, "no-data"))]
             return [Drop("no-route")]
         if len(self.pit) >= self.pit_capacity:
             return [Drop("pit-full")]
@@ -262,8 +245,7 @@ class Forwarder:
         actions: list[Action] = []
         if entry.local_consumer:
             actions.append(DeliverLocal(data))
-        if entry.downstream_faces:
-            actions.append(ForwardDownstream(tuple(entry.downstream_faces), data))
+        actions.extend(Forward(f, data) for f in entry.downstream_faces)
         diverting = not entry.local_consumer and self._divert(data)
         if diverting:
             actions.append(DivertToBuffer(data))
@@ -280,8 +262,7 @@ class Forwarder:
         actions: list[Action] = []
         if entry.local_consumer:
             actions.append(DeliverLocal(nack))
-        if entry.downstream_faces:
-            actions.append(ForwardDownstream(tuple(entry.downstream_faces), nack))
+        actions.extend(Forward(f, nack) for f in entry.downstream_faces)
         return actions
 
     # -- timers -------------------------------------------------------------

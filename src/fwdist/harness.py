@@ -230,16 +230,11 @@ def progress_table(rows):
 def rate_table(rows) -> list[tuple[str, int, int]]:
     """Per-node chunks retrieved per second: (node, second, count)."""
     buckets: dict[tuple[str, int], int] = {}
-    order: list[tuple[str, int]] = []
     for t, node, event, chunk_id, _ in rows:
-        if event != "DataRecv" or chunk_id is None:
-            continue
-        key = (node, t // 1_000_000)
-        if key not in buckets:
-            buckets[key] = 0
-            order.append(key)
-        buckets[key] += 1
-    return [(node, second, buckets[(node, second)]) for node, second in sorted(order)]
+        if event == "DataRecv" and chunk_id is not None:
+            key = (node, t // 1_000_000)
+            buckets[key] = buckets.get(key, 0) + 1
+    return [(node, second, count) for (node, second), count in sorted(buckets.items())]
 
 
 def retx_blocks(rows, block_size: int = 100) -> list[tuple[str, str, int, int]]:

@@ -14,9 +14,10 @@ import heapq
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
-from operator import rshift
+from operator import or_, rshift
 
 from .agent import InstalledFirmware, UpdateAgent
 from .forwarder import (
@@ -25,11 +26,8 @@ from .forwarder import (
     DivertToBuffer,
     Drop,
     Forward,
-    ForwardDownstream,
     Forwarder,
     Retransmit,
-    ServeData,
-    ServeNack,
     Timeout,
 )
 from .naming import CHUNK, FIRMWARE, MANIFEST, BaseName, FirmwareName
@@ -126,9 +124,8 @@ class Edge:
     child: str
     face_at_parent: int
     face_at_child: int
-    conflicts: list[int] = field(default_factory=list)
-    # bit i is set when airtime on edge i collides with this one: the edge
-    # itself and its conflicts
+    # bit i is set when airtime on edge i collides with this one, the edge
+    # itself included; see _compute_conflicts
     domain: int = 0
     severed_at: int | None = None
     attacked: bool = False
@@ -168,8 +165,7 @@ class SimNode:
         self.radio_free_at = 0
         self.wake_at: int | None = None
         if agent is None:
-            hooks = dict(local_lookup=sim.repo_lookup,
-                         nack_lookup=sim.repo_nack if sim.scenario.nacks_enabled else None)
+            hooks = dict(local_lookup=sim.repo_lookup, nacks=sim.scenario.nacks_enabled)
         else:
             hooks = dict(upstream=0, local_lookup=agent.serve_lookup, deny=agent.deny,
                          implicit=agent.wants_implicit, divert=agent.divert_wanted)
@@ -194,14 +190,8 @@ class SimNode:
     def _execute(self, actions, now: int) -> None:
         delay = self.sim.scenario.node.proc_delay_us
         for action in actions:
-            if isinstance(action, (ServeData, ServeNack)):
-                packet = action.data if isinstance(action, ServeData) else action.nack
-                self.sim.send_packet(self, action.face, packet, now + delay)
-            elif isinstance(action, Forward):
-                self.sim.send_packet(self, action.face, action.interest, now + delay)
-            elif isinstance(action, ForwardDownstream):
-                for face in action.faces:
-                    self.sim.send_packet(self, face, action.packet, now + delay)
+            if isinstance(action, Forward):
+                self.sim.send_packet(self, action.face, action.packet, now + delay)
             elif isinstance(action, DeliverLocal):
                 self._deliver_local(action.packet, now)
             elif isinstance(action, DivertToBuffer):
@@ -245,7 +235,7 @@ class SimNode:
         for action in actions:
             if isinstance(action, Forward):
                 self.sim.log(now, self.id, event, chunk_id_of(interest), interest.name.kind)
-                self.sim.send_packet(self, action.face, action.interest, now)
+                self.sim.send_packet(self, action.face, action.packet, now)
             elif isinstance(action, Aggregate):
                 self.sim.log(now, self.id, event, chunk_id_of(interest),
                              _AGGREGATED[interest.name.kind])
@@ -325,24 +315,21 @@ class Simulation:
         self._compute_conflicts()
 
     def _compute_conflicts(self) -> None:
+        """Two edges collide when one node's group holds both: the edges at that
+        node and at its neighbours. So an edge's domain is the union of the
+        groups of its two ends and of their neighbours."""
         topo = self.scenario.topology
-        incident: dict[str, list[int]] = {n: [] for n in topo.nodes}
+        incident = dict.fromkeys(topo.nodes, 0)
         for edge in self.edges:
-            incident[edge.parent].append(edge.index)
-            incident[edge.child].append(edge.index)
-        conflict_sets: dict[int, set[int]] = {e.index: set() for e in self.edges}
-        for node in topo.nodes:
-            group: list[int] = list(incident[node])
-            for neighbor in topo.neighbors(node):
-                group.extend(incident[neighbor])
-            members = sorted(set(group))
-            for a in members:
-                for b in members:
-                    if a != b:
-                        conflict_sets[a].add(b)
+            incident[edge.parent] |= 1 << edge.index
+            incident[edge.child] |= 1 << edge.index
+
+        def union(masks: dict[str, int], node: str) -> int:
+            return reduce(or_, [masks[n] for n in topo.neighbors(node)], masks[node])
+
+        group = {node: union(incident, node) for node in topo.nodes}
         for edge in self.edges:
-            edge.conflicts = sorted(conflict_sets[edge.index])
-            edge.domain = sum(1 << i for i in conflict_sets[edge.index] | {edge.index})
+            edge.domain = union(group, edge.parent) | union(group, edge.child)
 
     def _publish_firmware(self) -> dict[str, UpdateAgent]:
         """Publish every device class's image; return each device's agent."""
@@ -427,11 +414,6 @@ class Simulation:
             if chunk is not None:
                 return Data(name, chunk.payload, HmacTag(chunk.tag))
         return None
-
-    def repo_nack(self, interest: Interest) -> Nack | None:
-        if self.repo_lookup(interest.name) is not None:
-            return None
-        return Nack(interest.name, "no-data")
 
     # -- clock / logging ------------------------------------------------------------
 

@@ -284,10 +284,10 @@ class Publication:
 
 
 class Repository:
-    """Versioned firmware store keyed by (deployment, vendor, class) and epoch."""
+    """Versioned firmware store keyed by base name: (deployment, vendor, class, epoch)."""
 
     def __init__(self):
-        self._store: dict[tuple[str, str, str], dict[int, Publication]] = {}
+        self._store: dict[BaseName, Publication] = {}
 
     def publish(self, manifest: Manifest, chunks: list[Chunk], psk: bytes) -> None:
         if len(chunks) != manifest.chunk_count:
@@ -315,17 +315,16 @@ class Repository:
         for chunk, tag in zip(chunks, expected):
             if chunk.tag != tag:
                 raise InconsistentPublication(f"chunk {chunk.index} tag does not verify")
-        versions = self._store.setdefault(manifest.base.class_key(), {})
-        if manifest.base.epoch in versions:
+        if manifest.base in self._store:
             raise DuplicateEpoch(f"epoch {manifest.base.epoch} already published")
-        versions[manifest.base.epoch] = Publication(manifest, list(chunks))
+        self._store[manifest.base] = Publication(manifest, list(chunks))
 
     def lookup_manifest(self, base: BaseName) -> Manifest | None:
-        pub = self._store.get(base.class_key(), {}).get(base.epoch)
+        pub = self._store.get(base)
         return pub.manifest if pub else None
 
     def lookup_chunk(self, base: BaseName, index: int) -> Chunk | None:
-        pub = self._store.get(base.class_key(), {}).get(base.epoch)
+        pub = self._store.get(base)
         if pub is None or not 0 <= index < len(pub.chunks):
             return None
         return pub.chunks[index]

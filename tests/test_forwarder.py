@@ -11,10 +11,8 @@ from fwdist.forwarder import (
     DivertToBuffer,
     Drop,
     Forward,
-    ForwardDownstream,
     Forwarder,
     Retransmit,
-    ServeData,
     Timeout,
 )
 from fwdist.naming import BaseName
@@ -54,6 +52,22 @@ def test_no_route_drops():
     assert fwd.pit.get(BASE.chunk(0)) is None
 
 
+def test_no_route_nacks_when_nacks_are_on():
+    fwd = make_forwarder(nacks=True)
+    name = BASE.manifest()
+    assert fwd.on_interest(3, Interest(name, nonce=1), now=0) == [Forward(3, Nack(name, "no-data"))]
+    assert fwd.pit == {}
+    # a name the local lookup holds is served, not NACKed
+    d = chunk_data(0)
+    fwd = make_forwarder(nacks=True, local_lookup=lambda n: d if n == d.name else None)
+    assert fwd.on_interest(3, Interest(d.name, nonce=2), now=0) == [Forward(3, d)]
+    # with a route, the Interest goes upstream and is not NACKed
+    fwd = make_forwarder(upstream=9, nacks=True)
+    interest = Interest(name, nonce=3)
+    assert fwd.on_interest(3, interest, now=0) == [Forward(9, interest)]
+    assert fwd.pit[name].downstream_faces == [3]
+
+
 def test_pit_aggregation_single_upstream():
     fwd = make_forwarder(upstream=9)
     first = fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
@@ -69,14 +83,14 @@ def test_cs_hit_serves_cached_data():
     d = chunk_data(0)
     fwd.cs.insert(d)
     actions = fwd.on_interest(1, Interest(d.name, nonce=1), now=5)
-    assert actions == [ServeData(1, d)]
+    assert actions == [Forward(1, d)]
 
 
 def test_local_lookup_serves():
     d = chunk_data(3)
     fwd = make_forwarder(local_lookup=lambda name: d if name == d.name else None)
     actions = fwd.on_interest(4, Interest(d.name, nonce=1), now=0)
-    assert actions == [ServeData(4, d)]
+    assert actions == [Forward(4, d)]
 
 
 def test_deny_cascading_wins_over_cache_and_aggregation():
@@ -112,7 +126,7 @@ def test_data_fans_out_and_caches():
     fwd.on_interest(2, Interest(BASE.chunk(0), nonce=2), now=1)
     d = chunk_data(0)
     actions = fwd.on_data(9, d, now=10)
-    assert ForwardDownstream((1, 2), d) in actions
+    assert actions == [Forward(1, d), Forward(2, d)]
     assert fwd.pit.get(d.name) is None
     assert fwd.cs.lookup(d.name) == d
 
@@ -141,8 +155,7 @@ def test_forwarded_own_image_chunk_diverts_instead_of_caching():
     fwd = make_forwarder(upstream=9, divert=lambda data: True)
     fwd.on_interest(1, Interest(d.name, nonce=1), now=0)
     actions = fwd.on_data(9, d, now=10)
-    assert ForwardDownstream((1,), d) in actions
-    assert DivertToBuffer(d) in actions
+    assert actions == [Forward(1, d), DivertToBuffer(d)]
     assert fwd.cs.lookup(d.name) is None
 
 

@@ -36,6 +36,13 @@ MATRIX = {
         "strategy": "concurrent", "image_size": 3200, "chunk_size": 32,
         "seed": 1, "duration_s": 3600, "multiparty": True,
     },
+    # pollers ask for the next period's epoch, which is not published: the
+    # gateway answers each with a no-data NACK
+    "paper-nack": {
+        "topology": "paper", "strategy": "concurrent", "image_size": 320, "chunk_size": 32,
+        "seed": 1, "duration_s": 200, "poll_period_s": 30, "epoch": 1632261660,
+        "granularity": {"period_s": 300, "offset_s": 0}, "nacks_enabled": True,
+    },
 }
 
 # case -> (sha256 of metrics.csv, sha256 of summary.json)
@@ -50,6 +57,8 @@ GOLDEN = {
                         "ccf313d4cc45b464dd2e902af46202b10181670674a4722bbf4be7ece2edf1dd"),
     "paper-concurrent": ("4158a9890b5eb72b7837e415b70cdb365cf837c24bc3f5259f14f570cc06e83c",
                          "5ea2710f78aba00b44f0b452109c4fc70ddd44cc11f4d9ccc9d7f1039d41c226"),
+    "paper-nack": ("75e950345b0e2d87652b04b89275fa9ccd64301fa5e658ac60c9863a963a34d5",
+                   "96e41363a89d43a164e434bf337b3ad203a89ee2a7f66335ca7842ffd45a9f15"),
 }
 
 

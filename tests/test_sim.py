@@ -306,7 +306,55 @@ def test_unpublished_epoch_times_out_when_nacks_disabled():
     assert all(s['install_time_us'] is None for s in result.node_stats.values())
 
 
+# the repository holds every name these ask for, so no NACK is ever due
+PUBLISHED_SHAPES = {
+    "chain-tamper": {'attacker': {'edge': ['n2', 'n3'], 'mode': 'tamper_payload', 'rate': 0.3}},
+    "multiparty": {'multiparty': True, 'loss': {'per_transmission': 0.3, 'collision': 0.1}},
+    "outage": {'outage': {'edge': ['gw', 'n1'], 'after_install': 'n1'}},
+}
+
+
+@settings(max_examples=8, deadline=None)
+@given(shape=st.sampled_from(sorted(PUBLISHED_SHAPES)), strategy=st.sampled_from(['concurrent', 'cascading']),
+       seed=st.integers(0, 2**32 - 1))
+def test_nacks_change_nothing_when_every_requested_name_exists(shape, strategy, seed):
+    runs = [list(run_simulation(chain_scenario(seed=seed, strategy=strategy, nacks_enabled=nacks,
+                                               **PUBLISHED_SHAPES[shape])).csv_lines())
+            for nacks in (False, True)]
+    assert sum(",DataRecv," in line for line in runs[0]) >= 20
+    assert runs[1] == runs[0]
+
+
 # -- medium properties ----------------------------------------------------------------------
+
+def interference_groups(sim) -> dict[str, set[int]]:
+    """Per node, the edges at it and at its neighbours: airtime on any two edges
+    of one group collides."""
+    topo = sim.scenario.topology
+    at = {n: {e.index for e in sim.edges if n in (e.parent, e.child)} for n in topo.nodes}
+    return {n: at[n].union(*(at[nb] for nb in topo.neighbors(n))) for n in topo.nodes}
+
+
+def colliding_edges(sim) -> dict[int, set[int]]:
+    """Per edge, every edge that shares an interference group with it, itself included."""
+    groups = interference_groups(sim).values()
+    return {e.index: set().union(*(g for g in groups if e.index in g)) for e in sim.edges}
+
+
+def domain_bits(edge) -> set[int]:
+    return {i for i in range(edge.domain.bit_length()) if edge.domain >> i & 1}
+
+
+@pytest.mark.parametrize("topology", ["paper", "chain-6"])
+def test_collision_domain_is_every_edge_sharing_a_group(topology):
+    nodes = [{'id': 'gw', 'parent': None}] + [
+        {'id': f'n{i}', 'parent': 'gw' if i == 1 else f'n{i - 1}'} for i in range(1, 6)]
+    sim = Simulation(chain_scenario(topology="paper" if topology == "paper" else {'nodes': nodes}))
+    reference = colliding_edges(sim)
+    assert len(reference) == (30 if topology == "paper" else 5)
+    for edge in sim.edges:
+        assert domain_bits(edge) == reference[edge.index]
+
 
 @pytest.mark.parametrize("p, retries, c", [(0.3, 1, None), (0.5, 3, None), (0.7, 2, None),
                                            (0.2, 2, 0.5), (0.1, 3, 0.6)],
@@ -324,7 +372,7 @@ def test_arq_follows_the_loss_model(p, retries, c):
     gw, edge = sim.nodes['gw'], sim.edges[0]
     q = p
     if c is not None:
-        assert edge.conflicts == [1]  # n1-n2 shares n1 with gw-n1
+        assert domain_bits(edge) == {0, 1}  # n1-n2 shares n1 with gw-n1
         sim._airtime = [(0, 2**62, 1)]  # (start, end, edge index): n1-n2 on air throughout
         q = 1 - (1 - p) * (1 - c)
     deliveries = []
@@ -353,13 +401,7 @@ def test_airtime_union_within_wall_clock():
     sim._record_interval = spy
     result = sim.run()
     end_time = max(t for t, *_ in result.records)
-    topo = sc.topology
-    for node in topo.nodes:
-        group = set()
-        incident = {e.index for e in sim.edges if node in (e.parent, e.child)}
-        group |= incident
-        for nb in topo.neighbors(node):
-            group |= {e.index for e in sim.edges if nb in (e.parent, e.child)}
+    for group in interference_groups(sim).values():
         intervals = sorted(i for idx in group for i in busy[idx])
         union = 0
         cur_s, cur_e = None, None
@@ -381,7 +423,7 @@ def test_record_interval_keeps_exactly_the_live_intervals():
         {'id': f'n{i}', 'parent': 'gw' if i == 1 else f'n{i - 1}'} for i in range(1, 6)]
     sim = Simulation(chain_scenario(topology={'nodes': nodes}))
     edge, neighbor, far = sim.edges[0], sim.edges[1], sim.edges[4]
-    assert neighbor.index in edge.conflicts and far.index not in edge.conflicts
+    assert neighbor.index in domain_bits(edge) and far.index not in domain_bits(edge)
     sim._record_interval(edge, 0, 100)
     sim._record_interval(neighbor, 40, 101)
     sim.now = 100
@@ -407,6 +449,7 @@ def test_medium_overlap_matches_brute_force(seed, strategy):
     sim = Simulation(scenario_from_dict({'strategy': strategy, 'image_size': 960,
                                          'chunk_size': 32, 'seed': seed, 'duration_s': 600}))
     history: dict[int, list[tuple[int, int]]] = {e.index: [] for e in sim.edges}
+    colliding = colliding_edges(sim)
     record, overlap = sim._record_interval, sim._medium_overlap
     answers = []
 
@@ -416,7 +459,7 @@ def test_medium_overlap_matches_brute_force(seed, strategy):
 
     def spy_overlap(edge, start, end):
         got = overlap(edge, start, end)
-        every = [iv for idx in [*edge.conflicts, edge.index] for iv in history[idx]]
+        every = [iv for idx in colliding[edge.index] for iv in history[idx]]
         assert got == any(s < end and start < e for s, e in every)
         answers.append(got)
         return got
