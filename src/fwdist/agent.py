@@ -96,19 +96,21 @@ class UpdateAgent:
         self.buffer: bytearray | None = None
         # per chunk: its verified HMAC tag once stored, else None
         self.received: list[bytes | None] | None = None
-        self.received_count = 0
-        self.fail_counts: dict[int, int] = {}
+        # Stop-and-wait: the only chunk ever requested is the smallest one not
+        # yet stored, so a request, its retry mark and its tag failures are
+        # all about the cursor, and moving the cursor clears them.
+        self.cursor = 0
+        self.retrying = False
+        self.tag_failures = 0
         self.irrecoverable: set[int] = set()
         self.digest_attempts = 0
-        self._scan_cursor = 0
 
-        self.outstanding: int | None = None
         self.awaited_manifest: FirmwareName | None = None
         self.manifest_retries_left = 0
-        self.manifest_retry_at: int | None = None
-        self.pending_retry_idx: int | None = None
-        self.ready_at = 0
-        self.phase_deadline: int | None = None
+        # The one timer of the current phase: the manifest retry, the next
+        # chunk request (None while one is in flight), or the end of
+        # verification or installation. Polling runs across phases.
+        self.due_at: int | None = None
         self.poll_at: int | None = 0
 
         self.first_chunk_recv_us: int | None = None
@@ -139,12 +141,10 @@ class UpdateAgent:
         self.active_manifest = None
         self.buffer = None
         self.received = None
-        self.received_count = 0
-        self.fail_counts = {}
-        self._scan_cursor = 0
-        self.outstanding = None
-        self.pending_retry_idx = None
-        self.phase_deadline = None
+        self.cursor = 0
+        self.retrying = False
+        self.tag_failures = 0
+        self.due_at = None
 
     # -- version discovery ----------------------------------------------------
 
@@ -183,7 +183,7 @@ class UpdateAgent:
     def _await_manifest(self, name: FirmwareName, detail: str) -> None:
         self.awaited_manifest = name
         self.manifest_retries_left = self.manifest_retries
-        self.manifest_retry_at = None
+        self.due_at = None
         self._set_phase(AWAIT_MANIFEST, detail)
 
     def on_manifest(self, data: Data, now: int) -> None:
@@ -205,14 +205,11 @@ class UpdateAgent:
 
     def _start_fetch(self, manifest: Manifest, now: int, detail: str) -> None:
         """Fetch every chunk of ``manifest`` into an empty buffer."""
+        self._clear_transfer()
         self.active_manifest = manifest
         self.buffer = bytearray(manifest.image_size)
         self.received = [None] * manifest.chunk_count
-        self.received_count = 0
-        self.fail_counts = {}
-        self._scan_cursor = 0
-        self.phase_deadline = None
-        self.ready_at = now + self.turnaround_us
+        self.due_at = now + self.turnaround_us
         self._set_phase(FETCHING, detail)
 
     def _validate_manifest(self, data: Data) -> Manifest | None:
@@ -232,34 +229,24 @@ class UpdateAgent:
 
     # -- chunk retrieval -------------------------------------------------------
 
-    def _smallest_missing(self) -> int | None:
-        received = self.received
-        cursor = self._scan_cursor
+    def _advance(self) -> None:
+        """Move the cursor past stored chunks, dropping its request state."""
+        received, cursor = self.received, self.cursor
         while cursor < len(received) and received[cursor]:
             cursor += 1
-        self._scan_cursor = cursor
-        return cursor if cursor < len(received) else None
+        self.cursor = cursor
+        self.retrying = False
+        self.tag_failures = 0
 
     def take_request(self, now: int):
         """Next Interest to emit, or None. Returns (interest, is_app_retx)."""
+        if self.phase not in (AWAIT_MANIFEST, FETCHING) or self.due_at is None or now < self.due_at:
+            return None
+        self.due_at = None
         if self.phase == AWAIT_MANIFEST:
-            if (
-                self.manifest_retry_at is not None
-                and now >= self.manifest_retry_at
-                and self.awaited_manifest is not None
-            ):
-                self.manifest_retry_at = None
-                return Interest(self.awaited_manifest, self._nonce()), True
-            return None
-        if self.phase != FETCHING or self.outstanding is not None or now < self.ready_at:
-            return None
-        idx = self._smallest_missing()
-        if idx is None:
-            return None
-        self.outstanding = idx
-        is_retry = self.pending_retry_idx == idx
-        self.pending_retry_idx = None
-        return Interest(self.active_manifest.base.chunk(idx), self._nonce()), is_retry
+            return Interest(self.awaited_manifest, self._nonce()), True
+        is_retry, self.retrying = self.retrying, False
+        return Interest(self.active_manifest.base.chunk(self.cursor), self._nonce()), is_retry
 
     def on_chunk(self, data: Data, now: int, diverted: bool = False) -> None:
         """Verify and store a chunk; count failures of the requested index."""
@@ -269,12 +256,7 @@ class UpdateAgent:
         if data.name.base != m.base:
             return
         idx = data.name.chunk_id
-        if not 0 <= idx < m.chunk_count:
-            return
-        if self.received[idx]:
-            if idx == self.outstanding:
-                self.outstanding = None
-                self.ready_at = now + self.turnaround_us
+        if not 0 <= idx < m.chunk_count or self.received[idx]:
             return
         valid = (
             isinstance(data.auth, HmacTag)
@@ -286,31 +268,28 @@ class UpdateAgent:
             offset = idx * m.chunk_size
             self.buffer[offset : offset + len(data.payload)] = data.payload
             self.received[idx] = data.auth.tag
-            self.received_count += 1
-            self.fail_counts.pop(idx, None)
             self._emit("DataRecv", idx, "diverted" if diverted else "")
             if self.first_chunk_recv_us is None:
                 self.first_chunk_recv_us = now
             self.last_chunk_recv_us = now
-            if idx == self.outstanding:
-                self.outstanding = None
-                self.ready_at = now + self.turnaround_us + self.flash_write_us
-            if self.received_count == m.chunk_count:
-                self.outstanding = None
-                self.phase_deadline = now + self.verify_delay_us
+            if idx != self.cursor:
+                return
+            if self.due_at is None:  # the requested chunk arrived
+                self.due_at = now + self.turnaround_us + self.flash_write_us
+            self._advance()
+            if self.cursor == m.chunk_count:
+                self.due_at = now + self.verify_delay_us
                 self._set_phase(VERIFYING, "")
             return
         self._emit("TagFail", idx, "diverted" if diverted else "")
-        if diverted or idx != self.outstanding:
+        if diverted or idx != self.cursor or self.due_at is not None:
             return
-        count = self.fail_counts.get(idx, 0) + 1
-        self.fail_counts[idx] = count
-        if count >= MAX_TAG_FAILURES:
+        self.tag_failures += 1
+        if self.tag_failures >= MAX_TAG_FAILURES:
             self._abort(f"irrecoverable:chunk-{idx};vendor-report", idx)
         else:
             # Repeat the request for the invalid chunk right away.
-            self.outstanding = None
-            self.ready_at = now + self.turnaround_us
+            self.due_at = now + self.turnaround_us
 
     def _expected_tag(self, base: BaseName, idx: int, payload: bytes) -> bytes:
         """The tag of ``payload`` as chunk ``idx`` of ``base``: the published
@@ -329,16 +308,15 @@ class UpdateAgent:
         return 0 <= name.chunk_id < self.active_manifest.chunk_count and not self.received[name.chunk_id]
 
     def on_timeout(self, name: FirmwareName, now: int) -> None:
-        idx = self.outstanding
-        if self.phase == FETCHING and idx is not None and name == self.active_manifest.base.chunk(idx):
-            self.outstanding = None
-            self.pending_retry_idx = idx
-            self.ready_at = now + self._app_retx_delay()
+        if (self.phase == FETCHING and self.due_at is None
+                and name == self.active_manifest.base.chunk(self.cursor)):
+            self.retrying = True
+            self.due_at = now + self._app_retx_delay()
             return
         if self.phase == AWAIT_MANIFEST and name == self.awaited_manifest:
             if self.manifest_retries_left > 0:
                 self.manifest_retries_left -= 1
-                self.manifest_retry_at = now + self._app_retx_delay()
+                self.due_at = now + self._app_retx_delay()
             else:
                 self.awaited_manifest = None
                 self._set_phase(IDLE, "manifest-timeout")
@@ -358,15 +336,15 @@ class UpdateAgent:
     # -- verification and install ----------------------------------------------
 
     def handle_deadlines(self, now: int) -> None:
-        if self.phase == VERIFYING and self.phase_deadline is not None and now >= self.phase_deadline:
+        if self.phase == VERIFYING and now >= self.due_at:
             self._finish_verification(now)
-        if self.phase == INSTALLING and self.phase_deadline is not None and now >= self.phase_deadline:
+        if self.phase == INSTALLING and now >= self.due_at:
             self._install(now)
 
     def _finish_verification(self, now: int) -> None:
         m = self.active_manifest
-        if hashlib.sha256(bytes(self.buffer)).digest() == m.image_digest:
-            self.phase_deadline = now + self.install_delay_us
+        if hashlib.sha256(self.buffer).digest() == m.image_digest:
+            self.due_at = now + self.install_delay_us
             self._set_phase(INSTALLING, "")
             return
         self.digest_attempts += 1
@@ -434,12 +412,4 @@ class UpdateAgent:
     # -- scheduling ---------------------------------------------------------------
 
     def next_action_at(self) -> int | None:
-        # Each phase has at most one pending timer.
-        phase = self.phase
-        if phase == FETCHING:
-            return self.ready_at if self.outstanding is None else None
-        if phase == IDLE or phase == SERVING:
-            return self.poll_at
-        if phase == AWAIT_MANIFEST:
-            return self.manifest_retry_at
-        return self.phase_deadline  # VerifyingImage or Installing
+        return self.poll_at if self.phase in (IDLE, SERVING) else self.due_at

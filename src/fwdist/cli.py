@@ -43,6 +43,7 @@ from .vendor import (
     InvalidSigningKey,
     InvalidTruncation,
     MIN_PSK_BYTES,
+    TRUNCATION_LENGTHS,
     ShortKey,
     build_manifest,
     check_path_component,
@@ -249,7 +250,7 @@ def _fwpub_parser() -> argparse.ArgumentParser:
     parser.add_argument("--key-file", required=True, type=_file_bytes,
                         help="32-byte Ed25519 signing seed")
     parser.add_argument("--repo", required=True, type=_out_dir, help="repository directory")
-    parser.add_argument("--trunc-len", type=int, default=8, choices=(8, 16, 32))
+    parser.add_argument("--trunc-len", type=int, default=8, choices=TRUNCATION_LENGTHS)
     return parser
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .scenario import UNREADABLE, ScenarioInvalid, load_scenario, scenario_from_dict
-from .sim import run_simulation
+from .sim import CSV_HEADER, run_simulation
 
 
 class NoPayloadRoom(ValueError):
@@ -169,8 +169,6 @@ def sweep_csv_lines(table: dict):
 
 # ---------------------------------------------------------------------------
 # plot-data tables
-
-CSV_HEADER = "sim_time_us,node,event,chunk_id,detail"
 
 
 def iter_csv_rows(lines):

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .naming import EncodingModel, Granularity, MalformedName, _check_identifier
 from .topology import Topology, build_paper_topology, from_node_list, TopologyError
+from .vendor import TRUNCATION_LENGTHS
 
 STRATEGIES = ("concurrent", "cascading")
 ATTACK_MODES = ("tamper_payload", "forge_tag", "replay_stale")
@@ -171,7 +172,7 @@ SCHEMA: dict[str, dict] = {
     "granularity.period_s": {"attr": "period", **POSITIVE},
     "granularity.offset_s": {"attr": "offset"},
     "multiparty": {},
-    "trunc_len": {"enum": (8, 16, 32)},
+    "trunc_len": {"enum": TRUNCATION_LENGTHS},
     "poll_period_s": POSITIVE,
     "poll_stagger_s": NON_NEGATIVE,
     "nacks_enabled": {},

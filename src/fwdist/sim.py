@@ -47,6 +47,7 @@ from .vendor import (
 _LOG_KIND = {cls: cls.__name__.lower() for cls in (Interest, Data, Nack)}
 _AGGREGATED = {kind: kind + ";aggregated" for kind in (MANIFEST, FIRMWARE, CHUNK)}
 _CHUNK_MASK = (1 << 32) - 1
+CSV_HEADER = "sim_time_us,node,event,chunk_id,detail"  # the first line of metrics.csv
 
 
 class EventLog:
@@ -632,7 +633,7 @@ class SimResult:
         }
 
     def csv_lines(self):
-        yield "sim_time_us,node,event,chunk_id,detail"
+        yield CSV_HEADER
         yield from self.records.csv_rows()
 
 

@@ -100,9 +100,10 @@ def chunk_image(image: FirmwareImage, chunk_size: int) -> list[bytes]:
     return [data[off : off + chunk_size] for off in range(0, len(data), chunk_size)]
 
 
-def _encode_component(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    return struct.pack(">H", len(raw)) + raw
+def _encode_base(base: BaseName) -> bytes:
+    """``base`` as three length-prefixed UTF-8 components and an 8-byte epoch."""
+    parts = [value.encode("utf-8") for value in base.class_key()]
+    return b"".join(struct.pack(">H", len(raw)) + raw for raw in parts) + struct.pack(">Q", base.epoch)
 
 
 # RFC 2104's key pads, as byte translation tables
@@ -120,12 +121,7 @@ def _keyed_states(base: BaseName, psk: bytes) -> tuple:
     key = hashlib.sha256(psk).digest() if len(psk) > _SHA256_BLOCK else psk
     key = key.ljust(_SHA256_BLOCK, b"\x00")
     inner = hashlib.sha256(key.translate(_IPAD))
-    inner.update(
-        _encode_component(base.deployment)
-        + _encode_component(base.vendor)
-        + _encode_component(base.device_class)
-        + struct.pack(">Q", base.epoch)
-    )
+    inner.update(_encode_base(base))
     return inner, hashlib.sha256(key.translate(_OPAD))
 
 
@@ -180,12 +176,8 @@ class Manifest:
     def body(self) -> bytes:
         """Deterministic field-ordered encoding of everything but the signature."""
         return (
-            _encode_component(self.base.deployment)
-            + _encode_component(self.base.vendor)
-            + _encode_component(self.base.device_class)
-            + struct.pack(
-                ">QQ", self.base.epoch, self.image_size
-            )
+            _encode_base(self.base)
+            + struct.pack(">Q", self.image_size)
             + self.image_digest
             + struct.pack(">II", self.chunk_size, self.chunk_count)
         )

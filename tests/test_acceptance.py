@@ -271,7 +271,7 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_criterion_9_forwarder_reference_properties():
     import itertools
-    from fwdist.forwarder import ContentStore, Forwarder, Forward, Retransmit, Timeout
+    from fwdist.forwarder import ContentStore, Forwarder, Forward
     from fwdist.naming import BaseName
     from fwdist.packets import Data, HmacTag, Interest
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
@@ -205,11 +206,12 @@ def test_timeout_schedules_jittered_app_retx():
     interest, _ = agent.take_request(now=0)
     t = 8_000_000
     agent.on_timeout(interest.name, now=t)
-    assert agent.outstanding is None
-    assert t + 5_000_000 <= agent.ready_at <= t + 15_000_000
+    assert agent.retrying and agent.cursor == interest.name.chunk_id
+    assert t + 5_000_000 <= agent.due_at <= t + 15_000_000
     assert agent.take_request(now=t) is None  # blocked until the retry time
-    retry, is_retry = agent.take_request(now=agent.ready_at)
+    retry, is_retry = agent.take_request(now=agent.due_at)
     assert is_retry and retry.name.chunk_id == interest.name.chunk_id
+    assert not agent.retrying and agent.due_at is None  # in flight again
 
 
 def test_jitter_draws_are_seeded():
@@ -220,7 +222,7 @@ def test_jitter_draws_are_seeded():
         start_fetch(agent, manifest)
         interest, _ = agent.take_request(now=0)
         agent.on_timeout(interest.name, now=0)
-        delays.append(agent.ready_at)
+        delays.append(agent.due_at)
     assert delays[0] == delays[1]
 
 
@@ -232,7 +234,7 @@ def test_valid_chunk_stored_and_next_requested():
     start_fetch(agent, manifest)
     agent.take_request(now=0)
     agent.on_chunk(chunk_packet(manifest, chunks[0]), now=10)
-    assert agent.received[0] and agent.received_count == 1
+    assert agent.received[0] and agent.cursor == 1
     nxt, _ = agent.take_request(now=10)
     assert nxt.name.chunk_id == 1
     assert ("DataRecv", 0, "") in events
@@ -266,15 +268,15 @@ def test_failure_counter_resets_on_success_and_is_per_index():
     agent.on_chunk(bad0, now=1)  # not counted: no longer awaited? re-request first
     agent.take_request(now=1)
     agent.on_chunk(bad0, now=2)
-    assert agent.fail_counts[0] == 2
+    assert (agent.cursor, agent.tag_failures) == (0, 2)
     agent.take_request(now=3)
     agent.on_chunk(chunk_packet(manifest, chunks[0]), now=4)
-    assert 0 not in agent.fail_counts  # reset on success
+    assert (agent.cursor, agent.tag_failures) == (1, 0)  # reset on success
     # failures on another index start from zero
     agent.take_request(now=5)
     bad1 = Data(manifest.base.chunk(1), b"\x00" * 32, HmacTag(bytes(8)))
     agent.on_chunk(bad1, now=6)
-    assert agent.fail_counts[1] == 1
+    assert (agent.cursor, agent.tag_failures) == (1, 1)
     assert agent.phase == FETCHING
 
 
@@ -284,7 +286,7 @@ def test_diverted_tag_failures_not_counted():
     start_fetch(agent, manifest)
     bad = Data(manifest.base.chunk(2), b"\x00" * 32, HmacTag(bytes(8)))
     agent.on_chunk(bad, now=0, diverted=True)
-    assert agent.fail_counts == {}
+    assert agent.tag_failures == 0
     assert not agent.received[2]
 
 
@@ -305,6 +307,44 @@ def test_divert_requires_concurrent_mode():
     _, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
     assert not agent.divert_wanted(chunk_packet(manifest, chunks[1]))
+
+
+STEPS = st.one_of(
+    st.tuples(st.just("request"), st.just(0), st.just(False)),
+    st.tuples(st.sampled_from(["valid", "tampered", "timeout"]), st.integers(0, 5), st.booleans()),
+)
+
+
+@given(st.lists(STEPS, max_size=60))
+def test_the_cursor_is_the_smallest_unstored_chunk_and_the_only_one_requested(steps):
+    agent, events = make_agent()
+    _, manifest, chunks = make_firmware(size=5 * 32 + 7)
+    start_fetch(agent, manifest)
+    stored = set()
+    for step, (kind, idx, diverted) in enumerate(steps, start=1):
+        now = step * 20_000_000  # past any turnaround or app-layer retry delay
+        if kind == "request":
+            request = agent.take_request(now)
+            if request is not None:
+                assert request[0].name == manifest.base.chunk(agent.cursor)
+        elif kind == "timeout":
+            agent.on_timeout(manifest.base.chunk(idx), now)
+        else:
+            packet = chunk_packet(manifest, chunks[idx])
+            if kind == "tampered":
+                packet = Data(packet.name, bytes([packet.payload[0] ^ 1]) + packet.payload[1:], packet.auth)
+            agent.on_chunk(packet, now, diverted=diverted)
+            if kind == "valid":
+                stored.add(idx)
+        if agent.phase == IDLE:  # the third tag failure of a requested chunk
+            assert kind == "tampered" and not diverted and idx == min(set(range(6)) - stored)
+            return
+        assert [bool(tag) for tag in agent.received] == [i in stored for i in range(6)]
+        assert (agent.phase == VERIFYING) == (len(stored) == 6)
+        if agent.phase == VERIFYING:
+            return
+        assert agent.cursor == min(set(range(6)) - stored)
+    assert sum(1 for e, _, d in events if d == "Fetching->VerifyingImage") == 0
 
 
 # -- verification from the publication ------------------------------------------------------------
@@ -358,7 +398,7 @@ def test_verification_from_the_publication_accepts_exactly_what_computing_accept
         for now, (kind, idx, pos, diverted) in enumerate(deliveries, start=1):
             events.append(("request", agent.take_request(now)))
             agent.on_chunk(delivery(kind, idx, pos), now=now, diverted=diverted)
-        runs.append((events, agent.received, agent.fail_counts, agent.phase))
+        runs.append((events, agent.received, agent.cursor, agent.tag_failures, agent.phase))
     assert runs[0] == runs[1]
 
 
@@ -410,30 +450,47 @@ def test_install_retains_backup_and_serves():
     assert ("InstallComplete", None, f"epoch:{EPOCH}") in events
 
 
+def poisoned(manifest):
+    """``manifest`` with a wrong image digest, validly signed: every chunk
+    passes its tag check but the image fails verification."""
+    unsigned = replace(manifest, image_digest=bytes(32))
+    return replace(unsigned, signature=KEY.sign(unsigned.body()))
+
+
 def test_digest_mismatch_triggers_one_refetch_then_abort():
     agent, events = make_agent()
     img, manifest, chunks = make_firmware()
-    # poisoned manifest digest: retrieval succeeds but verification fails
-    from fwdist.vendor import Manifest
-    poisoned = Manifest(manifest.base, manifest.image_size, bytes(32),
-                        manifest.chunk_size, manifest.chunk_count, manifest.signature)
-    agent.active_manifest = poisoned
-    agent.buffer = bytearray(poisoned.image_size)
-    agent.received = [None] * poisoned.chunk_count
-    agent.received_count = 0
-    agent.phase = FETCHING
+    start_fetch(agent, poisoned(manifest))
     for chunk in chunks:
         agent.take_request(now=0)
         agent.on_chunk(chunk_packet(manifest, chunk), now=0)
     agent.handle_deadlines(0)
     assert agent.phase == FETCHING  # one full re-retrieval
-    assert agent.received_count == 0
+    assert agent.cursor == 0 and not any(agent.received) and agent.tag_failures == 0
+    assert ("TagFail", None, "digest-mismatch") in events
     for chunk in chunks:
         agent.take_request(now=1)
         agent.on_chunk(chunk_packet(manifest, chunk), now=1)
     agent.handle_deadlines(1)
     assert agent.phase == IDLE
     assert any(e == "Abort" and "digest" in d for e, _, d in events)
+
+
+def test_a_digest_refetch_starts_with_no_retry_mark():
+    agent, events = make_agent()
+    _, manifest, chunks = make_firmware()
+    start_fetch(agent, poisoned(manifest))
+    first, _ = agent.take_request(now=0)
+    agent.on_timeout(first.name, now=1)  # chunk 0 is marked for an app-layer retry
+    assert agent.retrying
+    for chunk in (chunks[1], chunks[2], chunks[0]):  # then every chunk is overheard
+        agent.on_chunk(chunk_packet(manifest, chunk), now=2, diverted=True)
+    assert agent.phase == VERIFYING and not agent.retrying
+    agent.handle_deadlines(2)
+    assert agent.phase == FETCHING
+    # the re-fetch's first request is a fresh one, not an app-layer retry
+    request, is_retry = agent.take_request(now=2)
+    assert request.name.chunk_id == 0 and not is_retry
 
 
 def test_post_verification_fault_injection_detected():

@@ -1,4 +1,4 @@
-"""``tools/check_imports.py``, which CI runs on ``src/fwdist``."""
+"""``tools/check_imports.py``, which CI runs on ``src/fwdist``, ``tests`` and ``tools``."""
 
 import importlib.util
 import textwrap
@@ -50,4 +50,4 @@ def test_main_prints_each_unused_import_and_exits_1(tmp_path, capsys):
 
 
 def test_source_tree_has_no_unused_import():
-    assert check_imports.main([str(ROOT / "src" / "fwdist")]) == 0
+    assert check_imports.main([str(ROOT / part) for part in ("src/fwdist", "tests", "tools")]) == 0

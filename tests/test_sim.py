@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwdist.agent import UpdateAgent
+from fwdist.agent import FETCHING, UpdateAgent
 from fwdist.naming import BaseName, EncodingModel, FirmwareName, Granularity
 from fwdist.packets import Data, HmacTag, Interest, packet_size
 from fwdist.scenario import (
@@ -487,8 +487,8 @@ def local_entries_are_awaited(node):
     awaited = set()
     if agent is not None:
         awaited.add(agent.awaited_manifest)
-        if agent.outstanding is not None:
-            awaited.add(agent.active_manifest.base.chunk(agent.outstanding))
+        if agent.phase == FETCHING and agent.due_at is None:  # a chunk request in flight
+            awaited.add(agent.active_manifest.base.chunk(agent.cursor))
     stray = [name for name, entry in node.forwarder.pit.items()
              if entry.local_consumer and name not in awaited]
     assert not stray, (node.id, agent and agent.phase, stray)
@@ -844,3 +844,25 @@ def test_scenario_node_and_agent_values_reach_the_components():
                           agent={"manifest_retries": 0}, duration_s=90)
     polls = [t for (t, n, e, c, d) in run_simulation(down).records if d.startswith("Idle->AwaitManifest")]
     assert len(polls) == 5 and {b - a for a, b in zip(polls, polls[1:])} == {20_000_000}
+
+
+def install_span(strategy, seed, chunk_count, **node):
+    """n1's install time, from its first record, on one lossless hop with no backoff."""
+    sim = run_simulation(chain_scenario(
+        strategy=strategy, seed=seed, image_size=32 * chunk_count - 5, node=node,
+        topology={"nodes": CHAIN["nodes"][:2]}, link={"base_slot_us": 0},
+        loss={"per_transmission": 0, "collision": 0}))
+    times = [(t, e) for (t, n, e, c, d) in sim.records if n == "n1"]
+    return next(t for t, e in times if e == "InstallComplete") - times[0][0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(strategy=st.sampled_from(["concurrent", "cascading"]), seed=st.integers(0, 2**32 - 1),
+       chunk_count=st.integers(1, 40), delta=st.integers(1, 50_000))
+def test_device_delays_shift_a_lone_fetch_by_exactly_their_count(strategy, seed, chunk_count, delta):
+    # a turnaround precedes every chunk request, a flash write follows every
+    # requested chunk but the last, which is followed by verification instead
+    span = install_span(strategy, seed, chunk_count)
+    turnaround = NodeParams().turnaround_us + delta
+    assert install_span(strategy, seed, chunk_count, turnaround_us=turnaround) - span == delta * chunk_count
+    assert install_span(strategy, seed, chunk_count, flash_write_us=delta) - span == delta * (chunk_count - 1)

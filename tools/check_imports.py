@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Report every imported name that its module never uses.
 
-    python3 tools/check_imports.py src/fwdist
+    python3 tools/check_imports.py src/fwdist tests tools
 
 Each argument is a Python file or a directory searched for ``*.py``. A name
 counts as used when it is read anywhere in its module, appears in a string
