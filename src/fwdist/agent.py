@@ -148,7 +148,7 @@ class UpdateAgent:
 
     # -- version discovery ----------------------------------------------------
 
-    def poll_version(self, now: int, wall_s: int) -> Interest | None:
+    def poll_version(self, wall_s: int) -> Interest | None:
         """Request the manifest of the newest epoch, skipping obsolete ones."""
         if self.phase not in (IDLE, SERVING):
             return None
@@ -164,7 +164,7 @@ class UpdateAgent:
             return None
         while self.poll_at <= now:
             self.poll_at += self.poll_period_us
-        return self.poll_version(now, wall_s)
+        return self.poll_version(wall_s)
 
     def wants_implicit(self, interest: Interest) -> bool:
         """Piggyback on a forwarded same-class manifest request for a newer epoch."""
@@ -321,7 +321,7 @@ class UpdateAgent:
                 self.awaited_manifest = None
                 self._set_phase(IDLE, "manifest-timeout")
 
-    def on_nack(self, nack: Nack, now: int) -> None:
+    def on_nack(self, nack: Nack) -> None:
         if self.phase == AWAIT_MANIFEST and nack.name == self.awaited_manifest:
             self.awaited_manifest = None
             self._set_phase(IDLE, f"nack:{nack.reason}")

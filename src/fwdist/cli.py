@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import locale
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .harness import (
     sweep_csv_lines,
     table_csv_lines,
 )
-from .naming import MalformedName
+from .naming import BaseName, MalformedName
 from .scenario import UNREADABLE, ScenarioInvalid, read_scenario
 from .vendor import (
     DuplicateEpoch,
@@ -181,7 +180,8 @@ def _fwsim_parser() -> argparse.ArgumentParser:
 
 
 def _emit_lines(lines, out: str | None) -> None:
-    """Write ``lines`` to the file ``out`` or to stdout once every line is built.
+    """Write ``lines`` to the file ``out``, as UTF-8, or to stdout, in its own
+    encoding, once every line is built.
 
     The lines are kept as the bytes the text stream would write, so a table
     with a row per received chunk takes its output size and no more; a fault
@@ -192,7 +192,7 @@ def _emit_lines(lines, out: str | None) -> None:
     if buffer is not None:
         encoding, errors = sys.stdout.encoding, sys.stdout.errors
     else:
-        encoding, errors = locale.getpreferredencoding(False), "strict"
+        encoding, errors = "utf-8", "strict"
     text = bytearray()
     for line in lines:
         text += line.encode(encoding, errors)
@@ -262,9 +262,9 @@ def fwpub_main(argv=None) -> int:
                               ("--class", args.device_class)):
             check_path_component(value, option)
         key = signing_key_from_seed(args.key_file)
-        image = FirmwareImage(args.image, args.device_class, args.epoch)
-        manifest = build_manifest(image, args.chunk_size, key, args.deployment, args.vendor)
-        chunks = make_chunks(image, manifest.base, args.chunk_size, args.psk_file, args.trunc_len)
+        image = FirmwareImage(BaseName(args.deployment, args.vendor, args.device_class, args.epoch), args.image)
+        manifest = build_manifest(image, args.chunk_size, key)
+        chunks = make_chunks(image, args.chunk_size, args.psk_file, args.trunc_len)
         out = write_publication(Path(args.repo), manifest, chunks)
         print(json.dumps({
             "published": str(out),

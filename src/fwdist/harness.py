@@ -94,9 +94,9 @@ def run_scenario(path: str | Path, seed: int | None = None, out_dir: str | Path 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         metrics, summary_json = RUN_OUTPUTS
-        with open(out / metrics, "w") as fh:
+        with open(out / metrics, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in result.csv_lines())
-        with open(out / summary_json, "w") as fh:
+        with open(out / summary_json, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result, summary
@@ -144,7 +144,7 @@ def sweep(base: dict, axis: str, values, seeds=None) -> dict:
                 raise ScenarioInvalid(axis, f"not a valid sweep value: {value!r} ({exc})") from exc
             result = run_simulation(scenario)
             done = result.completed_nodes()
-            completion = result.completion_time_us(done) if done else None
+            completion = result.completion_time_us(done)
             totals = {"NetRetx": 0, "AppRetx": 0, "LinkRetx": 0}
             for stats in result.node_stats.values():
                 totals["NetRetx"] += stats["net_retx"]
@@ -205,7 +205,7 @@ def iter_csv_rows(lines):
 def open_metrics_csv(path: str | Path):
     """Open a metrics.csv for ``iter_csv_rows``; an unreadable path is ``MalformedCsv``."""
     try:
-        return open(path)
+        return open(path, encoding="utf-8")
     except UNREADABLE as exc:
         raise MalformedCsv(f"cannot read {path}: {exc.strerror}") from exc
 

@@ -348,7 +348,7 @@ def read_scenario(path: str | Path) -> dict:
     """The JSON value of a scenario file, not yet validated; a file that cannot be read as
     JSON text raises ``ScenarioInvalid("file")``."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))  # JSON is UTF-8: RFC 8259, section 8.1
     except UNREADABLE as exc:
         raise ScenarioInvalid("file", f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:

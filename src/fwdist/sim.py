@@ -123,8 +123,6 @@ class Edge:
     index: int
     parent: str
     child: str
-    face_at_parent: int
-    face_at_child: int
     # bit i is set when airtime on edge i collides with this one, the edge
     # itself included; see _compute_conflicts
     domain: int = 0
@@ -161,7 +159,8 @@ class SimNode:
     def __init__(self, sim: "Simulation", node_id: str, agent: UpdateAgent | None):
         self.sim = sim
         self.id = node_id
-        self.faces: dict[int, tuple[Edge, str]] = {}
+        # face -> (its edge, the node at the other end, that node's face for the edge)
+        self.faces: dict[int, tuple[Edge, SimNode, int]] = {}
         self.agent = agent
         self.radio_free_at = 0
         self.wake_at: int | None = None
@@ -207,7 +206,7 @@ class SimNode:
 
     def _deliver_local(self, packet: Data | Nack, now: int) -> None:
         if isinstance(packet, Nack):
-            self.agent.on_nack(packet, now)
+            self.agent.on_nack(packet)
         elif packet.name.kind == MANIFEST:
             self.agent.on_manifest(packet, now)
         elif packet.name.kind == CHUNK:
@@ -274,7 +273,6 @@ class Simulation:
         self.log = self.records.append
         self.repo = Repository()
         self.images: dict[str, bytes] = {}  # device class -> published image
-        self.psks: dict[str, bytes] = {}
         self._stale: dict[str, list[Chunk]] = {}
         self.start_wall_s = scenario.epoch + 1
         loss = scenario.loss
@@ -309,10 +307,11 @@ class Simulation:
         for parent, child in topo.edges:
             face = next_face[parent]
             next_face[parent] += 1
-            edge = Edge(len(self.edges), parent, child, face_at_parent=face, face_at_child=0)
+            edge = Edge(len(self.edges), parent, child)
             self.edges.append(edge)
-            self.nodes[parent].faces[face] = (edge, child)
-            self.nodes[child].faces[0] = (edge, parent)
+            up, down = self.nodes[parent], self.nodes[child]
+            up.faces[face] = (edge, down, 0)
+            down.faces[0] = (edge, up, face)
         self._compute_conflicts()
 
     def _compute_conflicts(self) -> None:
@@ -336,45 +335,34 @@ class Simulation:
         """Publish every device class's image; return each device's agent."""
         sc = self.scenario
         key_seed = hashlib.sha256(b"fwdist-key:" + sc.vendor.encode()).digest()
-        self.signing_key = signing_key_from_seed(key_seed)
-        self.vendor_public = self.signing_key.public_key()
-        classes: list[str] = []
-        for dev in sc.topology.devices:
-            cls = sc.device_class_of(dev)
-            if cls not in classes:
-                classes.append(cls)
+        signing_key = signing_key_from_seed(key_seed)
+        vendor_public = signing_key.public_key()
+        class_of = {dev: sc.device_class_of(dev) for dev in sc.topology.devices}
+        previous_epoch = sc.epoch - sc.granularity.period
         stale_needed = sc.attacker is not None and sc.attacker.mode == "replay_stale"
-        for cls in classes:
-            psk = hashlib.sha256(b"fwdist-psk:" + cls.encode()).digest()
-            self.psks[cls] = psk
-            image_bytes = self.rng.randbytes(sc.image_size)
-            self.images[cls] = image_bytes
-            image = FirmwareImage(image_bytes, cls, sc.epoch)
-            manifest = build_manifest(image, sc.chunk_size, self.signing_key, sc.deployment, sc.vendor)
-            chunks = make_chunks(image, manifest.base, sc.chunk_size, psk, sc.trunc_len)
-            self.repo.publish(manifest, chunks, psk)
+        psks = {}
+        for cls in dict.fromkeys(class_of.values()):  # first-seen device order fixes the draws' order
+            psks[cls] = psk = hashlib.sha256(b"fwdist-psk:" + cls.encode()).digest()
+            self.images[cls] = self.rng.randbytes(sc.image_size)
+            image = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, sc.epoch), self.images[cls])
+            manifest = build_manifest(image, sc.chunk_size, signing_key)
+            self.repo.publish(manifest, make_chunks(image, sc.chunk_size, psk, sc.trunc_len), psk)
             if stale_needed:
-                stale_epoch = sc.epoch - sc.granularity.period
-                stale_bytes = self.rng.randbytes(sc.image_size)
-                stale_base = BaseName(sc.deployment, sc.vendor, cls, stale_epoch)
-                self._stale[cls] = make_chunks(
-                    FirmwareImage(stale_bytes, cls, stale_epoch),
-                    stale_base, sc.chunk_size, psk, sc.trunc_len,
-                )
+                stale = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, previous_epoch),
+                                      self.rng.randbytes(sc.image_size))
+                self._stale[cls] = make_chunks(stale, sc.chunk_size, psk, sc.trunc_len)
         # Agents come up with the previous epoch installed. Every publication
         # in self.repo was checked by publish(..., psk) under its class's PSK
         # and tagged with sc.trunc_len, so an agent may take a published
         # chunk's tag as the tag of an equal payload; a publication stored
         # without that check must never be offered here.
-        previous_epoch = sc.epoch - sc.granularity.period
         agents = {}
-        for dev in sc.topology.devices:
-            cls = sc.device_class_of(dev)
+        for dev, cls in class_of.items():
             agents[dev] = UpdateAgent(
                 sc,
                 device_class=cls,
-                psk=self.psks[cls],
-                vendor_key=self.vendor_public,
+                psk=psks[cls],
+                vendor_key=vendor_public,
                 installed=InstalledFirmware(b"factory:" + dev.encode(), previous_epoch),
                 rng=self.rng,
                 emit=self._agent_emitter(dev),
@@ -504,12 +492,10 @@ class Simulation:
 
     def send_packet(self, src: SimNode, face: int, packet: Packet, t: int) -> None:
         """Fragmenting packet send: frames above the MTU split into sub-frames."""
-        edge, peer_id = src.faces[face]
+        edge, peer, dst_face = src.faces[face]
         link = self.scenario.link
         total = packet_size(packet, self.scenario.name_encoding) + link.link_header_bytes
         mtu = link.mtu_bytes
-        peer = self.nodes[peer_id]
-        dst_face = edge.face_at_child if peer_id == edge.child else edge.face_at_parent
         kind = _LOG_KIND[type(packet)]
         cid = chunk_id_of(packet)
 
@@ -539,19 +525,17 @@ class Simulation:
             return data  # no-op attacker consumes no draws
         if self.rng.random() >= spec.rate:
             return data
-        if spec.mode == "tamper_payload":
-            payload = bytes([data.payload[0] ^ 0xFF]) + data.payload[1:]
-            return Data(data.name, payload, data.auth)
         if spec.mode == "forge_tag":
             tag = bytes(b ^ 0xFF for b in data.auth.tag) if isinstance(data.auth, HmacTag) else b"\x00" * 8
             return Data(data.name, data.payload, HmacTag(tag))
-        # replay_stale: substitute the same-index chunk of the previous epoch,
-        # renamed to the current version; its tag binds the old base name.
-        cls = data.name.base.device_class
-        stale = self._stale.get(cls)
-        idx = data.name.chunk_id
-        if stale is not None and 0 <= idx < len(stale):
-            return Data(data.name, stale[idx].payload, HmacTag(stale[idx].tag))
+        if spec.mode == "replay_stale":
+            # substitute the same-index chunk of the previous epoch, renamed to
+            # the current version; its tag binds the old base name
+            stale = self._stale.get(data.name.base.device_class)
+            idx = data.name.chunk_id
+            if stale is not None and 0 <= idx < len(stale):
+                return Data(data.name, stale[idx].payload, HmacTag(stale[idx].tag))
+        # tamper_payload, and a replay with no stale chunk to offer
         payload = bytes([data.payload[0] ^ 0xFF]) + data.payload[1:]
         return Data(data.name, payload, data.auth)
 
@@ -608,13 +592,12 @@ class SimResult:
         return [n for n, s in self.node_stats.items()
                 if s["install_time_us"] is not None and s["installed_epoch"] == self.scenario.epoch]
 
-    def completion_time_us(self, nodes=None) -> int | None:
-        """Latest install time across the given nodes (default: all devices)."""
-        nodes = list(nodes) if nodes is not None else list(self.node_stats)
+    def completion_time_us(self, nodes) -> int | None:
+        """Latest install time across ``nodes``; None if one has none, or if there are none."""
         times = [self.node_stats[n]["install_time_us"] for n in nodes]
-        if any(t is None for t in times):
+        if None in times:
             return None
-        return max(times) if times else None
+        return max(times, default=None)
 
     def summary(self) -> dict:
         completed = self.completed_nodes()
@@ -628,7 +611,7 @@ class SimResult:
             "completions": len(completed),
             "devices": len(self.node_stats),
             "aborted": sorted(n for n, s in self.node_stats.items() if s["aborted"]),
-            "completion_time_us": self.completion_time_us(completed) if completed else None,
+            "completion_time_us": self.completion_time_us(completed),
             "nodes": per_node,
         }
 

@@ -72,9 +72,8 @@ def _check_psk(psk: bytes) -> None:
 
 @dataclass(frozen=True, slots=True)
 class FirmwareImage:
+    base: BaseName
     data: bytes
-    device_class: str
-    epoch: int
 
     def __post_init__(self) -> None:
         if len(self.data) == 0:
@@ -83,7 +82,7 @@ class FirmwareImage:
 
 @dataclass(frozen=True, slots=True)
 class Chunk:
-    index: int
+    """One chunk of a publication; its index is its position in the chunk list."""
     payload: bytes
     tag: bytes
 
@@ -144,24 +143,27 @@ def tag_chunk(base: BaseName, index: int, payload: bytes, psk: bytes, trunc_len:
     return out.digest()[:trunc_len]
 
 
-def tag_chunks(base: BaseName, indexed_payloads: Iterable[tuple[int, bytes]], psk: bytes,
-               trunc_len: int = 8) -> list[bytes]:
-    """``tag_chunk`` for each (index, payload) of one base name, keyed once."""
+def tag_chunks(base: BaseName, payloads: Iterable[bytes], psk: bytes, trunc_len: int = 8) -> list[bytes]:
+    """``tag_chunk`` for payload ``i`` at index ``i`` under one base name, keyed once."""
     keyed = _keyed_states(base, psk)
     return [tag_chunk(base, index, payload, psk, trunc_len, keyed)
-            for index, payload in indexed_payloads]
+            for index, payload in enumerate(payloads)]
 
 
-def make_chunks(
-    image: FirmwareImage, base: BaseName, chunk_size: int, psk: bytes, trunc_len: int = 8
-) -> list[Chunk]:
+def make_chunks(image: FirmwareImage, chunk_size: int, psk: bytes, trunc_len: int = 8) -> list[Chunk]:
     payloads = chunk_image(image, chunk_size)
-    tags = tag_chunks(base, enumerate(payloads), psk, trunc_len)
-    return list(map(Chunk, range(len(payloads)), payloads, tags))
+    return list(map(Chunk, payloads, tag_chunks(image.base, payloads, psk, trunc_len)))
 
 
 # ---------------------------------------------------------------------------
 # manifest
+
+
+def _manifest_body(base: BaseName, image_size: int, image_digest: bytes, chunk_size: int,
+                   chunk_count: int) -> bytes:
+    """The signed encoding of a manifest's fields, in field order."""
+    return (_encode_base(base) + struct.pack(">Q", image_size) + image_digest
+            + struct.pack(">II", chunk_size, chunk_count))
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,12 +177,8 @@ class Manifest:
 
     def body(self) -> bytes:
         """Deterministic field-ordered encoding of everything but the signature."""
-        return (
-            _encode_base(self.base)
-            + struct.pack(">Q", self.image_size)
-            + self.image_digest
-            + struct.pack(">II", self.chunk_size, self.chunk_count)
-        )
+        return _manifest_body(self.base, self.image_size, self.image_digest, self.chunk_size,
+                              self.chunk_count)
 
     def to_bytes(self) -> bytes:
         return self.body() + self.signature
@@ -234,29 +232,12 @@ def image_digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def build_manifest(
-    image: FirmwareImage,
-    chunk_size: int,
-    signing_key: Ed25519PrivateKey,
-    deployment: str,
-    vendor: str,
-) -> Manifest:
+def build_manifest(image: FirmwareImage, chunk_size: int, signing_key: Ed25519PrivateKey) -> Manifest:
     """Chunk-parameterize and sign the metadata for one firmware version."""
     _check_chunk_size(chunk_size)
-    chunk_count = -(-len(image.data) // chunk_size)
-    base = BaseName(deployment, vendor, image.device_class, image.epoch)
-    unsigned = Manifest(
-        base=base,
-        image_size=len(image.data),
-        image_digest=image_digest(image.data),
-        chunk_size=chunk_size,
-        chunk_count=chunk_count,
-        signature=b"\x00" * SIGNATURE_BYTES,
-    )
-    signature = signing_key.sign(unsigned.body())
-    return Manifest(
-        base, unsigned.image_size, unsigned.image_digest, chunk_size, chunk_count, signature
-    )
+    size = len(image.data)
+    fields = (image.base, size, image_digest(image.data), chunk_size, -(-size // chunk_size))
+    return Manifest(*fields, signing_key.sign(_manifest_body(*fields)))
 
 
 def signing_key_from_seed(seed: bytes) -> Ed25519PrivateKey:
@@ -295,18 +276,17 @@ class Repository:
                 f"chunk 0 has a tag of {trunc} bytes, not one of {TRUNCATION_LENGTHS}")
         # a consistent layout and these lengths imply that the payloads sum to image_size
         for i, chunk in enumerate(chunks):
-            if chunk.index != i:
-                raise InconsistentPublication(f"chunk {i} carries index {chunk.index}")
             if len(chunk.payload) != manifest.chunk_length(i):
                 raise InconsistentPublication(f"chunk {i} has length {len(chunk.payload)}")
             if len(chunk.tag) != trunc:
                 raise InconsistentPublication(
                     f"chunk {i} has a tag of {len(chunk.tag)} bytes, chunk 0 one of {trunc}")
         _check_psk(psk)
-        expected = tag_chunks(manifest.base, ((c.index, c.payload) for c in chunks), psk, trunc)
-        for chunk, tag in zip(chunks, expected):
+        # every tag binds its index, so a chunk out of place fails here
+        expected = tag_chunks(manifest.base, (c.payload for c in chunks), psk, trunc)
+        for i, (chunk, tag) in enumerate(zip(chunks, expected)):
             if chunk.tag != tag:
-                raise InconsistentPublication(f"chunk {chunk.index} tag does not verify")
+                raise InconsistentPublication(f"chunk {i} tag does not verify")
         if manifest.base in self._store:
             raise DuplicateEpoch(f"epoch {manifest.base.epoch} already published")
         self._store[manifest.base] = Publication(manifest, list(chunks))
@@ -385,5 +365,4 @@ def read_publication(root: Path, base: BaseName, psk: bytes, vendor_key: Ed25519
         raise InconsistentPublication("chunks.bin does not match the manifest's image digest")
     if not manifest.verify(vendor_key):
         raise InconsistentPublication("manifest signature does not verify under the vendor key")
-    firmware = FirmwareImage(image, manifest.base.device_class, manifest.base.epoch)
-    return Publication(manifest, make_chunks(firmware, manifest.base, size, psk, trunc_len))
+    return Publication(manifest, make_chunks(FirmwareImage(manifest.base, image), size, psk, trunc_len))

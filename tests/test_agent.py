@@ -59,9 +59,9 @@ def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None,
 
 
 def make_firmware(size=96, chunk_size=32, epoch=EPOCH, cls="c", psk=PSK, step=7, trunc_len=8):
-    img = FirmwareImage(bytes((i * step) % 256 for i in range(size)), cls, epoch)
-    manifest = build_manifest(img, chunk_size, KEY, "d", "v")
-    chunks = make_chunks(img, manifest.base, chunk_size, psk, trunc_len)
+    img = FirmwareImage(BaseName("d", "v", cls, epoch), bytes((i * step) % 256 for i in range(size)))
+    manifest = build_manifest(img, chunk_size, KEY)
+    chunks = make_chunks(img, chunk_size, psk, trunc_len)
     return img, manifest, chunks
 
 
@@ -69,12 +69,14 @@ def manifest_data(manifest):
     return Data(manifest.base.manifest(), manifest.to_bytes(), ManifestSignature(manifest.signature))
 
 
-def chunk_packet(manifest, chunk):
-    return Data(manifest.base.chunk(chunk.index), chunk.payload, HmacTag(chunk.tag))
+def chunk_packet(manifest, chunks, index):
+    """The Data packet of ``chunks[index]``, chunk ``index`` of ``manifest``."""
+    chunk = chunks[index]
+    return Data(manifest.base.chunk(index), chunk.payload, HmacTag(chunk.tag))
 
 
 def start_fetch(agent, manifest):
-    agent.poll_version(now=0, wall_s=manifest.base.epoch)
+    agent.poll_version(wall_s=manifest.base.epoch)
     agent.on_manifest(manifest_data(manifest), now=0)
     assert agent.phase == FETCHING
 
@@ -83,26 +85,26 @@ def start_fetch(agent, manifest):
 
 def test_poll_targets_latest_epoch_skipping_missed_versions():
     agent, _ = make_agent(installed_epoch=EPOCH - 2 * 86400)
-    interest = agent.poll_version(now=0, wall_s=EPOCH + 7200)
+    interest = agent.poll_version(wall_s=EPOCH + 7200)
     assert interest.name.base.epoch == EPOCH  # not EPOCH - 86400
 
 
 def test_poll_at_exact_boundary():
     agent, _ = make_agent()
-    interest = agent.poll_version(now=0, wall_s=EPOCH)
+    interest = agent.poll_version(wall_s=EPOCH)
     assert interest.name.base.epoch == EPOCH
 
 
 def test_poll_no_interest_when_current():
     agent, _ = make_agent(installed_epoch=EPOCH)
-    assert agent.poll_version(now=0, wall_s=EPOCH + 100) is None
+    assert agent.poll_version(wall_s=EPOCH + 100) is None
     assert agent.phase == IDLE
 
 
 def test_poll_skips_irrecoverable_epoch():
     agent, _ = make_agent()
     agent.irrecoverable.add(EPOCH)
-    assert agent.poll_version(now=0, wall_s=EPOCH + 100) is None
+    assert agent.poll_version(wall_s=EPOCH + 100) is None
 
 
 # -- implicit discovery ----------------------------------------------------------------
@@ -124,7 +126,7 @@ def test_implicit_rejects_equal_epoch_and_other_class():
 def test_implicit_requires_idle_or_serving():
     agent, _ = make_agent()
     _, manifest, _ = make_firmware()
-    agent.poll_version(now=0, wall_s=EPOCH)
+    agent.poll_version(wall_s=EPOCH)
     agent.on_manifest(manifest_data(manifest), now=0)
     assert agent.phase == FETCHING
     assert not agent.wants_implicit(Interest(BaseName("d", "v", "c", EPOCH + 86400).manifest(), nonce=1))
@@ -140,7 +142,7 @@ def test_implicit_registration_not_taken_on_refused_pit_insert():
     assert fwd.on_interest(2, own, now=0) == [Drop("pit-full")]
     # no entry, so no manifest and no timeout would ever reach an awaiting agent
     assert agent.phase == IDLE and agent.awaited_manifest is None
-    assert agent.poll_version(now=0, wall_s=EPOCH) is not None
+    assert agent.poll_version(wall_s=EPOCH) is not None
 
 
 # -- manifest handling -------------------------------------------------------------------
@@ -148,7 +150,7 @@ def test_implicit_registration_not_taken_on_refused_pit_insert():
 def test_valid_manifest_starts_fetch_at_zero():
     agent, _ = make_agent()
     _, manifest, _ = make_firmware()
-    agent.poll_version(now=0, wall_s=EPOCH)
+    agent.poll_version(wall_s=EPOCH)
     agent.on_manifest(manifest_data(manifest), now=10)
     assert agent.phase == FETCHING
     interest, is_retry = agent.take_request(now=10)
@@ -158,7 +160,7 @@ def test_valid_manifest_starts_fetch_at_zero():
 def test_tampered_manifest_reported_and_idle():
     agent, events = make_agent()
     _, manifest, _ = make_firmware()
-    agent.poll_version(now=0, wall_s=EPOCH)
+    agent.poll_version(wall_s=EPOCH)
     payload = bytearray(manifest.to_bytes())
     payload[3] ^= 0xFF
     tampered = Data(manifest.base.manifest(), bytes(payload), ManifestSignature(manifest.signature))
@@ -194,7 +196,7 @@ def test_smallest_missing_rule_covers_diverted_chunks():
     _, manifest, chunks = make_firmware(size=13 * 32)
     start_fetch(agent, manifest)
     for i in list(range(10)) + [12]:
-        agent.on_chunk(chunk_packet(manifest, chunks[i]), now=5, diverted=True)
+        agent.on_chunk(chunk_packet(manifest, chunks, i), now=5, diverted=True)
     interest, _ = agent.take_request(now=10)
     assert interest.name.chunk_id == 10
 
@@ -233,7 +235,7 @@ def test_valid_chunk_stored_and_next_requested():
     _, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
     agent.take_request(now=0)
-    agent.on_chunk(chunk_packet(manifest, chunks[0]), now=10)
+    agent.on_chunk(chunk_packet(manifest, chunks, 0), now=10)
     assert agent.received[0] and agent.cursor == 1
     nxt, _ = agent.take_request(now=10)
     assert nxt.name.chunk_id == 1
@@ -270,7 +272,7 @@ def test_failure_counter_resets_on_success_and_is_per_index():
     agent.on_chunk(bad0, now=2)
     assert (agent.cursor, agent.tag_failures) == (0, 2)
     agent.take_request(now=3)
-    agent.on_chunk(chunk_packet(manifest, chunks[0]), now=4)
+    agent.on_chunk(chunk_packet(manifest, chunks, 0), now=4)
     assert (agent.cursor, agent.tag_failures) == (1, 0)  # reset on success
     # failures on another index start from zero
     agent.take_request(now=5)
@@ -295,8 +297,8 @@ def test_overheard_chunk_stored_out_of_order():
     _, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
     agent.take_request(now=0)  # awaiting chunk 0
-    assert agent.divert_wanted(chunk_packet(manifest, chunks[2]))
-    agent.on_chunk(chunk_packet(manifest, chunks[2]), now=5, diverted=True)
+    assert agent.divert_wanted(chunk_packet(manifest, chunks, 2))
+    agent.on_chunk(chunk_packet(manifest, chunks, 2), now=5, diverted=True)
     assert agent.received[2] and not agent.received[0]
     # offset write: buffer slice holds the payload
     assert bytes(agent.buffer[64:96]) == chunks[2].payload
@@ -306,7 +308,7 @@ def test_divert_requires_concurrent_mode():
     agent, _ = make_agent(strategy=CASCADING)
     _, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
-    assert not agent.divert_wanted(chunk_packet(manifest, chunks[1]))
+    assert not agent.divert_wanted(chunk_packet(manifest, chunks, 1))
 
 
 STEPS = st.one_of(
@@ -330,7 +332,7 @@ def test_the_cursor_is_the_smallest_unstored_chunk_and_the_only_one_requested(st
         elif kind == "timeout":
             agent.on_timeout(manifest.base.chunk(idx), now)
         else:
-            packet = chunk_packet(manifest, chunks[idx])
+            packet = chunk_packet(manifest, chunks, idx)
             if kind == "tampered":
                 packet = Data(packet.name, bytes([packet.payload[0] ^ 1]) + packet.payload[1:], packet.auth)
             agent.on_chunk(packet, now, diverted=diverted)
@@ -411,7 +413,7 @@ def test_a_published_tag_of_another_length_is_not_taken_and_the_tag_is_computed(
     computed = []
     monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: computed.append(a) or tag_chunk(*a))
     agent.take_request(now=1)
-    agent.on_chunk(chunk_packet(manifest, PUBLISHED_CHUNKS[0]), now=1)
+    agent.on_chunk(chunk_packet(manifest, PUBLISHED_CHUNKS, 0), now=1)
     assert computed == [(manifest.base, 0, PUBLISHED_CHUNKS[0].payload, PSK, 8)]
     assert ("DataRecv", 0, "") in events and agent.received[0] == PUBLISHED_CHUNKS[0].tag
 
@@ -420,9 +422,9 @@ def test_a_published_payload_is_checked_without_computing_a_tag(monkeypatch):
     agent, events = make_agent(published=published_repository().lookup_chunk)
     start_fetch(agent, PUBLISHED)
     monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: None)
-    for chunk in PUBLISHED_CHUNKS:
+    for i in range(len(PUBLISHED_CHUNKS)):
         agent.take_request(now=1)
-        agent.on_chunk(chunk_packet(PUBLISHED, chunk), now=1)
+        agent.on_chunk(chunk_packet(PUBLISHED, PUBLISHED_CHUNKS, i), now=1)
     assert agent.phase == VERIFYING
     assert [c for e, c, _ in events if e == "DataRecv"] == [0, 1, 2]
 
@@ -430,9 +432,9 @@ def test_a_published_payload_is_checked_without_computing_a_tag(monkeypatch):
 # -- finalize ------------------------------------------------------------------------------------
 
 def complete_fetch(agent, manifest, chunks, now=0):
-    for chunk in chunks:
+    for i in range(len(chunks)):
         agent.take_request(now=now)
-        agent.on_chunk(chunk_packet(manifest, chunk), now=now)
+        agent.on_chunk(chunk_packet(manifest, chunks, i), now=now)
     assert agent.phase == VERIFYING
     agent.handle_deadlines(now)  # zero-delay config: verify and install together
     assert agent.phase == SERVING
@@ -461,16 +463,16 @@ def test_digest_mismatch_triggers_one_refetch_then_abort():
     agent, events = make_agent()
     img, manifest, chunks = make_firmware()
     start_fetch(agent, poisoned(manifest))
-    for chunk in chunks:
+    for i in range(len(chunks)):
         agent.take_request(now=0)
-        agent.on_chunk(chunk_packet(manifest, chunk), now=0)
+        agent.on_chunk(chunk_packet(manifest, chunks, i), now=0)
     agent.handle_deadlines(0)
     assert agent.phase == FETCHING  # one full re-retrieval
     assert agent.cursor == 0 and not any(agent.received) and agent.tag_failures == 0
     assert ("TagFail", None, "digest-mismatch") in events
-    for chunk in chunks:
+    for i in range(len(chunks)):
         agent.take_request(now=1)
-        agent.on_chunk(chunk_packet(manifest, chunk), now=1)
+        agent.on_chunk(chunk_packet(manifest, chunks, i), now=1)
     agent.handle_deadlines(1)
     assert agent.phase == IDLE
     assert any(e == "Abort" and "digest" in d for e, _, d in events)
@@ -483,8 +485,8 @@ def test_a_digest_refetch_starts_with_no_retry_mark():
     first, _ = agent.take_request(now=0)
     agent.on_timeout(first.name, now=1)  # chunk 0 is marked for an app-layer retry
     assert agent.retrying
-    for chunk in (chunks[1], chunks[2], chunks[0]):  # then every chunk is overheard
-        agent.on_chunk(chunk_packet(manifest, chunk), now=2, diverted=True)
+    for i in (1, 2, 0):  # then every chunk is overheard
+        agent.on_chunk(chunk_packet(manifest, chunks, i), now=2, diverted=True)
     assert agent.phase == VERIFYING and not agent.retrying
     agent.handle_deadlines(2)
     assert agent.phase == FETCHING
@@ -497,11 +499,11 @@ def test_post_verification_fault_injection_detected():
     agent, _ = make_agent()
     img, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
-    for chunk in chunks[:-1]:
+    for i in range(len(chunks) - 1):
         agent.take_request(now=0)
-        agent.on_chunk(chunk_packet(manifest, chunk), now=0)
+        agent.on_chunk(chunk_packet(manifest, chunks, i), now=0)
     agent.take_request(now=0)
-    agent.on_chunk(chunk_packet(manifest, chunks[-1]), now=0)
+    agent.on_chunk(chunk_packet(manifest, chunks, len(chunks) - 1), now=0)
     agent.buffer[5] ^= 0xFF  # flip one byte after the HMAC gate
     agent.handle_deadlines(0)
     assert agent.phase == FETCHING  # digest caught it; re-retrieval begins
@@ -525,8 +527,8 @@ def test_serve_chunk_slices_flash_at_offset():
 
 def test_served_tags_recomputed_equal_vendor_tags():
     agent, _, manifest, chunks = install_agent()
-    for chunk in chunks:
-        served = agent.serve_lookup(manifest.base.chunk(chunk.index))
+    for i, chunk in enumerate(chunks):
+        served = agent.serve_lookup(manifest.base.chunk(i))
         assert served.auth.tag == chunk.tag
 
 
@@ -543,8 +545,8 @@ def test_served_chunks_from_buffer_equal_recomputed_tags():
     agent, _ = make_agent()
     _, manifest, chunks = make_firmware(size=5 * 32 + 3)
     start_fetch(agent, manifest)
-    for chunk in (chunks[4], chunks[5], chunks[1]):  # overheard, out of order
-        agent.on_chunk(chunk_packet(manifest, chunk), now=0, diverted=True)
+    for i in (4, 5, 1):  # overheard, out of order
+        agent.on_chunk(chunk_packet(manifest, chunks, i), now=0, diverted=True)
     assert agent.phase == FETCHING
     for idx in range(manifest.chunk_count):
         served = agent.serve_lookup(manifest.base.chunk(idx))
@@ -562,7 +564,7 @@ def test_serve_lookup_does_not_tag(monkeypatch):
     _, manifest2, chunks2 = make_firmware()
     start_fetch(fetching, manifest2)
     fetching.take_request(now=0)
-    fetching.on_chunk(chunk_packet(manifest2, chunks2[0]), now=0)
+    fetching.on_chunk(chunk_packet(manifest2, chunks2, 0), now=0)
     calls = []
     monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a, **k: calls.append(a))
     for idx in range(manifest.chunk_count):
@@ -575,14 +577,14 @@ def test_chunk_failing_tag_check_never_served():
     agent, _ = make_agent()
     _, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
-    good = chunk_packet(manifest, chunks[0])
+    good = chunk_packet(manifest, chunks, 0)
     forged_tag = Data(good.name, good.payload, HmacTag(bytes(8)))
     tampered = Data(good.name, bytes([good.payload[0] ^ 0xFF]) + good.payload[1:], good.auth)
     for bad in (forged_tag, tampered):
         agent.take_request(now=0)
         agent.on_chunk(bad, now=0)
         assert agent.serve_lookup(good.name) is None
-    agent.on_chunk(chunk_packet(manifest, chunks[1]), now=0, diverted=True)
+    agent.on_chunk(chunk_packet(manifest, chunks, 1), now=0, diverted=True)
     agent.on_chunk(Data(good.name, tampered.payload, good.auth), now=0, diverted=True)
     assert agent.serve_lookup(good.name) is None
     assert agent.serve_lookup(manifest.base.chunk(1)).payload == chunks[1].payload
@@ -610,7 +612,7 @@ def test_buffer_serving_mid_fetch_concurrent():
     _, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
     agent.take_request(now=0)
-    agent.on_chunk(chunk_packet(manifest, chunks[0]), now=0)
+    agent.on_chunk(chunk_packet(manifest, chunks, 0), now=0)
     served = agent.serve_lookup(manifest.base.chunk(0))
     assert served.payload == chunks[0].payload
     assert agent.serve_lookup(manifest.base.chunk(1)) is None  # not yet held
@@ -639,5 +641,5 @@ def test_poll_rearmed_after_install():
     assert agent.phase == SERVING
     assert agent.poll_at is not None
     # Serving agents poll for future versions
-    nxt = agent.poll_version(now=agent.poll_at, wall_s=EPOCH + 86400)
+    nxt = agent.poll_version(wall_s=EPOCH + 86400)
     assert nxt is not None and nxt.name.base.epoch == EPOCH + 86400

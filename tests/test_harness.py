@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -364,6 +365,27 @@ def test_cli_run_and_tables(tmp_path):
     assert proc.stdout.splitlines()[0] == "node,sim_time_us,cumulative_chunks"
     proc = run_cli("tables", str(out / "metrics.csv"), "--kind", "retx")
     assert proc.returncode == 0
+
+
+def test_cli_run_and_tables_read_and_write_utf8_under_the_c_locale(tmp_path):
+    # under an ASCII locale, run refused this scenario file as not text (exit 2), ended the
+    # same scenario with \u escapes in a UnicodeEncodeError traceback after a header-only
+    # metrics.csv, and tables refused a metrics.csv written under UTF-8 as "not text"
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING"))}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    topology = {"nodes": [{"id": "gw", "parent": None}, {"id": "n\u00e9", "parent": "gw"}]}
+    scenario = tmp_path / "s.json"
+    scenario.write_bytes(json.dumps(chain_raw(topology=topology), ensure_ascii=False).encode("utf-8"))
+    out = tmp_path / "out"
+    proc = run_cli("run", str(scenario), "--out", str(out), env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["nodes"].keys() == {"n\u00e9"}
+    assert ",n\u00e9,InstallComplete," in (out / "metrics.csv").read_bytes().decode("utf-8")
+    table = tmp_path / "progress.csv"
+    proc = run_cli("tables", str(out / "metrics.csv"), "--kind", "progress", "--out", str(table), env=env)
+    assert proc.returncode == 0, proc.stderr
+    rows = table.read_bytes().decode("utf-8").splitlines()[1:]
+    assert rows and {row.split(",")[0] for row in rows} == {"n\u00e9"}
 
 
 def test_cli_run_invalid_scenario_exit_2(tmp_path):

@@ -39,7 +39,7 @@ BASE = BaseName("d", "v", "c", 1000)
 
 
 def image(size, cls="c", epoch=1000):
-    return FirmwareImage(bytes(i % 251 for i in range(size)), cls, epoch)
+    return FirmwareImage(BaseName("d", "v", cls, epoch), bytes(i % 251 for i in range(size)))
 
 
 # -- chunking ----------------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_uneven_tail():
 
 def test_chunking_errors():
     with pytest.raises(EmptyImage):
-        FirmwareImage(b"", "c", 0)
+        FirmwareImage(BASE, b"")
     with pytest.raises(InvalidChunkSize):
         chunk_image(image(10), 0)
     with pytest.raises(InvalidChunkSize):  # the manifest carries it in 4 bytes
@@ -142,12 +142,12 @@ def test_tag_interleaved_keys_and_bases_match_fresh_hmac(calls):
 
 
 @given(st.sampled_from(KEY_LENGTHS), st.integers(0, 3), st.sampled_from([8, 16, 32]),
-       st.lists(st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=100)), max_size=20))
-def test_tag_chunks_equals_tag_chunk_per_item_and_fresh_hmac(key_len, base_i, trunc, items):
+       st.lists(st.binary(max_size=100), max_size=20))
+def test_tag_chunks_equals_tag_chunk_per_item_and_fresh_hmac(key_len, base_i, trunc, payloads):
     base, psk = TAG_BASES[base_i], _key(key_len)
-    batch = tag_chunks(base, items, psk, trunc)
-    assert batch == [tag_chunk(base, index, payload, psk, trunc) for index, payload in items]
-    assert batch == [_oracle_tag(base, index, payload, psk, trunc) for index, payload in items]
+    batch = tag_chunks(base, payloads, psk, trunc)
+    assert batch == [tag_chunk(base, index, payload, psk, trunc) for index, payload in enumerate(payloads)]
+    assert batch == [_oracle_tag(base, index, payload, psk, trunc) for index, payload in enumerate(payloads)]
 
 
 def test_tag_binds_base_name_and_index():
@@ -161,21 +161,21 @@ def test_tag_binds_base_name_and_index():
 
 def test_manifest_digest_and_signature_verify():
     img = image(1000)
-    m = build_manifest(img, 32, KEY, "d", "v")
+    m = build_manifest(img, 32, KEY)
     assert m.image_digest == hashlib.sha256(img.data).digest()
     assert m.verify(PUB)
     assert Manifest.from_bytes(m.to_bytes()) == m
 
 
 def test_manifest_flipped_signature_bit_fails():
-    m = build_manifest(image(100), 32, KEY, "d", "v")
+    m = build_manifest(image(100), 32, KEY)
     bad_sig = bytes([m.signature[0] ^ 1]) + m.signature[1:]
     tampered = Manifest(m.base, m.image_size, m.image_digest, m.chunk_size, m.chunk_count, bad_sig)
     assert not tampered.verify(PUB)
 
 
 def test_manifest_ceil_division():
-    m = build_manifest(image(128_000), 32, KEY, "d", "v")
+    m = build_manifest(image(128_000), 32, KEY)
     assert m.chunk_count == 4000
     assert m.image_size == 128_000
 
@@ -188,7 +188,7 @@ def test_manifest_ceil_division():
     {"base": BaseName("d", "v", "c", 2000)},
 ])
 def test_manifest_rejects_any_field_mutation(mutation):
-    m = build_manifest(image(100), 32, KEY, "d", "v")
+    m = build_manifest(image(100), 32, KEY)
     fields = {
         "base": m.base, "image_size": m.image_size, "image_digest": m.image_digest,
         "chunk_size": m.chunk_size, "chunk_count": m.chunk_count, "signature": m.signature,
@@ -201,8 +201,8 @@ def test_manifest_rejects_any_field_mutation(mutation):
 
 def publish_version(repo, epoch, size=100):
     img = image(size, epoch=epoch)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    chunks = make_chunks(img, m.base, 32, PSK)
+    m = build_manifest(img, 32, KEY)
+    chunks = make_chunks(img, 32, PSK)
     repo.publish(m, chunks, PSK)
     return m, chunks
 
@@ -240,19 +240,45 @@ def test_duplicate_epoch_rejected():
 def test_inconsistent_publication_rejected():
     repo = Repository()
     img = image(100)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    chunks = make_chunks(img, m.base, 32, PSK)
+    m = build_manifest(img, 32, KEY)
+    chunks = make_chunks(img, 32, PSK)
     with pytest.raises(InconsistentPublication):
         repo.publish(m, chunks[:-1], PSK)
-    bad_tag = [Chunk(c.index, c.payload, bytes(len(c.tag))) for c in chunks]
+    bad_tag = [Chunk(c.payload, bytes(len(c.tag))) for c in chunks]
     with pytest.raises(InconsistentPublication):
         repo.publish(m, bad_tag, PSK)
 
 
+def test_publish_refuses_two_swapped_chunks_of_equal_length():
+    # every tag binds its index, so a chunk out of place fails the tag check
+    img = image(100)
+    m = build_manifest(img, 32, KEY)
+    chunks = make_chunks(img, 32, PSK)
+    swapped = [chunks[1], chunks[0], *chunks[2:]]
+    assert len(swapped[0].payload) == len(swapped[1].payload) and swapped[0].payload != swapped[1].payload
+    repo = Repository()
+    with pytest.raises(InconsistentPublication, match="chunk 0 tag does not verify"):
+        repo.publish(m, swapped, PSK)
+    assert repo.lookup_manifest(m.base) is None
+    repo.publish(m, chunks, PSK)
+    assert repo.lookup_chunk(m.base, 1) == chunks[1]
+
+
+@given(size=st.integers(min_value=1, max_value=2048), chunk=st.integers(min_value=1, max_value=128),
+       base_i=st.integers(0, 3), trunc=st.sampled_from([8, 16, 32]))
+def test_make_chunks_tags_payload_i_at_index_i_and_the_payloads_join_to_the_image(size, chunk, base_i,
+                                                                                  trunc):
+    img = FirmwareImage(TAG_BASES[base_i], bytes((7 * i + size) % 256 for i in range(size)))
+    chunks = make_chunks(img, chunk, PSK, trunc)
+    assert b"".join(c.payload for c in chunks) == img.data
+    for i, c in enumerate(chunks):
+        assert c.tag == tag_chunk(img.base, i, c.payload, PSK, trunc)
+
+
 def _retagged(chunks, base, trunc_of):
     """``chunks`` with valid tags, chunk ``i`` truncated to ``trunc_of(i)`` bytes."""
-    return [Chunk(c.index, c.payload, tag_chunk(base, c.index, c.payload, PSK, 32)[:trunc_of(c.index)])
-            for c in chunks]
+    return [Chunk(c.payload, tag_chunk(base, i, c.payload, PSK, 32)[:trunc_of(i)])
+            for i, c in enumerate(chunks)]
 
 
 @pytest.mark.parametrize("trunc_of, fault", [
@@ -263,8 +289,8 @@ def _retagged(chunks, base, trunc_of):
 @pytest.mark.parametrize("psk", [PSK, None], ids=["checked", "unchecked"])
 def test_publish_requires_one_tag_length_from_the_truncation_lengths(trunc_of, fault, psk):
     img = image(100)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    chunks = _retagged(make_chunks(img, m.base, 32, PSK), m.base, trunc_of)
+    m = build_manifest(img, 32, KEY)
+    chunks = _retagged(make_chunks(img, 32, PSK), m.base, trunc_of)
     repo = Repository()
     with pytest.raises(InconsistentPublication, match=fault):
         repo.publish(m, chunks, psk)
@@ -274,16 +300,16 @@ def test_publish_requires_one_tag_length_from_the_truncation_lengths(trunc_of, f
 @pytest.mark.parametrize("trunc", [8, 16, 32])
 def test_publish_accepts_each_truncation_length(trunc):
     img = image(100)
-    m = build_manifest(img, 32, KEY, "d", "v")
+    m = build_manifest(img, 32, KEY)
     repo = Repository()
-    repo.publish(m, make_chunks(img, m.base, 32, PSK, trunc), PSK)
+    repo.publish(m, make_chunks(img, 32, PSK, trunc), PSK)
     assert len(repo.lookup_chunk(m.base, 3).tag) == trunc
 
 
 def test_publish_rejects_zero_chunk_size_and_empty_image():
     img = image(100)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    chunks = make_chunks(img, m.base, 32, PSK)
+    m = build_manifest(img, 32, KEY)
+    chunks = make_chunks(img, 32, PSK)
     zero_chunk = Manifest(m.base, m.image_size, m.image_digest, 0, m.chunk_count, m.signature)
     with pytest.raises(InconsistentPublication, match="chunk count"):  # was ZeroDivisionError
         Repository().publish(zero_chunk, chunks, PSK)
@@ -295,14 +321,14 @@ def test_publish_rejects_zero_chunk_size_and_empty_image():
 @pytest.mark.parametrize("chunk_size", [0, -1, 2**32])
 def test_build_manifest_rejects_a_chunk_size_the_manifest_cannot_carry(chunk_size):
     with pytest.raises(InvalidChunkSize):
-        build_manifest(image(100), chunk_size, KEY, "d", "v")
+        build_manifest(image(100), chunk_size, KEY)
 
 
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 96, 100])
 def test_manifest_chunk_layout_matches_make_chunks(size):
-    m = build_manifest(image(size), 32, KEY, "d", "v")
+    m = build_manifest(image(size), 32, KEY)
     assert m.layout_consistent()
-    assert [m.chunk_length(c.index) for c in make_chunks(image(size), m.base, 32, PSK)] == [
+    assert [m.chunk_length(i) for i in range(len(make_chunks(image(size), 32, PSK)))] == [
         len(p) for p in chunk_image(image(size), 32)]
 
 
@@ -310,8 +336,8 @@ def test_manifest_chunk_layout_matches_make_chunks(size):
 
 def test_publication_dir_round_trip(tmp_path):
     img = image(70)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    chunks = make_chunks(img, m.base, 32, PSK)
+    m = build_manifest(img, 32, KEY)
+    chunks = make_chunks(img, 32, PSK)
     out = write_publication(tmp_path, m, chunks)
     assert (out / "manifest.bin").exists() and (out / "chunks.bin").exists()
     # fixed-length records: 3 chunks of 32 bytes (last zero-padded)
@@ -326,8 +352,8 @@ def test_publication_dir_round_trip(tmp_path):
 def test_publish_and_read_publication_refuse_a_short_psk(tmp_path, psk):
     # both were accepted: every chunk tagged under a key anyone can recompute
     img = image(70)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    chunks = make_chunks(img, m.base, 32, psk)  # tagging itself takes a key of any length
+    m = build_manifest(img, 32, KEY)
+    chunks = make_chunks(img, 32, psk)  # tagging itself takes a key of any length
     repo = Repository()
     with pytest.raises(ShortKey, match="at least 32 bytes, got"):
         repo.publish(m, chunks, psk)
@@ -341,8 +367,8 @@ def test_publish_and_read_publication_refuse_a_short_psk(tmp_path, psk):
 
 def test_read_publication_rejects_truncated_chunks_file(tmp_path):
     img = image(7 * 32 + 4)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    out = write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    m = build_manifest(img, 32, KEY)
+    out = write_publication(tmp_path, m, make_chunks(img, 32, PSK))
     records = (out / "chunks.bin").read_bytes()
     (out / "chunks.bin").write_bytes(records[:100])
     with pytest.raises(InconsistentPublication, match="chunks.bin holds 100 bytes"):
@@ -351,8 +377,8 @@ def test_read_publication_rejects_truncated_chunks_file(tmp_path):
 
 def test_read_publication_rejects_image_digest_mismatch(tmp_path):
     img = image(7 * 32 + 4)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    out = write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    m = build_manifest(img, 32, KEY)
+    out = write_publication(tmp_path, m, make_chunks(img, 32, PSK))
     records = bytearray((out / "chunks.bin").read_bytes())
     records[40] ^= 0xFF  # same length, one flipped byte
     (out / "chunks.bin").write_bytes(bytes(records))
@@ -362,8 +388,8 @@ def test_read_publication_rejects_image_digest_mismatch(tmp_path):
 
 def test_read_publication_rejects_chunk_count_beyond_image(tmp_path):
     img = image(3 * 32)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    out = write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    m = build_manifest(img, 32, KEY)
+    out = write_publication(tmp_path, m, make_chunks(img, 32, PSK))
     extra = Manifest(m.base, m.image_size, m.image_digest, 32, m.chunk_count + 1, m.signature)
     (out / "manifest.bin").write_bytes(extra.to_bytes())
     (out / "chunks.bin").write_bytes((out / "chunks.bin").read_bytes() + bytes(32))
@@ -375,8 +401,8 @@ def test_read_publication_rejects_forged_manifest(tmp_path):
     # zeroed chunks.bin plus a manifest carrying the zeros' digest and the old
     # signature: length and digest are consistent, only the signature is not
     img = image(3 * 32)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    out = write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    m = build_manifest(img, 32, KEY)
+    out = write_publication(tmp_path, m, make_chunks(img, 32, PSK))
     zeros = bytes(3 * 32)
     forged = Manifest(m.base, m.image_size, hashlib.sha256(zeros).digest(), 32, 3, m.signature)
     (out / "chunks.bin").write_bytes(zeros)
@@ -387,8 +413,8 @@ def test_read_publication_rejects_forged_manifest(tmp_path):
 
 def test_read_publication_rejects_other_vendor_key(tmp_path):
     img = image(3 * 32)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    m = build_manifest(img, 32, KEY)
+    write_publication(tmp_path, m, make_chunks(img, 32, PSK))
     other = signing_key_from_seed(bytes(32)).public_key()
     with pytest.raises(InconsistentPublication, match="signature"):
         read_publication(tmp_path, m.base, PSK, other)
@@ -464,7 +490,7 @@ def test_fwpub_cli_accepts_a_psk_of_32_bytes_or_more(tmp_path, size):
     proc = _fwpub_small(tmp_path, psk=psk)
     assert proc.returncode == 0, proc.stderr
     loaded = read_publication(tmp_path / "r", BaseName("d", "v", "c", 10), psk, PUB)
-    assert loaded.chunks == [Chunk(0, b"xyz", tag_chunk(BaseName("d", "v", "c", 10), 0, b"xyz", psk))]
+    assert loaded.chunks == [Chunk(b"xyz", tag_chunk(BaseName("d", "v", "c", 10), 0, b"xyz", psk))]
 
 
 @pytest.mark.parametrize("option, value", [
@@ -501,8 +527,8 @@ def test_fwpub_cli_accepts_a_255_byte_component(tmp_path):
 
 def test_read_publication_refuses_a_component_that_leaves_the_repository(tmp_path):
     img = image(100)
-    m = build_manifest(img, 32, KEY, "d", "v")
-    write_publication(tmp_path, m, make_chunks(img, m.base, 32, PSK))
+    m = build_manifest(img, 32, KEY)
+    write_publication(tmp_path, m, make_chunks(img, 32, PSK))
     repo = tmp_path / "d" / "repo"
     repo.mkdir()
     # <repo>/../v/c/1000 is the publication of d/v/c/1000, which loaded
@@ -520,7 +546,7 @@ def test_fwpub_cli_rejects_a_directory_for_a_file_option(tmp_path, option):
 
 # -- manifest decoding of arbitrary bytes ----------------------------------------------
 
-VALID_MANIFEST = build_manifest(image(100), 32, KEY, "d", "v").to_bytes()
+VALID_MANIFEST = build_manifest(image(100), 32, KEY).to_bytes()
 spliced_manifests = st.tuples(st.integers(0, len(VALID_MANIFEST)), st.binary(max_size=8),
                               st.integers(0, len(VALID_MANIFEST))).map(
     lambda t: VALID_MANIFEST[:t[0]] + t[1] + VALID_MANIFEST[t[2]:])
