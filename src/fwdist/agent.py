@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from .naming import CHUNK, MANIFEST, BaseName, FirmwareName, align_epoch
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack
 from .scenario import Scenario
-from .vendor import Chunk, Manifest, MalformedManifest, tag_chunk
+from .vendor import Manifest, MalformedManifest, tag_chunk
 
 CONCURRENT = "concurrent"
 CASCADING = "cascading"
@@ -56,13 +56,13 @@ class UpdateAgent:
         vendor_key: Ed25519PublicKey,
         installed: InstalledFirmware,
         rng: random.Random,
-        published: Callable[[BaseName, int], Chunk | None],
+        published: Callable[[BaseName, int, bytes], bytes | None],
         emit=None,
     ):
-        """``published(base, index)`` returns a chunk whose tag was
-        checked against its payload under ``psk``, or None; a received chunk
-        with that payload is then checked against that tag instead of one
-        computed again. It must only return chunks checked under ``psk``."""
+        """``published(base, index, payload)`` returns the tag of chunk
+        ``index`` of ``base`` if ``payload`` is that chunk's payload, else
+        None; a received chunk is then checked against that tag instead of one
+        computed again. It must only return tags checked under ``psk``."""
         if scenario.strategy not in (CONCURRENT, CASCADING):
             raise ValueError(f"unknown strategy {scenario.strategy!r}")
         self.deployment = scenario.deployment
@@ -123,11 +123,8 @@ class UpdateAgent:
         return (self.deployment, self.vendor, self.device_class)
 
     def _set_phase(self, phase: str, detail: str = "") -> None:
-        old = self.phase
+        note = f"{self.phase}->{phase};{detail}" if detail else f"{self.phase}->{phase}"
         self.phase = phase
-        note = f"{old}->{phase}"
-        if detail:
-            note += f";{detail}"
         self._emit("PhaseChange", None, note)
 
     def _nonce(self) -> int:
@@ -190,16 +187,14 @@ class UpdateAgent:
         if self.phase != AWAIT_MANIFEST or data.name != self.awaited_manifest:
             return
         manifest = self._validate_manifest(data)
+        self.awaited_manifest = None
         if manifest is None:
             self._emit("Abort", None, "manifest-rejected;vendor-report")
-            self.awaited_manifest = None
             self._set_phase(IDLE, "manifest-rejected")
             return
         if manifest.base.epoch <= self.installed.epoch:
-            self.awaited_manifest = None
             self._set_phase(IDLE, "already-current")
             return
-        self.awaited_manifest = None
         self.digest_attempts = 0
         self._start_fetch(manifest, now, f"epoch:{manifest.base.epoch}")
 
@@ -294,9 +289,9 @@ class UpdateAgent:
     def _expected_tag(self, base: BaseName, idx: int, payload: bytes) -> bytes:
         """The tag of ``payload`` as chunk ``idx`` of ``base``: the published
         chunk's checked tag when the payloads match, else computed."""
-        known = self.published(base, idx)
-        if known is not None and known.payload == payload and len(known.tag) == self.trunc_len:
-            return known.tag
+        known = self.published(base, idx, payload)
+        if known is not None and len(known) == self.trunc_len:
+            return known
         return tag_chunk(base, idx, payload, self.psk, self.trunc_len)
 
     def divert_wanted(self, data: Data) -> bool:

@@ -51,8 +51,13 @@ from .vendor import (
     write_publication,
 )
 
+
+class UnencodableOutput(ValueError):
+    """A line of output that stdout's encoding cannot hold; ``--out`` writes UTF-8."""
+
+
 VALIDATION_ERRORS = (
-    ScenarioInvalid, NoPayloadRoom, MalformedCsv, MalformedName,
+    ScenarioInvalid, NoPayloadRoom, MalformedCsv, MalformedName, UnencodableOutput,
     EmptyImage, InvalidChunkSize, InvalidSigningKey, InvalidTruncation,
     InconsistentPublication, DuplicateEpoch, ShortKey, FileNotFoundError,
 )
@@ -185,7 +190,7 @@ def _emit_lines(lines, out: str | None) -> None:
 
     The lines are kept as the bytes the text stream would write, so a table
     with a row per received chunk takes its output size and no more; a fault
-    while building them writes nothing.
+    while building them, such as UnencodableOutput, writes nothing.
     """
     # an in-memory stdout, such as the io.StringIO of contextlib.redirect_stdout, has no byte buffer
     buffer = getattr(sys.stdout, "buffer", None) if out is None else None
@@ -195,7 +200,11 @@ def _emit_lines(lines, out: str | None) -> None:
         encoding, errors = "utf-8", "strict"
     text = bytearray()
     for line in lines:
-        text += line.encode(encoding, errors)
+        try:
+            text += line.encode(encoding, errors)
+        except UnicodeEncodeError as exc:
+            raise UnencodableOutput(f"stdout's encoding, {encoding}, cannot write {exc.object[exc.start]!a};"
+                                    " write the table as UTF-8 with --out") from None
         text += b"\n"
     if out is not None:
         with open(out, "wb") as fh:

@@ -105,10 +105,6 @@ class PitEntry:
     retx_budget: int = RETX_BUDGET
     next_retx_at: int = 0
 
-    def add_downstream(self, face: int) -> None:
-        if face not in self.downstream_faces:
-            self.downstream_faces.append(face)
-
 
 class ContentStore:
     """Fixed-capacity cache with least-recently-used replacement.
@@ -148,10 +144,6 @@ class ContentStore:
 
     def names(self) -> list[FirmwareName]:
         return list(self._entries)
-
-
-def _cacheable(data: Data) -> bool:
-    return data.name.kind in (CHUNK, MANIFEST)
 
 
 class Forwarder:
@@ -196,7 +188,8 @@ class Forwarder:
             return [Forward(face, local)]
         entry = self.pit.get(interest.name)
         if entry is not None:
-            entry.add_downstream(face)
+            if face not in entry.downstream_faces:
+                entry.downstream_faces.append(face)
             if self._implicit(interest):
                 entry.local_consumer = True
             return [Aggregate(interest.name)]
@@ -242,14 +235,12 @@ class Forwarder:
             if self._divert(data):
                 return [DivertToBuffer(data)]
             return [Drop("unsolicited")]
-        actions: list[Action] = []
-        if entry.local_consumer:
-            actions.append(DeliverLocal(data))
+        actions: list[Action] = [DeliverLocal(data)] if entry.local_consumer else []
         actions.extend(Forward(f, data) for f in entry.downstream_faces)
         diverting = not entry.local_consumer and self._divert(data)
         if diverting:
             actions.append(DivertToBuffer(data))
-        elif not entry.local_consumer and _cacheable(data):
+        elif not entry.local_consumer and data.name.kind in (CHUNK, MANIFEST):
             # Own-image chunks live in the agent buffer; the CS caches foreign
             # in-transit objects only.
             self.cs.insert(data)
@@ -259,9 +250,7 @@ class Forwarder:
         entry = self.pit.pop(nack.name, None)
         if entry is None:
             return [Drop("unsolicited-nack")]
-        actions: list[Action] = []
-        if entry.local_consumer:
-            actions.append(DeliverLocal(nack))
+        actions: list[Action] = [DeliverLocal(nack)] if entry.local_consumer else []
         actions.extend(Forward(f, nack) for f in entry.downstream_faces)
         return actions
 

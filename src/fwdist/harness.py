@@ -117,7 +117,7 @@ def sweep(base: dict, axis: str, values, seeds=None) -> dict:
     ``scenario_from_dict`` accepts it for that field; ``chunk_count`` sets
     ``image_size`` to value × chunk_size. A rejected value raises
     ``ScenarioInvalid`` naming the axis. ``seeds`` is required for every axis
-    but ``seed``, and refused for it.
+    but ``seed``, and refused for it; an empty ``values`` or ``seeds`` is refused.
 
     Returns {"rows": [...], "medians": [...]} where each row is
     (value, seed, completion_time_us, completions, net_retx, app_retx,
@@ -127,6 +127,9 @@ def sweep(base: dict, axis: str, values, seeds=None) -> dict:
         raise ScenarioInvalid("axis", f"not sweepable: {axis!r} (choose from {SWEEPABLE})")
     if (seeds is None) != (axis == "seed"):
         raise ScenarioInvalid("seeds", "required for every axis but seed, whose values are the seeds")
+    for name, items in (("values", values), ("seeds", seeds)):
+        if items is not None and not items:
+            raise ScenarioInvalid(name, "the list is empty: no run would stand behind the table")
     chunk_size = scenario_from_dict(base).chunk_size  # and a fault of the base names its field
     field = "image_size" if axis == "chunk_count" else axis
     rows = []
@@ -145,13 +148,9 @@ def sweep(base: dict, axis: str, values, seeds=None) -> dict:
             result = run_simulation(scenario)
             done = result.completed_nodes()
             completion = result.completion_time_us(done)
-            totals = {"NetRetx": 0, "AppRetx": 0, "LinkRetx": 0}
-            for stats in result.node_stats.values():
-                totals["NetRetx"] += stats["net_retx"]
-                totals["AppRetx"] += stats["app_retx"]
-                totals["LinkRetx"] += stats["link_retx"]
-            rows.append((value, scenario.seed, completion, len(done),
-                         totals["NetRetx"], totals["AppRetx"], totals["LinkRetx"]))
+            totals = [sum(stats[key] for stats in result.node_stats.values())
+                      for key in ("net_retx", "app_retx", "link_retx")]
+            rows.append((value, scenario.seed, completion, len(done), *totals))
             completions.append(completion)
         finished = [c for c in completions if c is not None]
         medians.append((value, statistics.median(finished) if finished else None))
@@ -250,8 +249,7 @@ def retx_blocks(rows, block_size: int = 100) -> list[tuple[str, str, int, int]]:
     for _, node, event, chunk_id, _ in rows:
         if chunk_id is None:
             continue
-        if node not in max_chunk or chunk_id > max_chunk[node]:
-            max_chunk[node] = chunk_id
+        max_chunk[node] = max(chunk_id, max_chunk.get(node, chunk_id))
         layer = layer_by_event.get(event)
         if layer is None:
             continue

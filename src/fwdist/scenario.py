@@ -307,7 +307,9 @@ def _topology(raw) -> Topology:
                  f"must be a non-empty string, got {node_id!r}")
         _require(not any(c in node_id for c in NODE_ID_FORBIDDEN), f"{fieldname}.id",
                  f"must not contain a comma, a double quote or a line break: {node_id!r}")
-        _require(_utf8(node_id), f"{fieldname}.id", f"must be valid Unicode text: {node_id!r}")
+        # a lone surrogate, which JSON escapes can carry, is the one code point UTF-8 cannot hold
+        _require(not any("\ud800" <= c <= "\udfff" for c in node_id), f"{fieldname}.id",
+                 f"must be valid Unicode text: {node_id!r}")
         parent = item.get("parent")
         _require(parent is None or isinstance(parent, str), f"{fieldname}.parent",
                  f"must be a node id or null, got {parent!r}")
@@ -315,14 +317,6 @@ def _topology(raw) -> Topology:
         return from_node_list(raw["nodes"])
     except TopologyError as exc:
         raise ScenarioInvalid("topology", str(exc)) from exc
-
-
-def _utf8(text: str) -> bool:
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:  # lone surrogates, which JSON escapes can carry
-        return False
-    return True
 
 
 def scenario_from_dict(raw: dict) -> Scenario:

@@ -272,7 +272,7 @@ class Simulation:
         # the log itself, which saves a call per record
         self.log = self.records.append
         self.repo = Repository()
-        self.images: dict[str, bytes] = {}  # device class -> published image
+        self.images: dict[str, bytes] = {}  # device class -> the repository's image
         self._stale: dict[str, list[Chunk]] = {}
         self.start_wall_s = scenario.epoch + 1
         loss = scenario.loss
@@ -343,19 +343,19 @@ class Simulation:
         psks = {}
         for cls in dict.fromkeys(class_of.values()):  # first-seen device order fixes the draws' order
             psks[cls] = psk = hashlib.sha256(b"fwdist-psk:" + cls.encode()).digest()
-            self.images[cls] = self.rng.randbytes(sc.image_size)
-            image = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, sc.epoch), self.images[cls])
+            image = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, sc.epoch),
+                                  self.rng.randbytes(sc.image_size))
             manifest = build_manifest(image, sc.chunk_size, signing_key)
             self.repo.publish(manifest, make_chunks(image, sc.chunk_size, psk, sc.trunc_len), psk)
+            self.images[cls] = self.repo.lookup_image(image.base)
             if stale_needed:
                 stale = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, previous_epoch),
                                       self.rng.randbytes(sc.image_size))
                 self._stale[cls] = make_chunks(stale, sc.chunk_size, psk, sc.trunc_len)
-        # Agents come up with the previous epoch installed. Every publication
-        # in self.repo was checked by publish(..., psk) under its class's PSK
-        # and tagged with sc.trunc_len, so an agent may take a published
-        # chunk's tag as the tag of an equal payload; a publication stored
-        # without that check must never be offered here.
+        # Agents come up with the previous epoch installed. The repository keeps
+        # each image with the tags publish(..., psk) checked under its class's PSK
+        # at sc.trunc_len; an agent takes one for a payload equal to its slice of
+        # the image. Never offer a publication stored without that check.
         agents = {}
         for dev, cls in class_of.items():
             agents[dev] = UpdateAgent(
@@ -366,7 +366,7 @@ class Simulation:
                 installed=InstalledFirmware(b"factory:" + dev.encode(), previous_epoch),
                 rng=self.rng,
                 emit=self._agent_emitter(dev),
-                published=self.repo.lookup_chunk,
+                published=self.repo.published_tag,
             )
         return agents
 
@@ -568,15 +568,13 @@ class SimResult:
             agent = sim.nodes[dev].agent
             counts = counters.get(dev, {})
             aborted = counts.get("Abort", 0) > 0
-            fetch_span = None
-            if agent.first_chunk_recv_us is not None and agent.last_chunk_recv_us is not None:
-                fetch_span = agent.last_chunk_recv_us - agent.first_chunk_recv_us
+            first, last = agent.first_chunk_recv_us, agent.last_chunk_recv_us  # set together
             self.node_stats[dev] = {
                 "rank": topo.ranks[dev],
                 "install_time_us": agent.install_time_us,
-                "first_chunk_recv_us": agent.first_chunk_recv_us,
-                "last_chunk_recv_us": agent.last_chunk_recv_us,
-                "fetch_span_us": fetch_span,
+                "first_chunk_recv_us": first,
+                "last_chunk_recv_us": last,
+                "fetch_span_us": None if first is None else last - first,
                 "installed_epoch": agent.installed.epoch,
                 "aborted": aborted,
                 "net_retx": counts.get("NetRetx", 0),
@@ -584,9 +582,9 @@ class SimResult:
                 "link_retx": counts.get("LinkRetx", 0),
                 "tag_fail": counts.get("TagFail", 0),
                 "data_recv": counts.get("DataRecv", 0),
+                "installed_bytes": agent.installed.data,
+                "device_class": agent.device_class,
             }
-            self.node_stats[dev]["installed_bytes"] = agent.installed.data
-            self.node_stats[dev]["device_class"] = agent.device_class
 
     def completed_nodes(self) -> list[str]:
         return [n for n, s in self.node_stats.items()
@@ -601,9 +599,8 @@ class SimResult:
 
     def summary(self) -> dict:
         completed = self.completed_nodes()
-        per_node = {}
-        for node, stats in self.node_stats.items():
-            per_node[node] = {k: v for k, v in stats.items() if k != "installed_bytes"}
+        per_node = {node: {k: v for k, v in stats.items() if k != "installed_bytes"}
+                    for node, stats in self.node_stats.items()}
         return {
             "strategy": self.scenario.strategy,
             "seed": self.scenario.seed,

@@ -257,10 +257,11 @@ class Publication:
 
 
 class Repository:
-    """Versioned firmware store keyed by base name: (deployment, vendor, class, epoch)."""
+    """Versioned firmware store keyed by base name: (deployment, vendor, class, epoch),
+    holding each publication as its manifest, its image and one checked tag per chunk."""
 
     def __init__(self):
-        self._store: dict[BaseName, Publication] = {}
+        self._store: dict[BaseName, tuple[Manifest, bytes, list[bytes]]] = {}
 
     def publish(self, manifest: Manifest, chunks: list[Chunk], psk: bytes) -> None:
         if len(chunks) != manifest.chunk_count:
@@ -289,17 +290,34 @@ class Repository:
                 raise InconsistentPublication(f"chunk {i} tag does not verify")
         if manifest.base in self._store:
             raise DuplicateEpoch(f"epoch {manifest.base.epoch} already published")
-        self._store[manifest.base] = Publication(manifest, list(chunks))
+        self._store[manifest.base] = (manifest, b"".join(c.payload for c in chunks), expected)
 
     def lookup_manifest(self, base: BaseName) -> Manifest | None:
         pub = self._store.get(base)
-        return pub.manifest if pub else None
+        return pub[0] if pub else None
+
+    def lookup_image(self, base: BaseName) -> bytes | None:
+        pub = self._store.get(base)
+        return pub[1] if pub else None
 
     def lookup_chunk(self, base: BaseName, index: int) -> Chunk | None:
         pub = self._store.get(base)
-        if pub is None or not 0 <= index < len(pub.chunks):
+        if pub is None or not 0 <= index < len(pub[2]):
             return None
-        return pub.chunks[index]
+        manifest, image, tags = pub
+        start = index * manifest.chunk_size
+        return Chunk(image[start : start + manifest.chunk_size], tags[index])
+
+    def published_tag(self, base: BaseName, index: int, payload: bytes) -> bytes | None:
+        """The checked tag of chunk ``index`` of ``base`` if ``payload`` is that
+        chunk, else None; compared in place in the image, so nothing is built."""
+        pub = self._store.get(base)
+        if pub is None or not 0 <= index < len(pub[2]):
+            return None
+        manifest, image, tags = pub
+        if len(payload) != manifest.chunk_length(index):
+            return None
+        return tags[index] if image.startswith(payload, index * manifest.chunk_size) else None
 
 
 # ---------------------------------------------------------------------------

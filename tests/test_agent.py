@@ -39,7 +39,7 @@ PREV = EPOCH - 86400
 NODE = NodeParams(turnaround_us=0, verify_delay_us=0, install_delay_us=0)
 
 
-def nothing_published(base, index):
+def nothing_published(base, index, payload):
     return None
 
 
@@ -394,7 +394,7 @@ DELIVERY_KINDS = ["published", "flipped", "forged", "long-tag", "short-payload",
 def test_verification_from_the_publication_accepts_exactly_what_computing_accepts(deliveries):
     repo = published_repository()
     runs = []
-    for published in (nothing_published, repo.lookup_chunk):
+    for published in (nothing_published, repo.published_tag):
         agent, events = make_agent(published=published)
         start_fetch(agent, PUBLISHED)
         for now, (kind, idx, pos, diverted) in enumerate(deliveries, start=1):
@@ -408,7 +408,7 @@ def test_a_published_tag_of_another_length_is_not_taken_and_the_tag_is_computed(
     _, manifest, long_tagged = make_firmware(size=80, trunc_len=16)
     repo = Repository()
     repo.publish(manifest, long_tagged, PSK)
-    agent, events = make_agent(published=repo.lookup_chunk)  # trunc_len 8
+    agent, events = make_agent(published=repo.published_tag)  # trunc_len 8
     start_fetch(agent, manifest)
     computed = []
     monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: computed.append(a) or tag_chunk(*a))
@@ -419,7 +419,7 @@ def test_a_published_tag_of_another_length_is_not_taken_and_the_tag_is_computed(
 
 
 def test_a_published_payload_is_checked_without_computing_a_tag(monkeypatch):
-    agent, events = make_agent(published=published_repository().lookup_chunk)
+    agent, events = make_agent(published=published_repository().published_tag)
     start_fetch(agent, PUBLISHED)
     monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: None)
     for i in range(len(PUBLISHED_CHUNKS)):

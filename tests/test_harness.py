@@ -525,6 +525,49 @@ def test_cli_sweep_seed_axis(tmp_path):
     assert len({row[2] for row in rows}) == 3
 
 
+@pytest.mark.parametrize("axis, values, seeds, field", [
+    ("seed", [], None, "values"),
+    ("chunk_count", [], [1], "values"),
+    ("chunk_count", [2], [], "seeds"),
+])
+def test_sweep_refuses_an_empty_list_before_any_run(monkeypatch, axis, values, seeds, field):
+    # these gave a table of headers only, or a median row that no run stood behind
+    monkeypatch.setattr("fwdist.harness.run_simulation", _no_run)
+    with pytest.raises(ScenarioInvalid) as err:
+        sweep(chain_raw(), axis, values, seeds)
+    assert err.value.fieldname == field
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--axis", "seed", "--values", ","], "values"),
+    (["--axis", "chunk_count", "--values", "2", "--seeds", ","], "seeds"),
+])
+def test_cli_sweep_of_an_empty_list_exits_2_and_writes_nothing(tmp_path, capsys, args, field):
+    out = tmp_path / "sweep.csv"
+    assert fwsim_main(["sweep", str(write_scenario(tmp_path)), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {field}: ")
+    assert fwsim_main(["sweep", str(write_scenario(tmp_path)), *args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_table_that_stdout_cannot_encode_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # as under LC_ALL=C with neither locale coercion nor UTF-8 mode: stdout is ASCII, strict
+    csv = tmp_path / "metrics.csv"
+    csv.write_text(CSV_HEADER + "\n1,n\u00e9,DataRecv,0,\n", encoding="utf-8")
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    assert fwsim_main(["tables", str(csv), "--kind", "progress"]) == 2
+    sys.stdout.flush()
+    assert raw.getvalue() == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ascii" in err and "--out" in err
+    out = tmp_path / "progress.csv"
+    assert fwsim_main(["tables", str(csv), "--kind", "progress", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "node,sim_time_us,cumulative_chunks\nn\u00e9,1,1\n"
+
+
 def test_cli_unreadable_scenario_exit_2(tmp_path, monkeypatch, capsys):
     # root reads any file whatever its mode, so the refusal is simulated
     def denied(path, *args, **kwargs):

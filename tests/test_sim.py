@@ -22,6 +22,7 @@ from fwdist.scenario import (
 )
 from fwdist.sim import EventLog, SimNode, Simulation, run_simulation
 from fwdist.topology import Topology, build_paper_topology
+from fwdist.vendor import Chunk
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
                    {'id': 'n2', 'parent': 'n1'}, {'id': 'n3', 'parent': 'n2'}]}
@@ -203,6 +204,44 @@ def test_no_name_or_data_outlives_its_run():
     names = (o.name if isinstance(o, Data) else o for o in gc.get_objects()
              if isinstance(o, (Data, FirmwareName)))
     assert not any(name.base.deployment == deployment for name in names)
+
+
+# the benchmark's multiparty workload: 30 device classes of 400 chunks each
+MULTIPARTY = {'topology': 'paper', 'strategy': 'concurrent', 'multiparty': True,
+              'image_size': 400 * 32, 'chunk_size': 32, 'duration_s': 3600}
+
+
+def _chunk_objects() -> int:
+    gc.collect()
+    return sum(isinstance(o, Chunk) for o in gc.get_objects())
+
+
+def test_set_up_keeps_each_published_image_once_and_no_chunk_object():
+    sc = scenario_from_dict(MULTIPARTY)
+    before = _chunk_objects()
+    sim = Simulation(sc)
+    assert _chunk_objects() == before  # a Chunk per published chunk would be 12,000 more
+    assert len(sim.images) == 30
+    for cls, image in sim.images.items():
+        assert image is sim.repo.lookup_image(BaseName(sc.deployment, sc.vendor, cls, sc.epoch))
+    result = sim.run()
+    assert all(result.images[cls] is image for cls, image in sim.images.items())
+
+
+def test_set_up_of_thirty_images_of_400_chunks_holds_under_1_8_mb():
+    # a Chunk per chunk and a second copy of each image hold 2.49 MB; each image once, 1.13 MB
+    sc = scenario_from_dict(MULTIPARTY)
+    Simulation(sc)  # imports and caches that outlive a set-up are not counted below
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = Simulation(sc)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(sim.images) == 30
+    assert held < 1.8e6
 
 
 # -- attacker ---------------------------------------------------------------------------

@@ -275,6 +275,29 @@ def test_make_chunks_tags_payload_i_at_index_i_and_the_payloads_join_to_the_imag
         assert c.tag == tag_chunk(img.base, i, c.payload, PSK, trunc)
 
 
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(min_value=1, max_value=600), chunk=st.integers(min_value=1, max_value=64),
+       trunc=st.sampled_from([8, 16, 32]), foreign=st.binary(max_size=70))
+def test_the_repository_serves_each_chunk_as_make_chunks_cuts_it_and_checks_it_in_place(size, chunk, trunc,
+                                                                                       foreign):
+    img = FirmwareImage(BASE, bytes((5 * i + size) % 256 for i in range(size)))
+    chunks = make_chunks(img, chunk, PSK, trunc)
+    repo = Repository()
+    repo.publish(build_manifest(img, chunk, KEY), chunks, PSK)
+    other = BaseName("d", "v", "c", BASE.epoch + 1)
+    for i in range(-2, len(chunks) + 2):
+        published = chunks[i] if 0 <= i < len(chunks) else None
+        assert repo.lookup_chunk(BASE, i) == published
+        assert repo.lookup_chunk(other, i) is None
+        payload = published.payload if published else img.data[:chunk]
+        near = [payload, payload[:-1], payload + b"\x00", bytes([payload[0] ^ 1]) + payload[1:], foreign,
+                chunks[(i + 1) % len(chunks)].payload]
+        for candidate in near:
+            expected = published.tag if published and candidate == published.payload else None
+            assert repo.published_tag(BASE, i, candidate) == expected
+            assert repo.published_tag(other, i, candidate) is None
+
+
 def _retagged(chunks, base, trunc_of):
     """``chunks`` with valid tags, chunk ``i`` truncated to ``trunc_of(i)`` bytes."""
     return [Chunk(c.payload, tag_chunk(base, i, c.payload, PSK, 32)[:trunc_of(i)])
