@@ -42,11 +42,9 @@ from .vendor import (
     InvalidSigningKey,
     InvalidTruncation,
     MIN_PSK_BYTES,
-    TRUNCATION_LENGTHS,
     ShortKey,
     build_manifest,
     check_path_component,
-    make_chunks,
     signing_key_from_seed,
     write_publication,
 )
@@ -259,7 +257,6 @@ def _fwpub_parser() -> argparse.ArgumentParser:
     parser.add_argument("--key-file", required=True, type=_file_bytes,
                         help="32-byte Ed25519 signing seed")
     parser.add_argument("--repo", required=True, type=_out_dir, help="repository directory")
-    parser.add_argument("--trunc-len", type=int, default=8, choices=TRUNCATION_LENGTHS)
     return parser
 
 
@@ -273,8 +270,7 @@ def fwpub_main(argv=None) -> int:
         key = signing_key_from_seed(args.key_file)
         image = FirmwareImage(BaseName(args.deployment, args.vendor, args.device_class, args.epoch), args.image)
         manifest = build_manifest(image, args.chunk_size, key)
-        chunks = make_chunks(image, args.chunk_size, args.psk_file, args.trunc_len)
-        out = write_publication(Path(args.repo), manifest, chunks)
+        out = write_publication(Path(args.repo), manifest, image.data)
         print(json.dumps({
             "published": str(out),
             "base_name": str(manifest.base),

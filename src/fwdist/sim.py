@@ -34,7 +34,6 @@ from .naming import CHUNK, FIRMWARE, MANIFEST, BaseName, FirmwareName
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack, Packet, chunk_id_of, packet_size
 from .scenario import Scenario, ScenarioInvalid
 from .vendor import (
-    Chunk,
     FirmwareImage,
     Repository,
     build_manifest,
@@ -273,7 +272,7 @@ class Simulation:
         self.log = self.records.append
         self.repo = Repository()
         self.images: dict[str, bytes] = {}  # device class -> the repository's image
-        self._stale: dict[str, list[Chunk]] = {}
+        self._stale: dict[str, tuple[bytes, list[bytes]]] = {}  # device class -> previous image, tags
         self.start_wall_s = scenario.epoch + 1
         loss = scenario.loss
         # loss probability of an attempt on a clear medium and of a collided one
@@ -346,12 +345,12 @@ class Simulation:
             image = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, sc.epoch),
                                   self.rng.randbytes(sc.image_size))
             manifest = build_manifest(image, sc.chunk_size, signing_key)
-            self.repo.publish(manifest, make_chunks(image, sc.chunk_size, psk, sc.trunc_len), psk)
+            self.repo.publish(manifest, image.data, make_chunks(image, sc.chunk_size, psk, sc.trunc_len), psk)
             self.images[cls] = self.repo.lookup_image(image.base)
             if stale_needed:
                 stale = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, previous_epoch),
                                       self.rng.randbytes(sc.image_size))
-                self._stale[cls] = make_chunks(stale, sc.chunk_size, psk, sc.trunc_len)
+                self._stale[cls] = (stale.data, make_chunks(stale, sc.chunk_size, psk, sc.trunc_len))
         # Agents come up with the previous epoch installed. The repository keeps
         # each image with the tags publish(..., psk) checked under its class's PSK
         # at sc.trunc_len; an agent takes one for a payload equal to its slice of
@@ -401,7 +400,8 @@ class Simulation:
         elif name.kind == CHUNK:
             chunk = self.repo.lookup_chunk(name.base, name.chunk_id)
             if chunk is not None:
-                return Data(name, chunk.payload, HmacTag(chunk.tag))
+                payload, tag = chunk
+                return Data(name, payload, HmacTag(tag))
         return None
 
     # -- clock / logging ------------------------------------------------------------
@@ -531,10 +531,11 @@ class Simulation:
         if spec.mode == "replay_stale":
             # substitute the same-index chunk of the previous epoch, renamed to
             # the current version; its tag binds the old base name
-            stale = self._stale.get(data.name.base.device_class)
+            image, tags = self._stale.get(data.name.base.device_class, (b"", ()))
             idx = data.name.chunk_id
-            if stale is not None and 0 <= idx < len(stale):
-                return Data(data.name, stale[idx].payload, HmacTag(stale[idx].tag))
+            if 0 <= idx < len(tags):
+                start = idx * self.scenario.chunk_size
+                return Data(data.name, image[start : start + self.scenario.chunk_size], HmacTag(tags[idx]))
         # tamper_payload, and a replay with no stale chunk to offer
         payload = bytes([data.payload[0] ^ 0xFF]) + data.payload[1:]
         return Data(data.name, payload, data.auth)

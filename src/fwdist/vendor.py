@@ -10,6 +10,8 @@ recomputable from the pre-shared class key and are never persisted.
 from __future__ import annotations
 
 import hashlib
+import os
+import shutil
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,13 +82,6 @@ class FirmwareImage:
             raise EmptyImage("firmware images must be non-empty")
 
 
-@dataclass(frozen=True, slots=True)
-class Chunk:
-    """One chunk of a publication; its index is its position in the chunk list."""
-    payload: bytes
-    tag: bytes
-
-
 def _check_chunk_size(chunk_size: int) -> None:
     if not 0 < chunk_size < 2**32:  # the manifest carries it in 4 bytes
         raise InvalidChunkSize(f"chunk size must be in [1, 2**32), got {chunk_size}")
@@ -150,9 +145,10 @@ def tag_chunks(base: BaseName, payloads: Iterable[bytes], psk: bytes, trunc_len:
             for index, payload in enumerate(payloads)]
 
 
-def make_chunks(image: FirmwareImage, chunk_size: int, psk: bytes, trunc_len: int = 8) -> list[Chunk]:
-    payloads = chunk_image(image, chunk_size)
-    return list(map(Chunk, payloads, tag_chunks(image.base, payloads, psk, trunc_len)))
+def make_chunks(image: FirmwareImage, chunk_size: int, psk: bytes, trunc_len: int = 8) -> list[bytes]:
+    """Set-up's tagging step: the tag of each ``chunk_size`` chunk of ``image``, tag ``i``
+    for chunk ``i``. A publication is its manifest, ``image.data`` and these tags."""
+    return tag_chunks(image.base, chunk_image(image, chunk_size), psk, trunc_len)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +249,8 @@ def signing_key_from_seed(seed: bytes) -> Ed25519PrivateKey:
 @dataclass(slots=True)
 class Publication:
     manifest: Manifest
-    chunks: list[Chunk]
+    image: bytes
+    tags: list[bytes]  # tag i is chunk i's
 
 
 class Repository:
@@ -263,34 +260,32 @@ class Repository:
     def __init__(self):
         self._store: dict[BaseName, tuple[Manifest, bytes, list[bytes]]] = {}
 
-    def publish(self, manifest: Manifest, chunks: list[Chunk], psk: bytes) -> None:
-        if len(chunks) != manifest.chunk_count:
+    def publish(self, manifest: Manifest, image: bytes, tags: list[bytes], psk: bytes) -> None:
+        """Store ``image`` itself, with tag ``i`` for chunk ``i``, once every tag is checked."""
+        if len(tags) != manifest.chunk_count:
             raise InconsistentPublication(
-                f"chunk count {len(chunks)} does not match manifest {manifest.chunk_count}"
+                f"chunk count {len(tags)} does not match manifest {manifest.chunk_count}"
             )
         if not manifest.layout_consistent():
             raise InconsistentPublication(_LAYOUT_MISMATCH)
+        if len(image) != manifest.image_size:
+            raise InconsistentPublication(f"image has {len(image)} bytes, manifest {manifest.image_size}")
         # an agent checks every tag of a publication against one truncation length
-        trunc = len(chunks[0].tag)
-        if trunc not in TRUNCATION_LENGTHS:
-            raise InconsistentPublication(
-                f"chunk 0 has a tag of {trunc} bytes, not one of {TRUNCATION_LENGTHS}")
-        # a consistent layout and these lengths imply that the payloads sum to image_size
-        for i, chunk in enumerate(chunks):
-            if len(chunk.payload) != manifest.chunk_length(i):
-                raise InconsistentPublication(f"chunk {i} has length {len(chunk.payload)}")
-            if len(chunk.tag) != trunc:
-                raise InconsistentPublication(
-                    f"chunk {i} has a tag of {len(chunk.tag)} bytes, chunk 0 one of {trunc}")
+        trunc = len(tags[0])
+        for i, tag in enumerate(tags):
+            if len(tag) != trunc or trunc not in TRUNCATION_LENGTHS:
+                raise InconsistentPublication(f"chunk {i} has a tag of {len(tag)} bytes; every tag must have "
+                                              f"chunk 0's length, one of {TRUNCATION_LENGTHS}")
         _check_psk(psk)
         # every tag binds its index, so a chunk out of place fails here
-        expected = tag_chunks(manifest.base, (c.payload for c in chunks), psk, trunc)
-        for i, (chunk, tag) in enumerate(zip(chunks, expected)):
-            if chunk.tag != tag:
+        payloads = chunk_image(FirmwareImage(manifest.base, image), manifest.chunk_size)
+        expected = tag_chunks(manifest.base, payloads, psk, trunc)
+        for i, (tag, want) in enumerate(zip(tags, expected)):
+            if tag != want:
                 raise InconsistentPublication(f"chunk {i} tag does not verify")
         if manifest.base in self._store:
             raise DuplicateEpoch(f"epoch {manifest.base.epoch} already published")
-        self._store[manifest.base] = (manifest, b"".join(c.payload for c in chunks), expected)
+        self._store[manifest.base] = (manifest, image, expected)
 
     def lookup_manifest(self, base: BaseName) -> Manifest | None:
         pub = self._store.get(base)
@@ -300,13 +295,14 @@ class Repository:
         pub = self._store.get(base)
         return pub[1] if pub else None
 
-    def lookup_chunk(self, base: BaseName, index: int) -> Chunk | None:
+    def lookup_chunk(self, base: BaseName, index: int) -> tuple[bytes, bytes] | None:
+        """The payload and tag of chunk ``index`` of ``base``, or None."""
         pub = self._store.get(base)
         if pub is None or not 0 <= index < len(pub[2]):
             return None
         manifest, image, tags = pub
         start = index * manifest.chunk_size
-        return Chunk(image[start : start + manifest.chunk_size], tags[index])
+        return image[start : start + manifest.chunk_size], tags[index]
 
     def published_tag(self, base: BaseName, index: int, payload: bytes) -> bytes | None:
         """The checked tag of chunk ``index`` of ``base`` if ``payload`` is that
@@ -345,42 +341,48 @@ def publication_dir(root: Path, base: BaseName) -> Path:
     return Path(root) / base.deployment / base.vendor / base.device_class / str(base.epoch)
 
 
-def write_publication(root: Path, manifest: Manifest, chunks: list[Chunk]) -> Path:
+def write_publication(root: Path, manifest: Manifest, image: bytes) -> Path:
+    """Write ``image`` and its manifest into a new directory for the epoch and return it; raise
+    DuplicateEpoch if that directory exists. The files go into a temporary sibling that is then
+    renamed into place, so a write that fails leaves nothing under the epoch's name."""
     out = publication_dir(root, manifest.base)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.bin").write_bytes(manifest.to_bytes())
-    records = bytearray()
-    for chunk in chunks:
-        records += chunk.payload
-        records += b"\x00" * (manifest.chunk_size - len(chunk.payload))
-    (out / "chunks.bin").write_bytes(bytes(records))
+    if out.exists():
+        raise DuplicateEpoch(f"epoch {manifest.base.epoch} already published: {out} exists")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = out.with_name(f".{out.name}-{os.urandom(4).hex()}")
+    staging.mkdir()
+    try:
+        (staging / "manifest.bin").write_bytes(manifest.to_bytes())
+        (staging / "chunks.bin").write_bytes(image.ljust(manifest.chunk_count * manifest.chunk_size, b"\x00"))
+        staging.rename(out)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     return out
 
 
 def read_publication(root: Path, base: BaseName, psk: bytes, vendor_key: Ed25519PublicKey,
                      trunc_len: int = 8) -> Publication:
-    """Load a publication; tags are recomputed from the class key.
-
-    Raises InconsistentPublication if ``chunks.bin`` does not hold exactly
-    ``chunk_count`` records of ``chunk_size`` bytes, if the image they hold
-    does not match the manifest's digest, or if the manifest's signature does
-    not verify under ``vendor_key``, and ShortKey if ``psk`` is too short to
-    tag chunks.
-    """
+    """Load the publication of ``base``, with its tags recomputed from the class key. Raises
+    InconsistentPublication if the manifest names another base name, if ``chunks.bin`` does not
+    hold exactly ``chunk_count`` records of ``chunk_size`` bytes, if the image they hold does not
+    match the manifest's digest or if the signature does not verify under ``vendor_key``;
+    MalformedManifest if ``manifest.bin`` does not decode; ShortKey if ``psk`` is too short."""
     _check_psk(psk)
     src = publication_dir(root, base)
     manifest = Manifest.from_bytes((src / "manifest.bin").read_bytes())
+    if manifest.base != base:
+        raise InconsistentPublication(f"{src} holds the manifest of {manifest.base}, not of {base}")
     records = (src / "chunks.bin").read_bytes()
     size = manifest.chunk_size
     if not manifest.layout_consistent():
         raise InconsistentPublication(_LAYOUT_MISMATCH)
-    if len(records) != manifest.chunk_count * size:
-        raise InconsistentPublication(
-            f"chunks.bin holds {len(records)} bytes, expected {manifest.chunk_count * size}"
-        )
+    expected = manifest.chunk_count * size
+    if len(records) != expected:
+        raise InconsistentPublication(f"chunks.bin holds {len(records)} bytes, expected {expected}")
     image = records[: manifest.image_size]
     if image_digest(image) != manifest.image_digest:
         raise InconsistentPublication("chunks.bin does not match the manifest's image digest")
     if not manifest.verify(vendor_key):
         raise InconsistentPublication("manifest signature does not verify under the vendor key")
-    return Publication(manifest, make_chunks(FirmwareImage(manifest.base, image), size, psk, trunc_len))
+    return Publication(manifest, image, make_chunks(FirmwareImage(base, image), size, psk, trunc_len))

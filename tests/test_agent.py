@@ -24,6 +24,7 @@ from fwdist.vendor import (
     FirmwareImage,
     Repository,
     build_manifest,
+    chunk_image,
     make_chunks,
     signing_key_from_seed,
     tag_chunk,
@@ -61,8 +62,8 @@ def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None,
 def make_firmware(size=96, chunk_size=32, epoch=EPOCH, cls="c", psk=PSK, step=7, trunc_len=8):
     img = FirmwareImage(BaseName("d", "v", cls, epoch), bytes((i * step) % 256 for i in range(size)))
     manifest = build_manifest(img, chunk_size, KEY)
-    chunks = make_chunks(img, chunk_size, psk, trunc_len)
-    return img, manifest, chunks
+    chunks = list(zip(chunk_image(img, chunk_size), make_chunks(img, chunk_size, psk, trunc_len)))
+    return img, manifest, chunks  # chunks[i] is chunk i's (payload, tag)
 
 
 def manifest_data(manifest):
@@ -71,8 +72,8 @@ def manifest_data(manifest):
 
 def chunk_packet(manifest, chunks, index):
     """The Data packet of ``chunks[index]``, chunk ``index`` of ``manifest``."""
-    chunk = chunks[index]
-    return Data(manifest.base.chunk(index), chunk.payload, HmacTag(chunk.tag))
+    payload, tag = chunks[index]
+    return Data(manifest.base.chunk(index), payload, HmacTag(tag))
 
 
 def start_fetch(agent, manifest):
@@ -301,7 +302,7 @@ def test_overheard_chunk_stored_out_of_order():
     agent.on_chunk(chunk_packet(manifest, chunks, 2), now=5, diverted=True)
     assert agent.received[2] and not agent.received[0]
     # offset write: buffer slice holds the payload
-    assert bytes(agent.buffer[64:96]) == chunks[2].payload
+    assert bytes(agent.buffer[64:96]) == chunks[2][0]
 
 
 def test_divert_requires_concurrent_mode():
@@ -352,24 +353,27 @@ def test_the_cursor_is_the_smallest_unstored_chunk_and_the_only_one_requested(st
 # -- verification from the publication ------------------------------------------------------------
 
 OTHER_PSK = hashlib.sha256(b"agent-psk-other").digest()
-_, PUBLISHED, PUBLISHED_CHUNKS = make_firmware(size=80)
-_, STALE, STALE_CHUNKS = make_firmware(size=80, epoch=PREV, step=11)
-_, OTHER, OTHER_CHUNKS = make_firmware(size=80, cls="other", psk=OTHER_PSK, step=13)
+PUBLISHED_IMAGE, PUBLISHED, PUBLISHED_CHUNKS = make_firmware(size=80)
+STALE_IMAGE, STALE, STALE_CHUNKS = make_firmware(size=80, epoch=PREV, step=11)
+OTHER_IMAGE, OTHER, OTHER_CHUNKS = make_firmware(size=80, cls="other", psk=OTHER_PSK, step=13)
+
+
+def publish(repo, img, manifest, chunks, psk):
+    repo.publish(manifest, img.data, [tag for _, tag in chunks], psk)
 
 
 def published_repository():
     """Every publication checked under its class's PSK, as the simulation publishes them."""
     repo = Repository()
-    repo.publish(PUBLISHED, PUBLISHED_CHUNKS, PSK)
-    repo.publish(STALE, STALE_CHUNKS, PSK)
-    repo.publish(OTHER, OTHER_CHUNKS, OTHER_PSK)
+    publish(repo, PUBLISHED_IMAGE, PUBLISHED, PUBLISHED_CHUNKS, PSK)
+    publish(repo, STALE_IMAGE, STALE, STALE_CHUNKS, PSK)
+    publish(repo, OTHER_IMAGE, OTHER, OTHER_CHUNKS, OTHER_PSK)
     return repo
 
 
 def delivery(kind, idx, pos):
     """Data for chunk ``idx`` of the current epoch, made as ``kind`` says."""
-    good = PUBLISHED_CHUNKS[idx]
-    payload, tag = good.payload, good.tag
+    payload, tag = PUBLISHED_CHUNKS[idx]
     if kind == "flipped":
         at = pos % len(payload)
         payload = payload[:at] + bytes([payload[at] ^ 0x01]) + payload[at + 1:]
@@ -380,9 +384,9 @@ def delivery(kind, idx, pos):
     elif kind == "short-payload":
         payload = payload[:-1]
     elif kind == "stale":
-        payload, tag = STALE_CHUNKS[idx].payload, STALE_CHUNKS[idx].tag
+        payload, tag = STALE_CHUNKS[idx]
     elif kind == "other-class":
-        payload, tag = OTHER_CHUNKS[idx].payload, OTHER_CHUNKS[idx].tag
+        payload, tag = OTHER_CHUNKS[idx]
     return Data(PUBLISHED.base.chunk(idx), payload, HmacTag(tag))
 
 
@@ -405,17 +409,17 @@ def test_verification_from_the_publication_accepts_exactly_what_computing_accept
 
 
 def test_a_published_tag_of_another_length_is_not_taken_and_the_tag_is_computed(monkeypatch):
-    _, manifest, long_tagged = make_firmware(size=80, trunc_len=16)
+    img, manifest, long_tagged = make_firmware(size=80, trunc_len=16)
     repo = Repository()
-    repo.publish(manifest, long_tagged, PSK)
+    publish(repo, img, manifest, long_tagged, PSK)
     agent, events = make_agent(published=repo.published_tag)  # trunc_len 8
     start_fetch(agent, manifest)
     computed = []
     monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: computed.append(a) or tag_chunk(*a))
     agent.take_request(now=1)
     agent.on_chunk(chunk_packet(manifest, PUBLISHED_CHUNKS, 0), now=1)
-    assert computed == [(manifest.base, 0, PUBLISHED_CHUNKS[0].payload, PSK, 8)]
-    assert ("DataRecv", 0, "") in events and agent.received[0] == PUBLISHED_CHUNKS[0].tag
+    assert computed == [(manifest.base, 0, PUBLISHED_CHUNKS[0][0], PSK, 8)]
+    assert ("DataRecv", 0, "") in events and agent.received[0] == PUBLISHED_CHUNKS[0][1]
 
 
 def test_a_published_payload_is_checked_without_computing_a_tag(monkeypatch):
@@ -527,9 +531,9 @@ def test_serve_chunk_slices_flash_at_offset():
 
 def test_served_tags_recomputed_equal_vendor_tags():
     agent, _, manifest, chunks = install_agent()
-    for i, chunk in enumerate(chunks):
+    for i, (_, tag) in enumerate(chunks):
         served = agent.serve_lookup(manifest.base.chunk(i))
-        assert served.auth.tag == chunk.tag
+        assert served.auth.tag == tag
 
 
 def test_served_chunks_from_flash_equal_recomputed_tags():
@@ -554,7 +558,7 @@ def test_served_chunks_from_buffer_equal_recomputed_tags():
             assert served is None
             continue
         payload = bytes(agent.buffer[idx * 32 : min((idx + 1) * 32, manifest.image_size)])
-        assert served.payload == payload == chunks[idx].payload
+        assert served.payload == payload == chunks[idx][0]
         assert served.auth == HmacTag(tag_chunk(manifest.base, idx, payload, PSK))
 
 
@@ -587,7 +591,7 @@ def test_chunk_failing_tag_check_never_served():
     agent.on_chunk(chunk_packet(manifest, chunks, 1), now=0, diverted=True)
     agent.on_chunk(Data(good.name, tampered.payload, good.auth), now=0, diverted=True)
     assert agent.serve_lookup(good.name) is None
-    assert agent.serve_lookup(manifest.base.chunk(1)).payload == chunks[1].payload
+    assert agent.serve_lookup(manifest.base.chunk(1)).payload == chunks[1][0]
     agent.take_request(now=0)
     agent.on_chunk(good, now=0)
     assert agent.serve_lookup(good.name) == good
@@ -614,7 +618,7 @@ def test_buffer_serving_mid_fetch_concurrent():
     agent.take_request(now=0)
     agent.on_chunk(chunk_packet(manifest, chunks, 0), now=0)
     served = agent.serve_lookup(manifest.base.chunk(0))
-    assert served.payload == chunks[0].payload
+    assert served.payload == chunks[0][0]
     assert agent.serve_lookup(manifest.base.chunk(1)) is None  # not yet held
 
 
@@ -633,7 +637,7 @@ def test_cascading_stops_denying_after_install():
     agent, _, manifest, chunks = install_agent(strategy=CASCADING)
     assert not agent.deny(Interest(manifest.base.chunk(0), nonce=1))
     served = agent.serve_lookup(manifest.base.chunk(0))
-    assert served.payload == chunks[0].payload
+    assert served.payload == chunks[0][0]
 
 
 def test_poll_rearmed_after_install():

@@ -1,6 +1,7 @@
 import hashlib
 import hmac as hmac_mod
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from fwdist.cli import VALIDATION_ERRORS
 from fwdist.naming import BaseName, MalformedName
 from fwdist.vendor import (
-    Chunk,
     DuplicateEpoch,
     EmptyImage,
     FirmwareImage,
@@ -20,11 +20,13 @@ from fwdist.vendor import (
     InvalidTruncation,
     MalformedManifest,
     Manifest,
+    Publication,
     Repository,
     ShortKey,
     build_manifest,
     chunk_image,
     make_chunks,
+    publication_dir,
     read_publication,
     signing_key_from_seed,
     tag_chunk,
@@ -202,17 +204,18 @@ def test_manifest_rejects_any_field_mutation(mutation):
 def publish_version(repo, epoch, size=100):
     img = image(size, epoch=epoch)
     m = build_manifest(img, 32, KEY)
-    chunks = make_chunks(img, 32, PSK)
-    repo.publish(m, chunks, PSK)
-    return m, chunks
+    tags = make_chunks(img, 32, PSK)
+    repo.publish(m, img.data, tags, PSK)
+    return m, img, tags
 
 
 def test_publish_then_lookup_round_trip():
     repo = Repository()
-    m, chunks = publish_version(repo, 1000)
-    got = repo.lookup_chunk(m.base, 0)
-    assert got.payload == chunks[0].payload and got.tag == chunks[0].tag
+    m, img, tags = publish_version(repo, 1000)
+    assert repo.lookup_chunk(m.base, 0) == (img.data[:32], tags[0])
+    assert repo.lookup_chunk(m.base, 3) == (img.data[96:], tags[3])
     assert repo.lookup_manifest(m.base) == m
+    assert repo.lookup_image(m.base) is img.data
 
 
 def test_lookup_missing_epoch_returns_none():
@@ -224,44 +227,60 @@ def test_lookup_missing_epoch_returns_none():
 
 def test_versioned_keying():
     repo = Repository()
-    m1, _ = publish_version(repo, 1000, size=96)
-    m2, _ = publish_version(repo, 2000, size=128)
+    m1, _, _ = publish_version(repo, 1000, size=96)
+    m2, _, _ = publish_version(repo, 2000, size=128)
     assert repo.lookup_manifest(m1.base).image_size == 96
     assert repo.lookup_manifest(m2.base).image_size == 128
 
 
 def test_duplicate_epoch_rejected():
     repo = Repository()
-    m, chunks = publish_version(repo, 1000)
+    m, img, tags = publish_version(repo, 1000)
     with pytest.raises(DuplicateEpoch):
-        repo.publish(m, chunks, PSK)
+        repo.publish(m, img.data, tags, PSK)
 
 
 def test_inconsistent_publication_rejected():
     repo = Repository()
     img = image(100)
     m = build_manifest(img, 32, KEY)
-    chunks = make_chunks(img, 32, PSK)
-    with pytest.raises(InconsistentPublication):
-        repo.publish(m, chunks[:-1], PSK)
-    bad_tag = [Chunk(c.payload, bytes(len(c.tag))) for c in chunks]
-    with pytest.raises(InconsistentPublication):
-        repo.publish(m, bad_tag, PSK)
+    tags = make_chunks(img, 32, PSK)
+    with pytest.raises(InconsistentPublication, match="chunk count 3"):
+        repo.publish(m, img.data, tags[:-1], PSK)
+    with pytest.raises(InconsistentPublication, match="chunk 0 tag does not verify"):
+        repo.publish(m, img.data, [bytes(len(tag)) for tag in tags], PSK)
+    assert repo.lookup_manifest(m.base) is None
 
 
 def test_publish_refuses_two_swapped_chunks_of_equal_length():
     # every tag binds its index, so a chunk out of place fails the tag check
     img = image(100)
     m = build_manifest(img, 32, KEY)
-    chunks = make_chunks(img, 32, PSK)
-    swapped = [chunks[1], chunks[0], *chunks[2:]]
-    assert len(swapped[0].payload) == len(swapped[1].payload) and swapped[0].payload != swapped[1].payload
+    tags = make_chunks(img, 32, PSK)
+    data = img.data
+    swapped = data[32:64] + data[:32] + data[64:]
+    assert swapped != data and len(swapped) == len(data)
     repo = Repository()
     with pytest.raises(InconsistentPublication, match="chunk 0 tag does not verify"):
-        repo.publish(m, swapped, PSK)
+        repo.publish(m, swapped, tags, PSK)
+    with pytest.raises(InconsistentPublication, match="chunk 0 tag does not verify"):
+        repo.publish(m, data, [tags[1], tags[0], *tags[2:]], PSK)
     assert repo.lookup_manifest(m.base) is None
-    repo.publish(m, chunks, PSK)
-    assert repo.lookup_chunk(m.base, 1) == chunks[1]
+    repo.publish(m, data, tags, PSK)
+    assert repo.lookup_chunk(m.base, 1) == (data[32:64], tags[1])
+
+
+@pytest.mark.parametrize("length", [99, 101, 96, 128, 0])
+def test_publish_refuses_an_image_of_another_length_than_the_manifest(length):
+    # a longer or shorter image whose chunk count still matches, or one that is empty
+    img = image(100)
+    m = build_manifest(img, 32, KEY)
+    tags = make_chunks(img, 32, PSK)
+    data = (img.data * 2)[:length]
+    repo = Repository()
+    with pytest.raises(InconsistentPublication, match=f"image has {length} bytes, manifest 100"):
+        repo.publish(m, data, tags, PSK)
+    assert repo.lookup_manifest(m.base) is None
 
 
 @given(size=st.integers(min_value=1, max_value=2048), chunk=st.integers(min_value=1, max_value=128),
@@ -269,10 +288,10 @@ def test_publish_refuses_two_swapped_chunks_of_equal_length():
 def test_make_chunks_tags_payload_i_at_index_i_and_the_payloads_join_to_the_image(size, chunk, base_i,
                                                                                   trunc):
     img = FirmwareImage(TAG_BASES[base_i], bytes((7 * i + size) % 256 for i in range(size)))
-    chunks = make_chunks(img, chunk, PSK, trunc)
-    assert b"".join(c.payload for c in chunks) == img.data
-    for i, c in enumerate(chunks):
-        assert c.tag == tag_chunk(img.base, i, c.payload, PSK, trunc)
+    tags = make_chunks(img, chunk, PSK, trunc)
+    payloads = chunk_image(img, chunk)
+    assert b"".join(payloads) == img.data
+    assert tags == [tag_chunk(img.base, i, payload, PSK, trunc) for i, payload in enumerate(payloads)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,27 +300,27 @@ def test_make_chunks_tags_payload_i_at_index_i_and_the_payloads_join_to_the_imag
 def test_the_repository_serves_each_chunk_as_make_chunks_cuts_it_and_checks_it_in_place(size, chunk, trunc,
                                                                                        foreign):
     img = FirmwareImage(BASE, bytes((5 * i + size) % 256 for i in range(size)))
-    chunks = make_chunks(img, chunk, PSK, trunc)
+    payloads = chunk_image(img, chunk)
+    tags = make_chunks(img, chunk, PSK, trunc)
     repo = Repository()
-    repo.publish(build_manifest(img, chunk, KEY), chunks, PSK)
+    repo.publish(build_manifest(img, chunk, KEY), img.data, tags, PSK)
     other = BaseName("d", "v", "c", BASE.epoch + 1)
-    for i in range(-2, len(chunks) + 2):
-        published = chunks[i] if 0 <= i < len(chunks) else None
+    for i in range(-2, len(tags) + 2):
+        published = (payloads[i], tags[i]) if 0 <= i < len(tags) else None
         assert repo.lookup_chunk(BASE, i) == published
         assert repo.lookup_chunk(other, i) is None
-        payload = published.payload if published else img.data[:chunk]
+        payload = published[0] if published else img.data[:chunk]
         near = [payload, payload[:-1], payload + b"\x00", bytes([payload[0] ^ 1]) + payload[1:], foreign,
-                chunks[(i + 1) % len(chunks)].payload]
+                payloads[(i + 1) % len(payloads)]]
         for candidate in near:
-            expected = published.tag if published and candidate == published.payload else None
+            expected = published[1] if published and candidate == published[0] else None
             assert repo.published_tag(BASE, i, candidate) == expected
             assert repo.published_tag(other, i, candidate) is None
 
 
-def _retagged(chunks, base, trunc_of):
-    """``chunks`` with valid tags, chunk ``i`` truncated to ``trunc_of(i)`` bytes."""
-    return [Chunk(c.payload, tag_chunk(base, i, c.payload, PSK, 32)[:trunc_of(i)])
-            for i, c in enumerate(chunks)]
+def _retagged(img, trunc_of):
+    """Valid tags of ``img``'s chunks, tag ``i`` truncated to ``trunc_of(i)`` bytes."""
+    return [tag[:trunc_of(i)] for i, tag in enumerate(make_chunks(img, 32, PSK, 32))]
 
 
 @pytest.mark.parametrize("trunc_of, fault", [
@@ -313,10 +332,9 @@ def _retagged(chunks, base, trunc_of):
 def test_publish_requires_one_tag_length_from_the_truncation_lengths(trunc_of, fault, psk):
     img = image(100)
     m = build_manifest(img, 32, KEY)
-    chunks = _retagged(make_chunks(img, 32, PSK), m.base, trunc_of)
     repo = Repository()
     with pytest.raises(InconsistentPublication, match=fault):
-        repo.publish(m, chunks, psk)
+        repo.publish(m, img.data, _retagged(img, trunc_of), psk)
     assert repo.lookup_manifest(m.base) is None
 
 
@@ -325,20 +343,20 @@ def test_publish_accepts_each_truncation_length(trunc):
     img = image(100)
     m = build_manifest(img, 32, KEY)
     repo = Repository()
-    repo.publish(m, make_chunks(img, 32, PSK, trunc), PSK)
-    assert len(repo.lookup_chunk(m.base, 3).tag) == trunc
+    repo.publish(m, img.data, make_chunks(img, 32, PSK, trunc), PSK)
+    assert len(repo.lookup_chunk(m.base, 3)[1]) == trunc
 
 
 def test_publish_rejects_zero_chunk_size_and_empty_image():
     img = image(100)
     m = build_manifest(img, 32, KEY)
-    chunks = make_chunks(img, 32, PSK)
+    tags = make_chunks(img, 32, PSK)
     zero_chunk = Manifest(m.base, m.image_size, m.image_digest, 0, m.chunk_count, m.signature)
     with pytest.raises(InconsistentPublication, match="chunk count"):  # was ZeroDivisionError
-        Repository().publish(zero_chunk, chunks, PSK)
+        Repository().publish(zero_chunk, img.data, tags, PSK)
     empty = Manifest(m.base, 0, hashlib.sha256(b"").digest(), 32, 0, m.signature)
     with pytest.raises(InconsistentPublication, match="chunk count"):  # was accepted
-        Repository().publish(empty, [], PSK)
+        Repository().publish(empty, b"", [], PSK)
 
 
 @pytest.mark.parametrize("chunk_size", [0, -1, 2**32])
@@ -360,15 +378,11 @@ def test_manifest_chunk_layout_matches_make_chunks(size):
 def test_publication_dir_round_trip(tmp_path):
     img = image(70)
     m = build_manifest(img, 32, KEY)
-    chunks = make_chunks(img, 32, PSK)
-    out = write_publication(tmp_path, m, chunks)
-    assert (out / "manifest.bin").exists() and (out / "chunks.bin").exists()
+    out = write_publication(tmp_path, m, img.data)
+    assert sorted(p.name for p in out.iterdir()) == ["chunks.bin", "manifest.bin"]
     # fixed-length records: 3 chunks of 32 bytes (last zero-padded)
-    assert len((out / "chunks.bin").read_bytes()) == 96
-    loaded = read_publication(tmp_path, m.base, PSK, PUB)
-    assert loaded.manifest == m
-    assert [c.payload for c in loaded.chunks] == [c.payload for c in chunks]
-    assert [c.tag for c in loaded.chunks] == [c.tag for c in chunks]
+    assert (out / "chunks.bin").read_bytes() == img.data + bytes(26)
+    assert read_publication(tmp_path, m.base, PSK, PUB) == Publication(m, img.data, make_chunks(img, 32, PSK))
 
 
 @pytest.mark.parametrize("psk", [b"", bytes(range(31))], ids=["empty", "31-byte"])
@@ -376,12 +390,12 @@ def test_publish_and_read_publication_refuse_a_short_psk(tmp_path, psk):
     # both were accepted: every chunk tagged under a key anyone can recompute
     img = image(70)
     m = build_manifest(img, 32, KEY)
-    chunks = make_chunks(img, 32, psk)  # tagging itself takes a key of any length
+    tags = make_chunks(img, 32, psk)  # tagging itself takes a key of any length
     repo = Repository()
     with pytest.raises(ShortKey, match="at least 32 bytes, got"):
-        repo.publish(m, chunks, psk)
+        repo.publish(m, img.data, tags, psk)
     assert repo.lookup_manifest(m.base) is None
-    write_publication(tmp_path, m, chunks)
+    write_publication(tmp_path, m, img.data)
     with pytest.raises(ShortKey, match="at least 32 bytes, got"):
         read_publication(tmp_path, m.base, psk, PUB)
     assert ShortKey in VALIDATION_ERRORS
@@ -391,7 +405,7 @@ def test_publish_and_read_publication_refuse_a_short_psk(tmp_path, psk):
 def test_read_publication_rejects_truncated_chunks_file(tmp_path):
     img = image(7 * 32 + 4)
     m = build_manifest(img, 32, KEY)
-    out = write_publication(tmp_path, m, make_chunks(img, 32, PSK))
+    out = write_publication(tmp_path, m, img.data)
     records = (out / "chunks.bin").read_bytes()
     (out / "chunks.bin").write_bytes(records[:100])
     with pytest.raises(InconsistentPublication, match="chunks.bin holds 100 bytes"):
@@ -401,7 +415,7 @@ def test_read_publication_rejects_truncated_chunks_file(tmp_path):
 def test_read_publication_rejects_image_digest_mismatch(tmp_path):
     img = image(7 * 32 + 4)
     m = build_manifest(img, 32, KEY)
-    out = write_publication(tmp_path, m, make_chunks(img, 32, PSK))
+    out = write_publication(tmp_path, m, img.data)
     records = bytearray((out / "chunks.bin").read_bytes())
     records[40] ^= 0xFF  # same length, one flipped byte
     (out / "chunks.bin").write_bytes(bytes(records))
@@ -412,7 +426,7 @@ def test_read_publication_rejects_image_digest_mismatch(tmp_path):
 def test_read_publication_rejects_chunk_count_beyond_image(tmp_path):
     img = image(3 * 32)
     m = build_manifest(img, 32, KEY)
-    out = write_publication(tmp_path, m, make_chunks(img, 32, PSK))
+    out = write_publication(tmp_path, m, img.data)
     extra = Manifest(m.base, m.image_size, m.image_digest, 32, m.chunk_count + 1, m.signature)
     (out / "manifest.bin").write_bytes(extra.to_bytes())
     (out / "chunks.bin").write_bytes((out / "chunks.bin").read_bytes() + bytes(32))
@@ -425,7 +439,7 @@ def test_read_publication_rejects_forged_manifest(tmp_path):
     # signature: length and digest are consistent, only the signature is not
     img = image(3 * 32)
     m = build_manifest(img, 32, KEY)
-    out = write_publication(tmp_path, m, make_chunks(img, 32, PSK))
+    out = write_publication(tmp_path, m, img.data)
     zeros = bytes(3 * 32)
     forged = Manifest(m.base, m.image_size, hashlib.sha256(zeros).digest(), 32, 3, m.signature)
     (out / "chunks.bin").write_bytes(zeros)
@@ -437,7 +451,7 @@ def test_read_publication_rejects_forged_manifest(tmp_path):
 def test_read_publication_rejects_other_vendor_key(tmp_path):
     img = image(3 * 32)
     m = build_manifest(img, 32, KEY)
-    write_publication(tmp_path, m, make_chunks(img, 32, PSK))
+    write_publication(tmp_path, m, img.data)
     other = signing_key_from_seed(bytes(32)).public_key()
     with pytest.raises(InconsistentPublication, match="signature"):
         read_publication(tmp_path, m.base, PSK, other)
@@ -465,15 +479,16 @@ def test_fwpub_cli_publishes(tmp_path):
     expected = repo_dir / "oilrig" / "acme" / "valve" / "1632261600"
     assert expected.is_dir()
     loaded = read_publication(repo_dir, base, PSK, PUB)
-    assert b"".join(c.payload for c in loaded.chunks) == img_file.read_bytes()
+    assert loaded.image == img_file.read_bytes() and len(loaded.tags) == 24
     assert loaded.manifest.verify(PUB)
 
 
-def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None, extra=(), psk=PSK):
+def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None, extra=(), psk=PSK,
+                 image=b"xyz"):
     """Run fwpub on a 3-byte image; ``directory_for`` names an option to point at the wrong kind
     of path: a directory for a file option, a file for ``--repo``. ``extra`` options come last,
     so they override the defaults."""
-    files = {"--image": ("fw.bin", b"xyz"), "--psk-file": ("psk.bin", psk), "--key-file": ("key.bin", key)}
+    files = {"--image": ("fw.bin", image), "--psk-file": ("psk.bin", psk), "--key-file": ("key.bin", key)}
     paths = []
     for option, (name, data) in files.items():
         (tmp_path / name).write_bytes(data)
@@ -513,7 +528,7 @@ def test_fwpub_cli_accepts_a_psk_of_32_bytes_or_more(tmp_path, size):
     proc = _fwpub_small(tmp_path, psk=psk)
     assert proc.returncode == 0, proc.stderr
     loaded = read_publication(tmp_path / "r", BaseName("d", "v", "c", 10), psk, PUB)
-    assert loaded.chunks == [Chunk(b"xyz", tag_chunk(BaseName("d", "v", "c", 10), 0, b"xyz", psk))]
+    assert (loaded.image, loaded.tags) == (b"xyz", [tag_chunk(BaseName("d", "v", "c", 10), 0, b"xyz", psk)])
 
 
 @pytest.mark.parametrize("option, value", [
@@ -551,7 +566,7 @@ def test_fwpub_cli_accepts_a_255_byte_component(tmp_path):
 def test_read_publication_refuses_a_component_that_leaves_the_repository(tmp_path):
     img = image(100)
     m = build_manifest(img, 32, KEY)
-    write_publication(tmp_path, m, make_chunks(img, 32, PSK))
+    write_publication(tmp_path, m, img.data)
     repo = tmp_path / "d" / "repo"
     repo.mkdir()
     # <repo>/../v/c/1000 is the publication of d/v/c/1000, which loaded
@@ -584,3 +599,129 @@ def test_manifest_from_bytes_gives_a_manifest_or_malformed_manifest(raw):
         return
     assert isinstance(manifest.base, BaseName)
     assert manifest.to_bytes() == raw
+
+
+# -- on-disk publications keep the repository's rules --------------------------------
+
+@pytest.mark.parametrize("copied", [BaseName("d", "v", "c", 100), BaseName("d", "v", "x", 200)],
+                         ids=["older-epoch", "other-class"])
+def test_read_publication_refuses_a_copy_of_another_publication(tmp_path, copied):
+    # a copy of epoch 100's directory loaded as epoch 200: the disk form of a stale replay
+    img = FirmwareImage(copied, bytes(range(70)))
+    m = build_manifest(img, 32, KEY)
+    wanted = BaseName("d", "v", "c", 200)
+    shutil.copytree(write_publication(tmp_path, m, img.data), publication_dir(tmp_path, wanted))
+    with pytest.raises(InconsistentPublication, match=f"manifest of {copied}, not of {wanted}"):
+        read_publication(tmp_path, wanted, PSK, PUB)
+    assert read_publication(tmp_path, copied, PSK, PUB).image == img.data
+
+
+def test_write_publication_refuses_a_published_epoch_and_keeps_its_bytes(tmp_path):
+    first = image(70)
+    second = FirmwareImage(first.base, bytes(reversed(first.data)))
+    out = write_publication(tmp_path, build_manifest(first, 32, KEY), first.data)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(DuplicateEpoch, match="epoch 1000 already published"):
+        write_publication(tmp_path, build_manifest(second, 32, KEY), second.data)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert read_publication(tmp_path, first.base, PSK, PUB).image == first.data
+
+
+def test_a_write_that_fails_partway_leaves_no_epoch_directory(tmp_path, monkeypatch):
+    img = image(70)
+    m = build_manifest(img, 32, KEY)
+    real = type(tmp_path).write_bytes
+    calls = []
+
+    def fail_second(path, data):
+        calls.append(path.name)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return real(path, data)
+
+    monkeypatch.setattr(type(tmp_path), "write_bytes", fail_second)
+    with pytest.raises(OSError, match="No space left"):
+        write_publication(tmp_path, m, img.data)
+    monkeypatch.undo()
+    assert calls == ["manifest.bin", "chunks.bin"]
+    class_dir = publication_dir(tmp_path, m.base).parent
+    assert list(class_dir.iterdir()) == []  # neither the epoch nor its staging directory
+    write_publication(tmp_path, m, img.data)
+    assert read_publication(tmp_path, m.base, PSK, PUB).image == img.data
+
+
+def test_fwpub_cli_refuses_an_epoch_already_published(tmp_path):
+    # the second run exited 0 and replaced the first image
+    assert _fwpub_small(tmp_path, image=b"xyz").returncode == 0
+    out = tmp_path / "r" / "d" / "v" / "c" / "10"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    proc = _fwpub_small(tmp_path, image=b"abcdef")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "already published" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert read_publication(tmp_path / "r", BaseName("d", "v", "c", 10), PSK, PUB).image == b"xyz"
+
+
+# three publications of uneven length: the one loaded, and one of another epoch and of another class
+ON_DISK = [FirmwareImage(BaseName("d", "v", cls, epoch), bytes((13 * i + epoch) % 256 for i in range(size)))
+           for cls, epoch, size in (("c", 1000, 150), ("c", 2000, 150), ("x", 1000, 150))]
+
+
+@pytest.fixture(scope="module")
+def on_disk(tmp_path_factory):
+    """(repository holding ``ON_DISK``, {base name: (manifest.bin, chunks.bin) bytes})."""
+    root = tmp_path_factory.mktemp("published")
+    files = {}
+    for img in ON_DISK:
+        out = write_publication(root, build_manifest(img, 32, KEY), img.data)
+        files[img.base] = ((out / "manifest.bin").read_bytes(), (out / "chunks.bin").read_bytes())
+    return root, files
+
+
+def _swap_records(raw: bytes, i: int, j: int, size: int = 32) -> bytes:
+    records = [raw[k : k + size] for k in range(0, len(raw), size)]
+    i, j = i % len(records), j % len(records)
+    records[i], records[j] = records[j], records[i]
+    return b"".join(records)
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 1), st.integers(0, 300)),
+    st.tuples(st.just("extend"), st.integers(0, 1), st.binary(min_size=1, max_size=40)),
+    st.tuples(st.just("flip"), st.integers(0, 1), st.integers(0, 8 * 160 - 1)),
+    st.tuples(st.just("swap-records"), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.just("swap-manifest"), st.integers(1, 2), st.booleans()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutation=MUTATIONS)
+def test_a_mutated_publication_loads_as_published_or_not_at_all(on_disk, mutation):
+    root, files = on_disk
+    img = ON_DISK[0]
+    raw = list(files[img.base])
+    kind, a, b = mutation
+    if kind == "truncate":
+        raw[a] = raw[a][: b % len(raw[a])]
+    elif kind == "extend":
+        raw[a] += b
+    elif kind == "flip":
+        pos = b % (8 * len(raw[a]))
+        raw[a] = raw[a][: pos // 8] + bytes([raw[a][pos // 8] ^ (1 << pos % 8)]) + raw[a][pos // 8 + 1 :]
+    elif kind == "swap-records":
+        raw[1] = _swap_records(raw[1], a, b)
+    else:  # another epoch's or another class's manifest, and its records too if b
+        other = files[ON_DISK[a].base]
+        raw = [other[0], other[1] if b else raw[1]]
+    mutated = root / "mutated"
+    out = publication_dir(mutated, img.base)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.bin").write_bytes(raw[0])
+    (out / "chunks.bin").write_bytes(raw[1])
+    try:
+        loaded = read_publication(mutated, img.base, PSK, PUB)
+    except (InconsistentPublication, MalformedManifest):
+        return
+    assert loaded.manifest.base == img.base
+    assert (loaded.image, loaded.tags) == (img.data, make_chunks(img, 32, PSK))
