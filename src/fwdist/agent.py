@@ -15,14 +15,13 @@ import hashlib
 import hmac as hmac_mod
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from .naming import CHUNK, MANIFEST, BaseName, FirmwareName, align_epoch
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack
 from .scenario import Scenario
-from .vendor import Manifest, MalformedManifest, tag_chunk
+from .vendor import Manifest, MalformedManifest, keyed_states, tag_chunk
 
 CONCURRENT = "concurrent"
 CASCADING = "cascading"
@@ -56,13 +55,8 @@ class UpdateAgent:
         vendor_key: Ed25519PublicKey,
         installed: InstalledFirmware,
         rng: random.Random,
-        published: Callable[[BaseName, int, bytes], bytes | None],
         emit=None,
     ):
-        """``published(base, index, payload)`` returns the tag of chunk
-        ``index`` of ``base`` if ``payload`` is that chunk's payload, else
-        None; a received chunk is then checked against that tag instead of one
-        computed again. It must only return tags checked under ``psk``."""
         if scenario.strategy not in (CONCURRENT, CASCADING):
             raise ValueError(f"unknown strategy {scenario.strategy!r}")
         self.deployment = scenario.deployment
@@ -88,11 +82,12 @@ class UpdateAgent:
         # verified chunk tags of the installed image, served without re-tagging
         self.installed_tags: list[bytes] | None = None
         self.rng = rng
-        self.published = published
         self._emit = emit or (lambda event, chunk_id, detail: None)
 
         self.phase = IDLE
         self.active_manifest: Manifest | None = None
+        # HMAC states keyed with the class key for the active base name
+        self._keyed: tuple | None = None
         self.buffer: bytearray | None = None
         # per chunk: its verified HMAC tag once stored, else None
         self.received: list[bytes | None] | None = None
@@ -136,6 +131,7 @@ class UpdateAgent:
 
     def _clear_transfer(self) -> None:
         self.active_manifest = None
+        self._keyed = None
         self.buffer = None
         self.received = None
         self.cursor = 0
@@ -202,6 +198,7 @@ class UpdateAgent:
         """Fetch every chunk of ``manifest`` into an empty buffer."""
         self._clear_transfer()
         self.active_manifest = manifest
+        self._keyed = keyed_states(manifest.base, self.psk)
         self.buffer = bytearray(manifest.image_size)
         self.received = [None] * manifest.chunk_count
         self.due_at = now + self.turnaround_us
@@ -257,7 +254,8 @@ class UpdateAgent:
             isinstance(data.auth, HmacTag)
             and len(data.payload) == m.chunk_length(idx)
             and len(data.auth.tag) == self.trunc_len
-            and hmac_mod.compare_digest(data.auth.tag, self._expected_tag(m.base, idx, data.payload))
+            and hmac_mod.compare_digest(
+                data.auth.tag, tag_chunk(m.base, idx, data.payload, self.psk, self.trunc_len, self._keyed))
         )
         if valid:
             offset = idx * m.chunk_size
@@ -285,14 +283,6 @@ class UpdateAgent:
         else:
             # Repeat the request for the invalid chunk right away.
             self.due_at = now + self.turnaround_us
-
-    def _expected_tag(self, base: BaseName, idx: int, payload: bytes) -> bytes:
-        """The tag of ``payload`` as chunk ``idx`` of ``base``: the published
-        chunk's checked tag when the payloads match, else computed."""
-        known = self.published(base, idx, payload)
-        if known is not None and len(known) == self.trunc_len:
-            return known
-        return tag_chunk(base, idx, payload, self.psk, self.trunc_len)
 
     def divert_wanted(self, data: Data) -> bool:
         if self.strategy != CONCURRENT or self.phase != FETCHING:

@@ -1,8 +1,8 @@
 """Command-line front ends.
 
 ``fwsim`` runs scenarios, sweeps, the signature-overhead calculator, and
-plot-data table extraction. ``fwpub`` chunks, tags, signs, and publishes a
-firmware image into an on-disk repository. Both exit 0 on success and 2 on
+plot-data table extraction. ``fwpub`` signs a firmware image's manifest and
+publishes both into an on-disk repository. Both exit 0 on success and 2 on
 invalid input: a bad option value, a missing input file, or a file or value
 that a domain check rejects. Any other exception is a fault of the program and
 ends with a traceback.
@@ -41,8 +41,6 @@ from .vendor import (
     InvalidChunkSize,
     InvalidSigningKey,
     InvalidTruncation,
-    MIN_PSK_BYTES,
-    ShortKey,
     build_manifest,
     check_path_component,
     signing_key_from_seed,
@@ -57,7 +55,7 @@ class UnencodableOutput(ValueError):
 VALIDATION_ERRORS = (
     ScenarioInvalid, NoPayloadRoom, MalformedCsv, MalformedName, UnencodableOutput,
     EmptyImage, InvalidChunkSize, InvalidSigningKey, InvalidTruncation,
-    InconsistentPublication, DuplicateEpoch, ShortKey, FileNotFoundError,
+    InconsistentPublication, DuplicateEpoch, FileNotFoundError,
 )
 
 
@@ -94,15 +92,6 @@ def _file_bytes(path: str) -> bytes:
         return Path(path).read_bytes()
     except (FileNotFoundError, *UNREADABLE) as exc:
         raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _psk_bytes(path: str) -> bytes:
-    """argparse type: a pre-shared class key of at least ``MIN_PSK_BYTES`` bytes, from a file."""
-    psk = _file_bytes(path)
-    if len(psk) < MIN_PSK_BYTES:
-        raise argparse.ArgumentTypeError(
-            f"{path} holds a {len(psk)}-byte key; a class key needs at least {MIN_PSK_BYTES} bytes")
-    return psk
 
 
 def _out_dir(path: str) -> str:
@@ -252,8 +241,6 @@ def _fwpub_parser() -> argparse.ArgumentParser:
     parser.add_argument("--class", dest="device_class", required=True)
     parser.add_argument("--epoch", type=int, required=True, help="aligned version epoch")
     parser.add_argument("--chunk-size", type=int, default=32)
-    parser.add_argument("--psk-file", required=True, type=_psk_bytes,
-                        help=f"pre-shared class key, at least {MIN_PSK_BYTES} bytes")
     parser.add_argument("--key-file", required=True, type=_file_bytes,
                         help="32-byte Ed25519 signing seed")
     parser.add_argument("--repo", required=True, type=_out_dir, help="repository directory")

@@ -351,10 +351,7 @@ class Simulation:
                 stale = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, previous_epoch),
                                       self.rng.randbytes(sc.image_size))
                 self._stale[cls] = (stale.data, make_chunks(stale, sc.chunk_size, psk, sc.trunc_len))
-        # Agents come up with the previous epoch installed. The repository keeps
-        # each image with the tags publish(..., psk) checked under its class's PSK
-        # at sc.trunc_len; an agent takes one for a payload equal to its slice of
-        # the image. Never offer a publication stored without that check.
+        # Agents come up with the previous epoch installed.
         agents = {}
         for dev, cls in class_of.items():
             agents[dev] = UpdateAgent(
@@ -365,7 +362,6 @@ class Simulation:
                 installed=InstalledFirmware(b"factory:" + dev.encode(), previous_epoch),
                 rng=self.rng,
                 emit=self._agent_emitter(dev),
-                published=self.repo.published_tag,
             )
         return agents
 

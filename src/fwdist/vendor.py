@@ -107,7 +107,7 @@ _SHA256_BLOCK = 64
 _INDEX = struct.Struct(">I")
 
 
-def _keyed_states(base: BaseName, psk: bytes) -> tuple:
+def keyed_states(base: BaseName, psk: bytes) -> tuple:
     """HMAC-SHA256's keyed inner and outer states under ``psk`` (RFC 2104,
     section 4), with the base-name part of a tag message absorbed into the
     inner one. Copying an ``hmac.HMAC`` instead made publishing 30 images of
@@ -125,12 +125,12 @@ def tag_chunk(base: BaseName, index: int, payload: bytes, psk: bytes, trunc_len:
 
     The message is the base name's components, each length-prefixed, then the
     epoch as 8 and the index as 4 big-endian bytes, then the payload.
-    ``keyed``, if given, is ``_keyed_states(base, psk)``, shared by the chunks
+    ``keyed``, if given, is ``keyed_states(base, psk)``, shared by the chunks
     of one base name so that each tag costs one copy of each state.
     """
     if trunc_len not in TRUNCATION_LENGTHS:
         raise InvalidTruncation(f"truncation length must be one of {TRUNCATION_LENGTHS}")
-    inner, outer = _keyed_states(base, psk) if keyed is None else keyed
+    inner, outer = keyed_states(base, psk) if keyed is None else keyed
     mac = inner.copy()
     mac.update(_INDEX.pack(index) + payload)
     out = outer.copy()
@@ -140,7 +140,7 @@ def tag_chunk(base: BaseName, index: int, payload: bytes, psk: bytes, trunc_len:
 
 def tag_chunks(base: BaseName, payloads: Iterable[bytes], psk: bytes, trunc_len: int = 8) -> list[bytes]:
     """``tag_chunk`` for payload ``i`` at index ``i`` under one base name, keyed once."""
-    keyed = _keyed_states(base, psk)
+    keyed = keyed_states(base, psk)
     return [tag_chunk(base, index, payload, psk, trunc_len, keyed)
             for index, payload in enumerate(payloads)]
 
@@ -304,17 +304,6 @@ class Repository:
         start = index * manifest.chunk_size
         return image[start : start + manifest.chunk_size], tags[index]
 
-    def published_tag(self, base: BaseName, index: int, payload: bytes) -> bytes | None:
-        """The checked tag of chunk ``index`` of ``base`` if ``payload`` is that
-        chunk, else None; compared in place in the image, so nothing is built."""
-        pub = self._store.get(base)
-        if pub is None or not 0 <= index < len(pub[2]):
-            return None
-        manifest, image, tags = pub
-        if len(payload) != manifest.chunk_length(index):
-            return None
-        return tags[index] if image.startswith(payload, index * manifest.chunk_size) else None
-
 
 # ---------------------------------------------------------------------------
 # on-disk layout: <repo>/<deployment>/<vendor>/<class>/<epoch>/
@@ -365,8 +354,9 @@ def read_publication(root: Path, base: BaseName, psk: bytes, vendor_key: Ed25519
                      trunc_len: int = 8) -> Publication:
     """Load the publication of ``base``, with its tags recomputed from the class key. Raises
     InconsistentPublication if the manifest names another base name, if ``chunks.bin`` does not
-    hold exactly ``chunk_count`` records of ``chunk_size`` bytes, if the image they hold does not
-    match the manifest's digest or if the signature does not verify under ``vendor_key``;
+    hold exactly ``chunk_count`` records of ``chunk_size`` bytes, if the bytes after the image are
+    not all zero, if the image does not match the manifest's digest or if the signature does not
+    verify under ``vendor_key``;
     MalformedManifest if ``manifest.bin`` does not decode; ShortKey if ``psk`` is too short."""
     _check_psk(psk)
     src = publication_dir(root, base)
@@ -380,6 +370,8 @@ def read_publication(root: Path, base: BaseName, psk: bytes, vendor_key: Ed25519
     expected = manifest.chunk_count * size
     if len(records) != expected:
         raise InconsistentPublication(f"chunks.bin holds {len(records)} bytes, expected {expected}")
+    if any(records[manifest.image_size :]):
+        raise InconsistentPublication("chunks.bin's padding after the image is not all zero")
     image = records[: manifest.image_size]
     if image_digest(image) != manifest.image_digest:
         raise InconsistentPublication("chunks.bin does not match the manifest's image digest")

@@ -22,7 +22,6 @@ from fwdist.packets import Data, HmacTag, Interest, ManifestSignature
 from fwdist.scenario import NodeParams, Scenario
 from fwdist.vendor import (
     FirmwareImage,
-    Repository,
     build_manifest,
     chunk_image,
     make_chunks,
@@ -40,12 +39,7 @@ PREV = EPOCH - 86400
 NODE = NodeParams(turnaround_us=0, verify_delay_us=0, install_delay_us=0)
 
 
-def nothing_published(base, index, payload):
-    return None
-
-
-def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None,
-               published=nothing_published):
+def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None):
     sink = events if events is not None else []
     scenario = Scenario(strategy=strategy, image_size=96, deployment="d", vendor="v",
                         granularity=DAY, node=NODE)
@@ -54,7 +48,6 @@ def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None,
         installed=InstalledFirmware(b"factory", installed_epoch),
         rng=random.Random(seed),
         emit=lambda ev, cid, detail: sink.append((ev, cid, detail)),
-        published=published,
     )
     return agent, sink
 
@@ -350,25 +343,12 @@ def test_the_cursor_is_the_smallest_unstored_chunk_and_the_only_one_requested(st
     assert sum(1 for e, _, d in events if d == "Fetching->VerifyingImage") == 0
 
 
-# -- verification from the publication ------------------------------------------------------------
+# -- accepted and refused deliveries --------------------------------------------------------------
 
 OTHER_PSK = hashlib.sha256(b"agent-psk-other").digest()
-PUBLISHED_IMAGE, PUBLISHED, PUBLISHED_CHUNKS = make_firmware(size=80)
-STALE_IMAGE, STALE, STALE_CHUNKS = make_firmware(size=80, epoch=PREV, step=11)
-OTHER_IMAGE, OTHER, OTHER_CHUNKS = make_firmware(size=80, cls="other", psk=OTHER_PSK, step=13)
-
-
-def publish(repo, img, manifest, chunks, psk):
-    repo.publish(manifest, img.data, [tag for _, tag in chunks], psk)
-
-
-def published_repository():
-    """Every publication checked under its class's PSK, as the simulation publishes them."""
-    repo = Repository()
-    publish(repo, PUBLISHED_IMAGE, PUBLISHED, PUBLISHED_CHUNKS, PSK)
-    publish(repo, STALE_IMAGE, STALE, STALE_CHUNKS, PSK)
-    publish(repo, OTHER_IMAGE, OTHER, OTHER_CHUNKS, OTHER_PSK)
-    return repo
+_, PUBLISHED, PUBLISHED_CHUNKS = make_firmware(size=80)
+STALE_CHUNKS = make_firmware(size=80, epoch=PREV, step=11)[2]
+OTHER_CHUNKS = make_firmware(size=80, cls="other", psk=OTHER_PSK, step=13)[2]
 
 
 def delivery(kind, idx, pos):
@@ -395,42 +375,22 @@ DELIVERY_KINDS = ["published", "flipped", "forged", "long-tag", "short-payload",
 
 @given(st.lists(st.tuples(st.sampled_from(DELIVERY_KINDS), st.integers(0, 2), st.integers(0, 31),
                           st.booleans()), min_size=1, max_size=25))
-def test_verification_from_the_publication_accepts_exactly_what_computing_accepts(deliveries):
-    repo = published_repository()
-    runs = []
-    for published in (nothing_published, repo.published_tag):
-        agent, events = make_agent(published=published)
-        start_fetch(agent, PUBLISHED)
-        for now, (kind, idx, pos, diverted) in enumerate(deliveries, start=1):
-            events.append(("request", agent.take_request(now)))
-            agent.on_chunk(delivery(kind, idx, pos), now=now, diverted=diverted)
-        runs.append((events, agent.received, agent.cursor, agent.tag_failures, agent.phase))
-    assert runs[0] == runs[1]
-
-
-def test_a_published_tag_of_another_length_is_not_taken_and_the_tag_is_computed(monkeypatch):
-    img, manifest, long_tagged = make_firmware(size=80, trunc_len=16)
-    repo = Repository()
-    publish(repo, img, manifest, long_tagged, PSK)
-    agent, events = make_agent(published=repo.published_tag)  # trunc_len 8
-    start_fetch(agent, manifest)
-    computed = []
-    monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: computed.append(a) or tag_chunk(*a))
-    agent.take_request(now=1)
-    agent.on_chunk(chunk_packet(manifest, PUBLISHED_CHUNKS, 0), now=1)
-    assert computed == [(manifest.base, 0, PUBLISHED_CHUNKS[0][0], PSK, 8)]
-    assert ("DataRecv", 0, "") in events and agent.received[0] == PUBLISHED_CHUNKS[0][1]
-
-
-def test_a_published_payload_is_checked_without_computing_a_tag(monkeypatch):
-    agent, events = make_agent(published=published_repository().published_tag)
+def test_a_fetching_agent_accepts_exactly_the_published_chunks(deliveries):
+    agent, events = make_agent()
     start_fetch(agent, PUBLISHED)
-    monkeypatch.setattr(agent_mod, "tag_chunk", lambda *a: None)
-    for i in range(len(PUBLISHED_CHUNKS)):
-        agent.take_request(now=1)
-        agent.on_chunk(chunk_packet(PUBLISHED, PUBLISHED_CHUNKS, i), now=1)
-    assert agent.phase == VERIFYING
-    assert [c for e, c, _ in events if e == "DataRecv"] == [0, 1, 2]
+    for now, (kind, idx, pos, diverted) in enumerate(deliveries, start=1):
+        agent.take_request(now)
+        checked = agent.phase == FETCHING and not agent.received[idx]
+        before = len(events)
+        agent.on_chunk(delivery(kind, idx, pos), now=now, diverted=diverted)
+        outcome = [ev for ev in events[before:] if ev[0] in ("DataRecv", "TagFail")]
+        if not checked:
+            assert outcome == []
+            continue
+        verdict = "DataRecv" if kind == "published" else "TagFail"
+        assert outcome == [(verdict, idx, "diverted" if diverted else "")]
+        if verdict == "DataRecv":
+            assert agent.received[idx] == PUBLISHED_CHUNKS[idx][1]
 
 
 # -- finalize ------------------------------------------------------------------------------------

@@ -7,9 +7,8 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fwdist.cli import VALIDATION_ERRORS
 from fwdist.naming import BaseName, MalformedName
 from fwdist.vendor import (
     DuplicateEpoch,
@@ -296,9 +295,8 @@ def test_make_chunks_tags_payload_i_at_index_i_and_the_payloads_join_to_the_imag
 
 @settings(max_examples=60, deadline=None)
 @given(size=st.integers(min_value=1, max_value=600), chunk=st.integers(min_value=1, max_value=64),
-       trunc=st.sampled_from([8, 16, 32]), foreign=st.binary(max_size=70))
-def test_the_repository_serves_each_chunk_as_make_chunks_cuts_it_and_checks_it_in_place(size, chunk, trunc,
-                                                                                       foreign):
+       trunc=st.sampled_from([8, 16, 32]))
+def test_the_repository_serves_each_chunk_as_make_chunks_cuts_it(size, chunk, trunc):
     img = FirmwareImage(BASE, bytes((5 * i + size) % 256 for i in range(size)))
     payloads = chunk_image(img, chunk)
     tags = make_chunks(img, chunk, PSK, trunc)
@@ -309,13 +307,6 @@ def test_the_repository_serves_each_chunk_as_make_chunks_cuts_it_and_checks_it_i
         published = (payloads[i], tags[i]) if 0 <= i < len(tags) else None
         assert repo.lookup_chunk(BASE, i) == published
         assert repo.lookup_chunk(other, i) is None
-        payload = published[0] if published else img.data[:chunk]
-        near = [payload, payload[:-1], payload + b"\x00", bytes([payload[0] ^ 1]) + payload[1:], foreign,
-                payloads[(i + 1) % len(payloads)]]
-        for candidate in near:
-            expected = published[1] if published and candidate == published[0] else None
-            assert repo.published_tag(BASE, i, candidate) == expected
-            assert repo.published_tag(other, i, candidate) is None
 
 
 def _retagged(img, trunc_of):
@@ -398,7 +389,6 @@ def test_publish_and_read_publication_refuse_a_short_psk(tmp_path, psk):
     write_publication(tmp_path, m, img.data)
     with pytest.raises(ShortKey, match="at least 32 bytes, got"):
         read_publication(tmp_path, m.base, psk, PUB)
-    assert ShortKey in VALIDATION_ERRORS
     assert read_publication(tmp_path, m.base, PSK, PUB).manifest == m
 
 
@@ -460,8 +450,6 @@ def test_read_publication_rejects_other_vendor_key(tmp_path):
 def test_fwpub_cli_publishes(tmp_path):
     img_file = tmp_path / "fw.bin"
     img_file.write_bytes(bytes(range(256)) * 3)
-    psk_file = tmp_path / "psk.bin"
-    psk_file.write_bytes(PSK)
     key_file = tmp_path / "key.bin"
     key_file.write_bytes(bytes(range(32)))
     repo_dir = tmp_path / "repo"
@@ -469,7 +457,7 @@ def test_fwpub_cli_publishes(tmp_path):
         sys.executable, "-c", "import sys; from fwdist.cli import fwpub_main; sys.exit(fwpub_main())",
         "--image", str(img_file), "--deployment", "oilrig", "--vendor", "acme",
         "--class", "valve", "--epoch", "1632261600", "--chunk-size", "32",
-        "--psk-file", str(psk_file), "--key-file", str(key_file), "--repo", str(repo_dir),
+        "--key-file", str(key_file), "--repo", str(repo_dir),
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -483,12 +471,11 @@ def test_fwpub_cli_publishes(tmp_path):
     assert loaded.manifest.verify(PUB)
 
 
-def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None, extra=(), psk=PSK,
-                 image=b"xyz"):
+def _fwpub_small(tmp_path, chunk_size="32", key=bytes(range(32)), directory_for=None, extra=(), image=b"xyz"):
     """Run fwpub on a 3-byte image; ``directory_for`` names an option to point at the wrong kind
     of path: a directory for a file option, a file for ``--repo``. ``extra`` options come last,
     so they override the defaults."""
-    files = {"--image": ("fw.bin", image), "--psk-file": ("psk.bin", psk), "--key-file": ("key.bin", key)}
+    files = {"--image": ("fw.bin", image), "--key-file": ("key.bin", key)}
     paths = []
     for option, (name, data) in files.items():
         (tmp_path / name).write_bytes(data)
@@ -511,24 +498,6 @@ def test_fwpub_cli_rejects_a_signing_key_of_the_wrong_length(tmp_path):
     proc = _fwpub_small(tmp_path, key=bytes(31))
     assert proc.returncode == 2
     assert "32 bytes" in proc.stderr and "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("size", [0, 31])
-def test_fwpub_cli_rejects_a_psk_shorter_than_32_bytes(tmp_path, size):
-    # was exit 0, every chunk tagged under a key anyone could guess
-    proc = _fwpub_small(tmp_path, psk=bytes(range(size)))
-    assert proc.returncode == 2
-    assert "--psk-file" in proc.stderr and "Traceback" not in proc.stderr
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fw.bin", "key.bin", "psk.bin"]
-
-
-@pytest.mark.parametrize("size", [32, 100])
-def test_fwpub_cli_accepts_a_psk_of_32_bytes_or_more(tmp_path, size):
-    psk = bytes(range(size))
-    proc = _fwpub_small(tmp_path, psk=psk)
-    assert proc.returncode == 0, proc.stderr
-    loaded = read_publication(tmp_path / "r", BaseName("d", "v", "c", 10), psk, PUB)
-    assert (loaded.image, loaded.tags) == (b"xyz", [tag_chunk(BaseName("d", "v", "c", 10), 0, b"xyz", psk)])
 
 
 @pytest.mark.parametrize("option, value", [
@@ -554,7 +523,7 @@ def test_fwpub_cli_rejects_a_component_that_is_no_directory_name(tmp_path, optio
     proc = _fwpub_small(tmp_path, extra=[option, value])
     assert proc.returncode == 2
     assert option in proc.stderr and "Traceback" not in proc.stderr
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fw.bin", "key.bin", "psk.bin"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fw.bin", "key.bin"]
 
 
 def test_fwpub_cli_accepts_a_255_byte_component(tmp_path):
@@ -574,7 +543,7 @@ def test_read_publication_refuses_a_component_that_leaves_the_repository(tmp_pat
         read_publication(repo, BaseName("..", "v", "c", 1000), PSK, PUB)
 
 
-@pytest.mark.parametrize("option", ["--image", "--psk-file", "--key-file", "--repo"])
+@pytest.mark.parametrize("option", ["--image", "--key-file", "--repo"])
 def test_fwpub_cli_rejects_a_directory_for_a_file_option(tmp_path, option):
     # and a file for --repo; each was an IsADirectoryError or NotADirectoryError traceback, exit 1
     proc = _fwpub_small(tmp_path, directory_for=option)
@@ -697,6 +666,8 @@ MUTATIONS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(mutation=MUTATIONS)
+@example(mutation=("flip", 1, 8 * 150))  # the first padding byte after the 150-byte image
+@example(mutation=("swap-records", 0, 0))  # changes nothing
 def test_a_mutated_publication_loads_as_published_or_not_at_all(on_disk, mutation):
     root, files = on_disk
     img = ON_DISK[0]
@@ -719,9 +690,10 @@ def test_a_mutated_publication_loads_as_published_or_not_at_all(on_disk, mutatio
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.bin").write_bytes(raw[0])
     (out / "chunks.bin").write_bytes(raw[1])
-    try:
-        loaded = read_publication(mutated, img.base, PSK, PUB)
-    except (InconsistentPublication, MalformedManifest):
+    if raw != list(files[img.base]):  # a changed byte anywhere is refused
+        with pytest.raises((InconsistentPublication, MalformedManifest)):
+            read_publication(mutated, img.base, PSK, PUB)
         return
+    loaded = read_publication(mutated, img.base, PSK, PUB)
     assert loaded.manifest.base == img.base
     assert (loaded.image, loaded.tags) == (img.data, make_chunks(img, 32, PSK))
