@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from .naming import CHUNK, MANIFEST, BaseName, FirmwareName, align_epoch
 from .packets import Data, HmacTag, Interest, ManifestSignature, Nack
 from .scenario import Scenario
-from .vendor import Manifest, MalformedManifest, keyed_states, tag_chunk
+from .vendor import Manifest, MalformedManifest, Publication, keyed_states, tag_chunk
 
 CONCURRENT = "concurrent"
 CASCADING = "cascading"
@@ -78,19 +78,17 @@ class UpdateAgent:
         self.app_retx_jitter_us = int(params.app_retx_jitter_s * 1_000_000)
         self.poll_period_us = int(scenario.poll_period_s * 1_000_000)
         self.installed = installed
-        self.installed_manifest: Manifest | None = None
-        # verified chunk tags of the installed image, served without re-tagging
-        self.installed_tags: list[bytes] | None = None
+        # the installed image with the tags it was verified against, served without re-tagging
+        self.serving: Publication | None = None
         self.rng = rng
         self._emit = emit or (lambda event, chunk_id, detail: None)
 
         self.phase = IDLE
-        self.active_manifest: Manifest | None = None
-        # HMAC states keyed with the class key for the active base name
+        # the image being fetched: a buffer of its size, and per chunk its
+        # verified HMAC tag once stored, else None
+        self.transfer: Publication | None = None
+        # HMAC states keyed with the class key for the transfer's base name
         self._keyed: tuple | None = None
-        self.buffer: bytearray | None = None
-        # per chunk: its verified HMAC tag once stored, else None
-        self.received: list[bytes | None] | None = None
         # Stop-and-wait: the only chunk ever requested is the smallest one not
         # yet stored, so a request, its retry mark and its tag failures are
         # all about the cursor, and moving the cursor clears them.
@@ -130,10 +128,8 @@ class UpdateAgent:
         return self.rng.randint(base - jitter, base + jitter)
 
     def _clear_transfer(self) -> None:
-        self.active_manifest = None
+        self.transfer = None
         self._keyed = None
-        self.buffer = None
-        self.received = None
         self.cursor = 0
         self.retrying = False
         self.tag_failures = 0
@@ -197,10 +193,8 @@ class UpdateAgent:
     def _start_fetch(self, manifest: Manifest, now: int, detail: str) -> None:
         """Fetch every chunk of ``manifest`` into an empty buffer."""
         self._clear_transfer()
-        self.active_manifest = manifest
+        self.transfer = Publication(manifest, bytearray(manifest.image_size), [None] * manifest.chunk_count)
         self._keyed = keyed_states(manifest.base, self.psk)
-        self.buffer = bytearray(manifest.image_size)
-        self.received = [None] * manifest.chunk_count
         self.due_at = now + self.turnaround_us
         self._set_phase(FETCHING, detail)
 
@@ -223,8 +217,8 @@ class UpdateAgent:
 
     def _advance(self) -> None:
         """Move the cursor past stored chunks, dropping its request state."""
-        received, cursor = self.received, self.cursor
-        while cursor < len(received) and received[cursor]:
+        tags, cursor = self.transfer.tags, self.cursor
+        while cursor < len(tags) and tags[cursor]:
             cursor += 1
         self.cursor = cursor
         self.retrying = False
@@ -238,17 +232,18 @@ class UpdateAgent:
         if self.phase == AWAIT_MANIFEST:
             return Interest(self.awaited_manifest, self._nonce()), True
         is_retry, self.retrying = self.retrying, False
-        return Interest(self.active_manifest.base.chunk(self.cursor), self._nonce()), is_retry
+        return Interest(self.transfer.manifest.base.chunk(self.cursor), self._nonce()), is_retry
 
     def on_chunk(self, data: Data, now: int, diverted: bool = False) -> None:
         """Verify and store a chunk; count failures of the requested index."""
         if self.phase != FETCHING or data.name.kind != CHUNK:
             return
-        m = self.active_manifest
+        transfer = self.transfer
+        m = transfer.manifest
         if data.name.base != m.base:
             return
         idx = data.name.chunk_id
-        if not 0 <= idx < m.chunk_count or self.received[idx]:
+        if not 0 <= idx < m.chunk_count or transfer.tags[idx]:
             return
         valid = (
             isinstance(data.auth, HmacTag)
@@ -259,8 +254,8 @@ class UpdateAgent:
         )
         if valid:
             offset = idx * m.chunk_size
-            self.buffer[offset : offset + len(data.payload)] = data.payload
-            self.received[idx] = data.auth.tag
+            transfer.image[offset : offset + len(data.payload)] = data.payload
+            transfer.tags[idx] = data.auth.tag
             self._emit("DataRecv", idx, "diverted" if diverted else "")
             if self.first_chunk_recv_us is None:
                 self.first_chunk_recv_us = now
@@ -287,14 +282,14 @@ class UpdateAgent:
     def divert_wanted(self, data: Data) -> bool:
         if self.strategy != CONCURRENT or self.phase != FETCHING:
             return False
-        name = data.name
-        if name.kind != CHUNK or name.base != self.active_manifest.base:
+        name, transfer = data.name, self.transfer
+        if name.kind != CHUNK or name.base != transfer.manifest.base:
             return False
-        return 0 <= name.chunk_id < self.active_manifest.chunk_count and not self.received[name.chunk_id]
+        return 0 <= name.chunk_id < len(transfer.tags) and not transfer.tags[name.chunk_id]
 
     def on_timeout(self, name: FirmwareName, now: int) -> None:
         if (self.phase == FETCHING and self.due_at is None
-                and name == self.active_manifest.base.chunk(self.cursor)):
+                and name == self.transfer.manifest.base.chunk(self.cursor)):
             self.retrying = True
             self.due_at = now + self._app_retx_delay()
             return
@@ -312,8 +307,8 @@ class UpdateAgent:
             self._set_phase(IDLE, f"nack:{nack.reason}")
 
     def _abort(self, detail: str, chunk_id: int | None) -> None:
-        if self.active_manifest is not None:
-            self.irrecoverable.add(self.active_manifest.base.epoch)
+        if self.transfer is not None:
+            self.irrecoverable.add(self.transfer.manifest.base.epoch)
         self._emit("Abort", chunk_id, detail)
         self._clear_transfer()
         self._set_phase(IDLE, "aborted")
@@ -327,8 +322,8 @@ class UpdateAgent:
             self._install(now)
 
     def _finish_verification(self, now: int) -> None:
-        m = self.active_manifest
-        if hashlib.sha256(self.buffer).digest() == m.image_digest:
+        m = self.transfer.manifest
+        if hashlib.sha256(self.transfer.image).digest() == m.image_digest:
             self.due_at = now + self.install_delay_us
             self._set_phase(INSTALLING, "")
             return
@@ -341,12 +336,12 @@ class UpdateAgent:
         self._emit("TagFail", None, "digest-mismatch")
 
     def _install(self, now: int) -> None:
-        m = self.active_manifest
+        self.serving = transfer = self.transfer
+        m = transfer.manifest
+        transfer.image = bytes(transfer.image)
         self.installed.previous = self.installed.data
-        self.installed.data = bytes(self.buffer)
+        self.installed.data = transfer.image
         self.installed.epoch = m.base.epoch
-        self.installed_manifest = m
-        self.installed_tags = self.received
         self._clear_transfer()
         self.poll_at = now + self.poll_period_us
         self.install_time_us = now
@@ -355,32 +350,20 @@ class UpdateAgent:
 
     # -- serving ----------------------------------------------------------------
 
-    def _chunk_data(self, name: FirmwareName, source: bytes, manifest: Manifest,
-                    tags: list[bytes | None]) -> Data | None:
-        idx = name.chunk_id
-        if not 0 <= idx < manifest.chunk_count or not tags[idx]:
-            return None
-        start = idx * manifest.chunk_size
-        return Data(name, bytes(source[start : start + manifest.chunk_length(idx)]), HmacTag(tags[idx]))
-
     def serve_lookup(self, name: FirmwareName) -> Data | None:
-        """Serve chunks from flash or the in-progress buffer, and manifests.
+        """Serve a name of the installed image from flash, or of the transfer.
 
         A chunk is served with the tag it was verified against on arrival;
         chunks that failed verification were never stored and are not served.
+        The transfer's chunks are served only while it is fetched, its
+        manifest in any phase.
         """
-        if name.kind == CHUNK:
-            im = self.installed_manifest
-            if im is not None and name.base == im.base:
-                return self._chunk_data(name, self.installed.data, im, self.installed_tags)
-            am = self.active_manifest
-            if am is not None and self.phase == FETCHING and name.base == am.base:
-                return self._chunk_data(name, self.buffer, am, self.received)
-            return None
-        if name.kind == MANIFEST:
-            for m in (self.installed_manifest, self.active_manifest):
-                if m is not None and name.base == m.base:
-                    return Data(name, m.to_bytes(), ManifestSignature(m.signature))
+        base, serving, transfer = name.base, self.serving, self.transfer
+        if serving is not None and base == serving.manifest.base:
+            return serving.data(name)
+        if (transfer is not None and base == transfer.manifest.base
+                and (self.phase == FETCHING or name.kind == MANIFEST)):
+            return transfer.data(name)
         return None
 
     def deny(self, interest: Interest) -> bool:

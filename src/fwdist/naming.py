@@ -76,9 +76,6 @@ class BaseName(namedtuple("BaseName", "deployment vendor device_class epoch")):
     def manifest(self) -> "FirmwareName":
         return FirmwareName(self, MANIFEST)
 
-    def firmware(self) -> "FirmwareName":
-        return FirmwareName(self, FIRMWARE)
-
     def chunk(self, index: int) -> "FirmwareName":
         return FirmwareName(self, CHUNK, index)
 

@@ -13,8 +13,10 @@ because they are written unquoted into ``metrics.csv``. A block that is
 present takes its fields' defaults. ``link.mtu_bytes`` exceeds ``link.link_header_bytes``,
 ``agent.app_retx_jitter_s`` is at most ``agent.app_retx_base_s``,
 ``|granularity.offset_s| < granularity.period_s``, an ``outage`` has exactly
-one of ``at_s`` and ``after_install``, and the edge ends of ``attacker`` and
-``outage`` and ``outage.after_install`` are node IDs. No block takes a key
+one of ``at_s`` and ``after_install``, the edge ends of ``attacker`` and
+``outage`` and ``outage.after_install`` are node IDs, and under a
+``replay_stale`` attacker ``epoch >= granularity.period_s``, so that the
+replayed previous epoch is not negative. No block takes a key
 that has no row, a bool is never a number, numbers are finite, an ``int``
 field takes integers only and a ``float`` field stores a float. A violation
 raises ``ScenarioInvalid`` naming the field.
@@ -328,6 +330,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
             _require(set(spec.edge) <= names, f"{fieldname}.edge", "edge endpoints must be topology nodes")
     if scenario.outage is not None and scenario.outage.after_install is not None:
         _require(scenario.outage.after_install in names, "outage.after_install", "unknown node")
+    if scenario.attacker is not None and scenario.attacker.mode == "replay_stale":
+        _require(scenario.epoch >= scenario.granularity.period, "epoch",
+                 f"must be at least granularity.period_s ({scenario.granularity.period}) under a "
+                 f"replay_stale attacker, which replays the previous epoch; got {scenario.epoch}")
     topology = scenario.topology
     for i, node_id in enumerate(topology.nodes):
         if scenario.multiparty and node_id != topology.root:

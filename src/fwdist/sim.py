@@ -31,7 +31,7 @@ from .forwarder import (
     Timeout,
 )
 from .naming import CHUNK, FIRMWARE, MANIFEST, BaseName, FirmwareName
-from .packets import Data, HmacTag, Interest, ManifestSignature, Nack, Packet, chunk_id_of, packet_size
+from .packets import Data, HmacTag, Interest, Nack, Packet, chunk_id_of, packet_size
 from .scenario import Scenario, ScenarioInvalid
 from .vendor import (
     FirmwareImage,
@@ -272,7 +272,6 @@ class Simulation:
         self.log = self.records.append
         self.repo = Repository()
         self.images: dict[str, bytes] = {}  # device class -> the repository's image
-        self._stale: dict[str, tuple[bytes, list[bytes]]] = {}  # device class -> previous image, tags
         self.start_wall_s = scenario.epoch + 1
         loss = scenario.loss
         # loss probability of an attempt on a clear medium and of a collided one
@@ -338,19 +337,19 @@ class Simulation:
         vendor_public = signing_key.public_key()
         class_of = {dev: sc.device_class_of(dev) for dev in sc.topology.devices}
         previous_epoch = sc.epoch - sc.granularity.period
-        stale_needed = sc.attacker is not None and sc.attacker.mode == "replay_stale"
+        # a replay attacker serves the previous epoch's chunks, which are published after the current ones
+        replayed = sc.attacker is not None and sc.attacker.mode == "replay_stale"
+        epochs = (sc.epoch, previous_epoch) if replayed else (sc.epoch,)
         psks = {}
         for cls in dict.fromkeys(class_of.values()):  # first-seen device order fixes the draws' order
             psks[cls] = psk = hashlib.sha256(b"fwdist-psk:" + cls.encode()).digest()
-            image = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, sc.epoch),
-                                  self.rng.randbytes(sc.image_size))
-            manifest = build_manifest(image, sc.chunk_size, signing_key)
-            self.repo.publish(manifest, image.data, make_chunks(image, sc.chunk_size, psk, sc.trunc_len), psk)
-            self.images[cls] = self.repo.lookup_image(image.base)
-            if stale_needed:
-                stale = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, previous_epoch),
+            for epoch in epochs:
+                image = FirmwareImage(BaseName(sc.deployment, sc.vendor, cls, epoch),
                                       self.rng.randbytes(sc.image_size))
-                self._stale[cls] = (stale.data, make_chunks(stale, sc.chunk_size, psk, sc.trunc_len))
+                manifest = build_manifest(image, sc.chunk_size, signing_key)
+                self.repo.publish(manifest, image.data, make_chunks(image, sc.chunk_size, psk, sc.trunc_len),
+                                  psk)
+            self.images[cls] = self.repo.get(BaseName(sc.deployment, sc.vendor, cls, sc.epoch)).image
         # Agents come up with the previous epoch installed.
         agents = {}
         for dev, cls in class_of.items():
@@ -389,16 +388,8 @@ class Simulation:
 
     def repo_lookup(self, name: FirmwareName) -> Data | None:
         """The repository's Data for ``name``, built on each lookup and not kept."""
-        if name.kind == MANIFEST:
-            manifest = self.repo.lookup_manifest(name.base)
-            if manifest is not None:
-                return Data(name, manifest.to_bytes(), ManifestSignature(manifest.signature))
-        elif name.kind == CHUNK:
-            chunk = self.repo.lookup_chunk(name.base, name.chunk_id)
-            if chunk is not None:
-                payload, tag = chunk
-                return Data(name, payload, HmacTag(tag))
-        return None
+        publication = self.repo.get(name.base)
+        return None if publication is None else publication.data(name)
 
     # -- clock / logging ------------------------------------------------------------
 
@@ -527,11 +518,11 @@ class Simulation:
         if spec.mode == "replay_stale":
             # substitute the same-index chunk of the previous epoch, renamed to
             # the current version; its tag binds the old base name
-            image, tags = self._stale.get(data.name.base.device_class, (b"", ()))
-            idx = data.name.chunk_id
-            if 0 <= idx < len(tags):
-                start = idx * self.scenario.chunk_size
-                return Data(data.name, image[start : start + self.scenario.chunk_size], HmacTag(tags[idx]))
+            sc = self.scenario
+            previous = self.repo.get(data.name.base._replace(epoch=sc.epoch - sc.granularity.period))
+            chunk = previous.chunk(data.name.chunk_id)
+            if chunk is not None:
+                return Data(data.name, chunk[0], HmacTag(chunk[1]))
         # tamper_payload, and a replay with no stale chunk to offer
         payload = bytes([data.payload[0] ^ 0xFF]) + data.payload[1:]
         return Data(data.name, payload, data.auth)

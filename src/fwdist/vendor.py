@@ -23,7 +23,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .naming import BaseName, MalformedName
+from .naming import CHUNK, MANIFEST, BaseName, FirmwareName, MalformedName
+from .packets import Data, HmacTag, ManifestSignature
 
 TRUNCATION_LENGTHS = (8, 16, 32)
 MIN_PSK_BYTES = 32  # RFC 2104, section 3: no shorter than the hash output
@@ -248,17 +249,44 @@ def signing_key_from_seed(seed: bytes) -> Ed25519PrivateKey:
 
 @dataclass(slots=True)
 class Publication:
+    """One firmware version as it is served: its manifest, its image and tag ``i`` for chunk
+    ``i``. A chunk whose tag is None is not stored, so it is not served."""
+
     manifest: Manifest
-    image: bytes
-    tags: list[bytes]  # tag i is chunk i's
+    image: bytes | bytearray
+    tags: list[bytes | None]
+
+    def chunk(self, index: int) -> tuple[bytes, bytes] | None:
+        """The payload and tag of chunk ``index``, or None if it is not stored."""
+        tags = self.tags
+        if not 0 <= index < len(tags) or not tags[index]:
+            return None
+        size = self.manifest.chunk_size
+        start = index * size
+        return bytes(self.image[start : start + size]), tags[index]
+
+    def data(self, name: FirmwareName) -> Data | None:
+        """The Data that answers ``name``, a name under this publication's base name, built
+        on each call and not kept; None for a chunk that is not stored. It slices a chunk as
+        ``chunk`` does, inline, because every served chunk comes through here."""
+        if name.kind == CHUNK:
+            index, tags = name.chunk_id, self.tags
+            if index < len(tags) and tags[index]:  # a chunk id is never negative
+                size = self.manifest.chunk_size
+                start = index * size
+                return Data(name, bytes(self.image[start : start + size]), HmacTag(tags[index]))
+        elif name.kind == MANIFEST:
+            manifest = self.manifest
+            return Data(name, manifest.to_bytes(), ManifestSignature(manifest.signature))
+        return None
 
 
 class Repository:
     """Versioned firmware store keyed by base name: (deployment, vendor, class, epoch),
-    holding each publication as its manifest, its image and one checked tag per chunk."""
+    holding each publication with one checked tag per chunk."""
 
     def __init__(self):
-        self._store: dict[BaseName, tuple[Manifest, bytes, list[bytes]]] = {}
+        self._store: dict[BaseName, Publication] = {}
 
     def publish(self, manifest: Manifest, image: bytes, tags: list[bytes], psk: bytes) -> None:
         """Store ``image`` itself, with tag ``i`` for chunk ``i``, once every tag is checked."""
@@ -285,24 +313,11 @@ class Repository:
                 raise InconsistentPublication(f"chunk {i} tag does not verify")
         if manifest.base in self._store:
             raise DuplicateEpoch(f"epoch {manifest.base.epoch} already published")
-        self._store[manifest.base] = (manifest, image, expected)
+        self._store[manifest.base] = Publication(manifest, image, expected)
 
-    def lookup_manifest(self, base: BaseName) -> Manifest | None:
-        pub = self._store.get(base)
-        return pub[0] if pub else None
-
-    def lookup_image(self, base: BaseName) -> bytes | None:
-        pub = self._store.get(base)
-        return pub[1] if pub else None
-
-    def lookup_chunk(self, base: BaseName, index: int) -> tuple[bytes, bytes] | None:
-        """The payload and tag of chunk ``index`` of ``base``, or None."""
-        pub = self._store.get(base)
-        if pub is None or not 0 <= index < len(pub[2]):
-            return None
-        manifest, image, tags = pub
-        start = index * manifest.chunk_size
-        return image[start : start + manifest.chunk_size], tags[index]
+    def get(self, base: BaseName) -> Publication | None:
+        """The publication of ``base``, or None."""
+        return self._store.get(base)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fwdist.agent import (
     CONCURRENT,
     FETCHING,
     IDLE,
+    INSTALLING,
     SERVING,
     VERIFYING,
     InstalledFirmware,
@@ -171,7 +172,7 @@ def test_equal_epoch_manifest_is_noop():
     agent.awaited_manifest = manifest.base.manifest()
     agent.phase = AWAIT_MANIFEST
     agent.on_manifest(manifest_data(manifest), now=0)
-    assert agent.phase == IDLE and agent.active_manifest is None
+    assert agent.phase == IDLE and agent.transfer is None
 
 
 # -- stop-and-wait retrieval ----------------------------------------------------------------
@@ -230,7 +231,7 @@ def test_valid_chunk_stored_and_next_requested():
     start_fetch(agent, manifest)
     agent.take_request(now=0)
     agent.on_chunk(chunk_packet(manifest, chunks, 0), now=10)
-    assert agent.received[0] and agent.cursor == 1
+    assert agent.transfer.tags[0] and agent.cursor == 1
     nxt, _ = agent.take_request(now=10)
     assert nxt.name.chunk_id == 1
     assert ("DataRecv", 0, "") in events
@@ -247,7 +248,7 @@ def test_three_tag_failures_abort_irrecoverable():
         agent.on_chunk(bad, now=attempt)
     assert agent.phase == IDLE
     assert EPOCH in agent.irrecoverable
-    assert agent.buffer is None  # discarded
+    assert agent.transfer is None  # discarded
     aborts = [(c, d) for e, c, d in events if e == "Abort"]
     assert aborts == [(0, "irrecoverable:chunk-0;vendor-report")]
     assert sum(1 for e, _, _ in events if e == "TagFail") == 3
@@ -283,7 +284,7 @@ def test_diverted_tag_failures_not_counted():
     bad = Data(manifest.base.chunk(2), b"\x00" * 32, HmacTag(bytes(8)))
     agent.on_chunk(bad, now=0, diverted=True)
     assert agent.tag_failures == 0
-    assert not agent.received[2]
+    assert not agent.transfer.tags[2]
 
 
 def test_overheard_chunk_stored_out_of_order():
@@ -293,9 +294,9 @@ def test_overheard_chunk_stored_out_of_order():
     agent.take_request(now=0)  # awaiting chunk 0
     assert agent.divert_wanted(chunk_packet(manifest, chunks, 2))
     agent.on_chunk(chunk_packet(manifest, chunks, 2), now=5, diverted=True)
-    assert agent.received[2] and not agent.received[0]
+    assert agent.transfer.tags[2] and not agent.transfer.tags[0]
     # offset write: buffer slice holds the payload
-    assert bytes(agent.buffer[64:96]) == chunks[2][0]
+    assert bytes(agent.transfer.image[64:96]) == chunks[2][0]
 
 
 def test_divert_requires_concurrent_mode():
@@ -335,7 +336,7 @@ def test_the_cursor_is_the_smallest_unstored_chunk_and_the_only_one_requested(st
         if agent.phase == IDLE:  # the third tag failure of a requested chunk
             assert kind == "tampered" and not diverted and idx == min(set(range(6)) - stored)
             return
-        assert [bool(tag) for tag in agent.received] == [i in stored for i in range(6)]
+        assert [bool(tag) for tag in agent.transfer.tags] == [i in stored for i in range(6)]
         assert (agent.phase == VERIFYING) == (len(stored) == 6)
         if agent.phase == VERIFYING:
             return
@@ -380,7 +381,7 @@ def test_a_fetching_agent_accepts_exactly_the_published_chunks(deliveries):
     start_fetch(agent, PUBLISHED)
     for now, (kind, idx, pos, diverted) in enumerate(deliveries, start=1):
         agent.take_request(now)
-        checked = agent.phase == FETCHING and not agent.received[idx]
+        checked = agent.phase == FETCHING and not agent.transfer.tags[idx]
         before = len(events)
         agent.on_chunk(delivery(kind, idx, pos), now=now, diverted=diverted)
         outcome = [ev for ev in events[before:] if ev[0] in ("DataRecv", "TagFail")]
@@ -390,7 +391,7 @@ def test_a_fetching_agent_accepts_exactly_the_published_chunks(deliveries):
         verdict = "DataRecv" if kind == "published" else "TagFail"
         assert outcome == [(verdict, idx, "diverted" if diverted else "")]
         if verdict == "DataRecv":
-            assert agent.received[idx] == PUBLISHED_CHUNKS[idx][1]
+            assert agent.transfer.tags[idx] == PUBLISHED_CHUNKS[idx][1]
 
 
 # -- finalize ------------------------------------------------------------------------------------
@@ -432,7 +433,7 @@ def test_digest_mismatch_triggers_one_refetch_then_abort():
         agent.on_chunk(chunk_packet(manifest, chunks, i), now=0)
     agent.handle_deadlines(0)
     assert agent.phase == FETCHING  # one full re-retrieval
-    assert agent.cursor == 0 and not any(agent.received) and agent.tag_failures == 0
+    assert agent.cursor == 0 and not any(agent.transfer.tags) and agent.tag_failures == 0
     assert ("TagFail", None, "digest-mismatch") in events
     for i in range(len(chunks)):
         agent.take_request(now=1)
@@ -468,7 +469,7 @@ def test_post_verification_fault_injection_detected():
         agent.on_chunk(chunk_packet(manifest, chunks, i), now=0)
     agent.take_request(now=0)
     agent.on_chunk(chunk_packet(manifest, chunks, len(chunks) - 1), now=0)
-    agent.buffer[5] ^= 0xFF  # flip one byte after the HMAC gate
+    agent.transfer.image[5] ^= 0xFF  # flip one byte after the HMAC gate
     agent.handle_deadlines(0)
     assert agent.phase == FETCHING  # digest caught it; re-retrieval begins
 
@@ -517,7 +518,7 @@ def test_served_chunks_from_buffer_equal_recomputed_tags():
         if idx not in (1, 4, 5):
             assert served is None
             continue
-        payload = bytes(agent.buffer[idx * 32 : min((idx + 1) * 32, manifest.image_size)])
+        payload = bytes(agent.transfer.image[idx * 32 : min((idx + 1) * 32, manifest.image_size)])
         assert served.payload == payload == chunks[idx][0]
         assert served.auth == HmacTag(tag_chunk(manifest.base, idx, payload, PSK))
 
@@ -580,6 +581,27 @@ def test_buffer_serving_mid_fetch_concurrent():
     served = agent.serve_lookup(manifest.base.chunk(0))
     assert served.payload == chunks[0][0]
     assert agent.serve_lookup(manifest.base.chunk(1)) is None  # not yet held
+
+
+def test_the_transfer_serves_its_manifest_in_every_phase_and_its_chunks_only_while_fetching():
+    agent, _ = make_agent()
+    agent.install_delay_us = 10
+    _, manifest, chunks = make_firmware()
+    names = [manifest.base.chunk(i) for i in range(len(chunks))]
+    start_fetch(agent, manifest)
+    for i in range(len(chunks)):
+        assert agent.serve_lookup(manifest.base.manifest()) == manifest_data(manifest)
+        agent.on_chunk(chunk_packet(manifest, chunks, i), now=0, diverted=True)
+        if agent.phase == FETCHING:
+            assert agent.serve_lookup(names[i]) == chunk_packet(manifest, chunks, i)
+    for phase, now in ((VERIFYING, 0), (INSTALLING, 10)):
+        assert agent.phase == phase
+        assert agent.serve_lookup(manifest.base.manifest()) == manifest_data(manifest)
+        assert [agent.serve_lookup(name) for name in names] == [None] * len(names)
+        agent.handle_deadlines(now)
+    assert agent.phase == SERVING  # and now from flash
+    assert [agent.serve_lookup(name) for name in names] == [
+        chunk_packet(manifest, chunks, i) for i in range(len(chunks))]
 
 
 def test_cascading_denies_same_class_newer_epoch_only():

@@ -160,6 +160,21 @@ def test_sweep_invalid_axis():
         sweep(chain_raw(), "nonsense", [1], [1])
 
 
+REPLAY = {"attacker": {"edge": ["gw", "n1"], "mode": "replay_stale", "rate": 0.1}}
+
+
+def test_a_replay_attacker_needs_a_previous_epoch_that_a_name_can_carry():
+    with pytest.raises(ScenarioInvalid, match="granularity.period_s") as info:
+        scenario_from_dict(chain_raw(epoch=100, **REPLAY))
+    assert info.value.fieldname == "epoch"
+    with pytest.raises(ScenarioInvalid, match="^epoch:"):  # was a MalformedName from the first run
+        sweep(chain_raw(epoch=100, **REPLAY), "seed", [1])
+    # the previous epoch may be 0, and other attackers never name it
+    day = {"granularity": {"period_s": 86400, "offset_s": 0}, "duration_s": 60}
+    assert run_simulation(scenario_from_dict(chain_raw(epoch=86400, **day, **REPLAY))).records
+    scenario_from_dict(chain_raw(epoch=100, attacker={**REPLAY["attacker"], "mode": "forge_tag"}))
+
+
 # -- tables --------------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from fwdist.naming import (
     MAX_COMPONENT_BYTES,
     BaseName,
     EncodingModel,
+    FIRMWARE,
     FirmwareName,
     Granularity,
     MalformedName,
@@ -48,7 +49,7 @@ def test_constructors_reject_malformed(case):
 def test_format_suffixes():
     base = BaseName("d", "v", "c", 5)
     assert base.chunk(42).components()[-2:] == ("chunk", "42")
-    assert base.firmware().components()[-1] == "firmware"
+    assert FirmwareName(base, FIRMWARE).components()[-1] == "firmware"
     assert base.manifest().components()[-1] == "manifest"
 
 

@@ -22,6 +22,7 @@ from fwdist.scenario import (
 )
 from fwdist.sim import EventLog, SimNode, Simulation, run_simulation
 from fwdist.topology import Topology, build_paper_topology
+from fwdist.vendor import tag_chunk
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
                    {'id': 'n2', 'parent': 'n1'}, {'id': 'n3', 'parent': 'n2'}]}
@@ -215,7 +216,7 @@ def test_set_up_keeps_each_published_image_once_and_no_chunk_object():
     sim = Simulation(sc)
     assert len(sim.images) == 30
     for cls, image in sim.images.items():
-        assert image is sim.repo.lookup_image(BaseName(sc.deployment, sc.vendor, cls, sc.epoch))
+        assert image is sim.repo.get(BaseName(sc.deployment, sc.vendor, cls, sc.epoch)).image
     result = sim.run()
     assert all(result.images[cls] is image for cls, image in sim.images.items())
 
@@ -274,6 +275,20 @@ def test_replay_stale_counts_as_tag_failures():
     result = run_simulation(sc)
     assert result.node_stats['n3']['tag_fail'] == 3
     assert result.node_stats['n3']['aborted']
+
+
+def test_the_replay_attacker_substitutes_the_same_chunk_of_the_previous_epoch():
+    sc = chain_scenario(image_size=650, attacker={'edge': ['n2', 'n3'], 'mode': 'replay_stale', 'rate': 1.0})
+    sim = Simulation(sc)
+    psk = sim.nodes['n3'].agent.psk
+    base = BaseName(sc.deployment, sc.vendor, sc.device_class, sc.epoch)
+    previous = base._replace(epoch=sc.epoch - sc.granularity.period)
+    for i in range(sc.chunk_count()):  # 20 chunks of 32 bytes and one of 10
+        sent = sim.repo_lookup(base.chunk(i))
+        replayed = sim._maybe_tamper(sent)
+        assert replayed.name == sent.name
+        assert len(replayed.payload) == len(sent.payload) and replayed.payload != sent.payload
+        assert replayed.auth == HmacTag(tag_chunk(previous, i, replayed.payload, psk, sc.trunc_len))
 
 
 def test_low_rate_tampering_filtered_by_hmac_gate():
@@ -519,7 +534,7 @@ def local_entries_are_awaited(node):
     if agent is not None:
         awaited.add(agent.awaited_manifest)
         if agent.phase == FETCHING and agent.due_at is None:  # a chunk request in flight
-            awaited.add(agent.active_manifest.base.chunk(agent.cursor))
+            awaited.add(agent.transfer.manifest.base.chunk(agent.cursor))
     stray = [name for name, entry in node.forwarder.pit.items()
              if entry.local_consumer and name not in awaited]
     assert not stray, (node.id, agent and agent.phase, stray)

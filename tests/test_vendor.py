@@ -9,7 +9,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fwdist.naming import BaseName, MalformedName
+from fwdist.naming import FIRMWARE, BaseName, FirmwareName, MalformedName
+from fwdist.packets import Data, HmacTag, ManifestSignature
 from fwdist.vendor import (
     DuplicateEpoch,
     EmptyImage,
@@ -211,25 +212,38 @@ def publish_version(repo, epoch, size=100):
 def test_publish_then_lookup_round_trip():
     repo = Repository()
     m, img, tags = publish_version(repo, 1000)
-    assert repo.lookup_chunk(m.base, 0) == (img.data[:32], tags[0])
-    assert repo.lookup_chunk(m.base, 3) == (img.data[96:], tags[3])
-    assert repo.lookup_manifest(m.base) == m
-    assert repo.lookup_image(m.base) is img.data
+    publication = repo.get(m.base)
+    assert publication.chunk(0) == (img.data[:32], tags[0])
+    assert publication.chunk(3) == (img.data[96:], tags[3])
+    assert publication.manifest == m
+    assert publication.image is img.data
+
+
+def test_a_publication_answers_its_manifest_and_its_stored_chunks_only():
+    img = image(100)
+    m = build_manifest(img, 32, KEY)
+    tags = make_chunks(img, 32, PSK)
+    held = Publication(m, bytearray(img.data), [tags[0], None, None, tags[3]])
+    assert held.data(m.base.manifest()) == Data(m.base.manifest(), m.to_bytes(), ManifestSignature(m.signature))
+    assert held.data(m.base.chunk(0)) == Data(m.base.chunk(0), img.data[:32], HmacTag(tags[0]))
+    assert held.data(m.base.chunk(3)) == Data(m.base.chunk(3), img.data[96:], HmacTag(tags[3]))
+    assert type(held.data(m.base.chunk(3)).payload) is bytes  # not a view of the buffer
+    for name in (m.base.chunk(1), m.base.chunk(4), FirmwareName(m.base, FIRMWARE)):
+        assert held.data(name) is None
 
 
 def test_lookup_missing_epoch_returns_none():
     repo = Repository()
     publish_version(repo, 1000)
-    assert repo.lookup_manifest(BaseName("d", "v", "c", 2000)) is None
-    assert repo.lookup_chunk(BaseName("d", "v", "c", 2000), 0) is None
+    assert repo.get(BaseName("d", "v", "c", 2000)) is None
 
 
 def test_versioned_keying():
     repo = Repository()
     m1, _, _ = publish_version(repo, 1000, size=96)
     m2, _, _ = publish_version(repo, 2000, size=128)
-    assert repo.lookup_manifest(m1.base).image_size == 96
-    assert repo.lookup_manifest(m2.base).image_size == 128
+    assert repo.get(m1.base).manifest.image_size == 96
+    assert repo.get(m2.base).manifest.image_size == 128
 
 
 def test_duplicate_epoch_rejected():
@@ -248,7 +262,7 @@ def test_inconsistent_publication_rejected():
         repo.publish(m, img.data, tags[:-1], PSK)
     with pytest.raises(InconsistentPublication, match="chunk 0 tag does not verify"):
         repo.publish(m, img.data, [bytes(len(tag)) for tag in tags], PSK)
-    assert repo.lookup_manifest(m.base) is None
+    assert repo.get(m.base) is None
 
 
 def test_publish_refuses_two_swapped_chunks_of_equal_length():
@@ -264,9 +278,9 @@ def test_publish_refuses_two_swapped_chunks_of_equal_length():
         repo.publish(m, swapped, tags, PSK)
     with pytest.raises(InconsistentPublication, match="chunk 0 tag does not verify"):
         repo.publish(m, data, [tags[1], tags[0], *tags[2:]], PSK)
-    assert repo.lookup_manifest(m.base) is None
+    assert repo.get(m.base) is None
     repo.publish(m, data, tags, PSK)
-    assert repo.lookup_chunk(m.base, 1) == (data[32:64], tags[1])
+    assert repo.get(m.base).chunk(1) == (data[32:64], tags[1])
 
 
 @pytest.mark.parametrize("length", [99, 101, 96, 128, 0])
@@ -279,7 +293,7 @@ def test_publish_refuses_an_image_of_another_length_than_the_manifest(length):
     repo = Repository()
     with pytest.raises(InconsistentPublication, match=f"image has {length} bytes, manifest 100"):
         repo.publish(m, data, tags, PSK)
-    assert repo.lookup_manifest(m.base) is None
+    assert repo.get(m.base) is None
 
 
 @given(size=st.integers(min_value=1, max_value=2048), chunk=st.integers(min_value=1, max_value=128),
@@ -302,11 +316,11 @@ def test_the_repository_serves_each_chunk_as_make_chunks_cuts_it(size, chunk, tr
     tags = make_chunks(img, chunk, PSK, trunc)
     repo = Repository()
     repo.publish(build_manifest(img, chunk, KEY), img.data, tags, PSK)
-    other = BaseName("d", "v", "c", BASE.epoch + 1)
+    assert repo.get(BaseName("d", "v", "c", BASE.epoch + 1)) is None
+    publication = repo.get(BASE)
     for i in range(-2, len(tags) + 2):
         published = (payloads[i], tags[i]) if 0 <= i < len(tags) else None
-        assert repo.lookup_chunk(BASE, i) == published
-        assert repo.lookup_chunk(other, i) is None
+        assert publication.chunk(i) == published
 
 
 def _retagged(img, trunc_of):
@@ -326,7 +340,7 @@ def test_publish_requires_one_tag_length_from_the_truncation_lengths(trunc_of, f
     repo = Repository()
     with pytest.raises(InconsistentPublication, match=fault):
         repo.publish(m, img.data, _retagged(img, trunc_of), psk)
-    assert repo.lookup_manifest(m.base) is None
+    assert repo.get(m.base) is None
 
 
 @pytest.mark.parametrize("trunc", [8, 16, 32])
@@ -335,7 +349,7 @@ def test_publish_accepts_each_truncation_length(trunc):
     m = build_manifest(img, 32, KEY)
     repo = Repository()
     repo.publish(m, img.data, make_chunks(img, 32, PSK, trunc), PSK)
-    assert len(repo.lookup_chunk(m.base, 3)[1]) == trunc
+    assert len(repo.get(m.base).chunk(3)[1]) == trunc
 
 
 def test_publish_rejects_zero_chunk_size_and_empty_image():
@@ -385,7 +399,7 @@ def test_publish_and_read_publication_refuse_a_short_psk(tmp_path, psk):
     repo = Repository()
     with pytest.raises(ShortKey, match="at least 32 bytes, got"):
         repo.publish(m, img.data, tags, psk)
-    assert repo.lookup_manifest(m.base) is None
+    assert repo.get(m.base) is None
     write_publication(tmp_path, m, img.data)
     with pytest.raises(ShortKey, match="at least 32 bytes, got"):
         read_publication(tmp_path, m.base, psk, PUB)
