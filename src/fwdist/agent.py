@@ -59,8 +59,7 @@ class UpdateAgent:
     ):
         if scenario.strategy not in (CONCURRENT, CASCADING):
             raise ValueError(f"unknown strategy {scenario.strategy!r}")
-        self.deployment = scenario.deployment
-        self.vendor = scenario.vendor
+        self.class_key = (scenario.deployment, scenario.vendor, device_class)
         self.device_class = device_class
         self.psk = psk
         self.vendor_key = vendor_key
@@ -104,16 +103,13 @@ class UpdateAgent:
         # chunk request (None while one is in flight), or the end of
         # verification or installation. Polling runs across phases.
         self.due_at: int | None = None
-        self.poll_at: int | None = 0
+        self.poll_at = 0
 
         self.first_chunk_recv_us: int | None = None
         self.last_chunk_recv_us: int | None = None
         self.install_time_us: int | None = None
 
     # -- helpers -------------------------------------------------------------
-
-    def class_key(self) -> tuple[str, str, str]:
-        return (self.deployment, self.vendor, self.device_class)
 
     def _set_phase(self, phase: str, detail: str = "") -> None:
         note = f"{self.phase}->{phase};{detail}" if detail else f"{self.phase}->{phase}"
@@ -144,12 +140,12 @@ class UpdateAgent:
         target = align_epoch(wall_s, self.granularity)
         if target <= self.installed.epoch or target in self.irrecoverable:
             return None
-        base = BaseName(self.deployment, self.vendor, self.device_class, target)
+        base = BaseName(*self.class_key, target)
         self._await_manifest(base.manifest(), f"poll:{target}")
         return Interest(self.awaited_manifest, self._nonce())
 
     def due_poll(self, now: int, wall_s: int) -> Interest | None:
-        if self.poll_at is None or now < self.poll_at:
+        if now < self.poll_at:
             return None
         while self.poll_at <= now:
             self.poll_at += self.poll_period_us
@@ -160,7 +156,7 @@ class UpdateAgent:
         name = interest.name
         if name.kind != MANIFEST:
             return False
-        if name.base.class_key() != self.class_key():
+        if name.base.class_key() != self.class_key:
             return False
         if name.base.epoch <= self.installed.epoch or name.base.epoch in self.irrecoverable:
             return False
@@ -373,7 +369,7 @@ class UpdateAgent:
         name = interest.name
         return (
             name.kind == CHUNK
-            and name.base.class_key() == self.class_key()
+            and name.base.class_key() == self.class_key
             and name.base.epoch > self.installed.epoch
         )
 

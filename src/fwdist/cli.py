@@ -37,10 +37,8 @@ from .vendor import (
     DuplicateEpoch,
     EmptyImage,
     FirmwareImage,
-    InconsistentPublication,
     InvalidChunkSize,
     InvalidSigningKey,
-    InvalidTruncation,
     build_manifest,
     check_path_component,
     signing_key_from_seed,
@@ -54,8 +52,7 @@ class UnencodableOutput(ValueError):
 
 VALIDATION_ERRORS = (
     ScenarioInvalid, NoPayloadRoom, MalformedCsv, MalformedName, UnencodableOutput,
-    EmptyImage, InvalidChunkSize, InvalidSigningKey, InvalidTruncation,
-    InconsistentPublication, DuplicateEpoch, FileNotFoundError,
+    EmptyImage, InvalidChunkSize, InvalidSigningKey, DuplicateEpoch, FileNotFoundError,
 )
 
 

@@ -29,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .naming import CHUNK, MANIFEST, FirmwareName
+from .naming import FirmwareName
 from .packets import Data, Interest, Nack
 from .scenario import NodeParams
 
@@ -240,7 +240,7 @@ class Forwarder:
         diverting = not entry.local_consumer and self._divert(data)
         if diverting:
             actions.append(DivertToBuffer(data))
-        elif not entry.local_consumer and data.name.kind in (CHUNK, MANIFEST):
+        elif not entry.local_consumer:
             # Own-image chunks live in the agent buffer; the CS caches foreign
             # in-transit objects only.
             self.cs.insert(data)

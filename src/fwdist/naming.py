@@ -2,7 +2,7 @@
 
 Names address firmware artifacts as
 ``/<deployment>/<vendor>/<device-class>/<epoch>/<suffix...>`` where the suffix
-is ``manifest``, ``firmware``, or ``chunk/<id>``.  The epoch component is a
+is ``manifest`` or ``chunk/<id>``.  The epoch component is a
 Unix timestamp quantized to a per-device-class granularity so that pollers can
 construct "the latest version" name without a directory service.
 """
@@ -21,10 +21,7 @@ class MalformedName(ValueError):
 SEPARATOR = "/"
 
 MANIFEST = "manifest"
-FIRMWARE = "firmware"
 CHUNK = "chunk"
-
-_SUFFIX_KINDS = (MANIFEST, FIRMWARE, CHUNK)
 
 
 # The manifest and the tag message prefix each component with a 2-byte length
@@ -84,7 +81,7 @@ class BaseName(namedtuple("BaseName", "deployment vendor device_class epoch")):
 
 
 class FirmwareName(namedtuple("FirmwareName", "base kind chunk_id")):
-    """Full name of a manifest, image, or single chunk.
+    """Full name of a manifest or of a single chunk.
 
     A tuple of three, so it never equals a ``BaseName`` (a tuple of four).
     """
@@ -94,11 +91,11 @@ class FirmwareName(namedtuple("FirmwareName", "base kind chunk_id")):
     def __new__(cls, base: BaseName, kind: str, chunk_id: int | None = None):
         if not isinstance(base, BaseName):
             raise MalformedName(f"base must be a BaseName, got {base!r}")
-        if kind not in _SUFFIX_KINDS:
-            raise MalformedName(f"unknown suffix kind {kind!r}")
         if kind == CHUNK:
             if not isinstance(chunk_id, int) or isinstance(chunk_id, bool) or chunk_id < 0:
                 raise MalformedName(f"chunk id must be a non-negative integer, got {chunk_id!r}")
+        elif kind != MANIFEST:
+            raise MalformedName(f"unknown suffix kind {kind!r}")
         elif chunk_id is not None:
             raise MalformedName(f"{kind} names carry no chunk id")
         return tuple.__new__(cls, (base, kind, chunk_id))

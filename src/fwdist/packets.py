@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .naming import CHUNK, DEFAULT_ENCODING, EncodingModel, FirmwareName, encoded_size
+from .naming import DEFAULT_ENCODING, EncodingModel, FirmwareName, encoded_size
 
 # Structural bytes per packet beyond the name: outer packet framing, payload
 # and auth field headers, freshness/lifetime fields (sized, not modelled).
@@ -83,10 +83,3 @@ def packet_size(packet: Packet, model: EncodingModel = DEFAULT_ENCODING) -> int:
     if isinstance(packet, Data):
         return name_bytes + DATA_STRUCT_BYTES + len(packet.payload) + _auth_size(packet.auth)
     return name_bytes + NACK_STRUCT_BYTES
-
-
-def chunk_id_of(packet: Packet) -> int | None:
-    """Chunk index named by the packet, or None for non-chunk names."""
-    if packet.name.kind == CHUNK:
-        return packet.name.chunk_id
-    return None

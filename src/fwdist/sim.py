@@ -30,8 +30,8 @@ from .forwarder import (
     Retransmit,
     Timeout,
 )
-from .naming import CHUNK, FIRMWARE, MANIFEST, BaseName, FirmwareName
-from .packets import Data, HmacTag, Interest, Nack, Packet, chunk_id_of, packet_size
+from .naming import CHUNK, MANIFEST, BaseName, FirmwareName
+from .packets import Data, HmacTag, Interest, Nack, Packet, packet_size
 from .scenario import Scenario, ScenarioInvalid
 from .vendor import (
     FirmwareImage,
@@ -44,7 +44,7 @@ from .vendor import (
 
 # Record details, built once and not per frame or per Interest.
 _LOG_KIND = {cls: cls.__name__.lower() for cls in (Interest, Data, Nack)}
-_AGGREGATED = {kind: kind + ";aggregated" for kind in (MANIFEST, FIRMWARE, CHUNK)}
+_AGGREGATED = {kind: kind + ";aggregated" for kind in (MANIFEST, CHUNK)}
 _CHUNK_MASK = (1 << 32) - 1
 CSV_HEADER = "sim_time_us,node,event,chunk_id,detail"  # the first line of metrics.csv
 
@@ -196,8 +196,8 @@ class SimNode:
             elif isinstance(action, DivertToBuffer):
                 self.agent.on_chunk(action.data, now, diverted=True)
             elif isinstance(action, Retransmit):
-                self.sim.log(now, self.id, "NetRetx", chunk_id_of(action.interest),
-                             action.interest.name.kind)
+                name = action.interest.name
+                self.sim.log(now, self.id, "NetRetx", name.chunk_id, name.kind)
                 self.sim.send_packet(self, action.face, action.interest, now)
             elif isinstance(action, Timeout):
                 self.agent.on_timeout(action.name, now)
@@ -208,7 +208,7 @@ class SimNode:
             self.agent.on_nack(packet)
         elif packet.name.kind == MANIFEST:
             self.agent.on_manifest(packet, now)
-        elif packet.name.kind == CHUNK:
+        else:
             self.agent.on_chunk(packet, now)
 
     # -- agent drive ---------------------------------------------------------------
@@ -231,16 +231,16 @@ class SimNode:
     def _send_agent_interest(self, interest: Interest, now: int, is_retry: bool) -> None:
         actions = self.forwarder.on_local_interest(interest, now)
         event = "AppRetx" if is_retry else "InterestSent"
+        name = interest.name
         for action in actions:
             if isinstance(action, Forward):
-                self.sim.log(now, self.id, event, chunk_id_of(interest), interest.name.kind)
+                self.sim.log(now, self.id, event, name.chunk_id, name.kind)
                 self.sim.send_packet(self, action.face, action.packet, now)
             elif isinstance(action, Aggregate):
-                self.sim.log(now, self.id, event, chunk_id_of(interest),
-                             _AGGREGATED[interest.name.kind])
+                self.sim.log(now, self.id, event, name.chunk_id, _AGGREGATED[name.kind])
             elif isinstance(action, Drop):
                 # No route or table pressure: let the app-layer timer retry.
-                self.agent.on_timeout(interest.name, now)
+                self.agent.on_timeout(name, now)
 
     def _rearm(self, now: int) -> None:
         """Make sure a wake is queued for the earliest forwarder or agent deadline."""
@@ -484,7 +484,7 @@ class Simulation:
         total = packet_size(packet, self.scenario.name_encoding) + link.link_header_bytes
         mtu = link.mtu_bytes
         kind = _LOG_KIND[type(packet)]
-        cid = chunk_id_of(packet)
+        cid = packet.name.chunk_id
 
         def arrive(now: int) -> None:
             final = packet
@@ -513,17 +513,19 @@ class Simulation:
         if self.rng.random() >= spec.rate:
             return data
         if spec.mode == "forge_tag":
-            tag = bytes(b ^ 0xFF for b in data.auth.tag) if isinstance(data.auth, HmacTag) else b"\x00" * 8
-            return Data(data.name, data.payload, HmacTag(tag))
+            return Data(data.name, data.payload, HmacTag(bytes(b ^ 0xFF for b in data.auth.tag)))
         if spec.mode == "replay_stale":
             # substitute the same-index chunk of the previous epoch, renamed to
-            # the current version; its tag binds the old base name
+            # the current version; its tag binds the old base name. Set-up
+            # publishes that epoch with the same image and chunk sizes, and
+            # only chunks of the current epoch are ever served, so it always
+            # holds this chunk.
             sc = self.scenario
-            previous = self.repo.get(data.name.base._replace(epoch=sc.epoch - sc.granularity.period))
-            chunk = previous.chunk(data.name.chunk_id)
-            if chunk is not None:
-                return Data(data.name, chunk[0], HmacTag(chunk[1]))
-        # tamper_payload, and a replay with no stale chunk to offer
+            name = data.name
+            previous = name.base._replace(epoch=sc.epoch - sc.granularity.period).chunk(name.chunk_id)
+            stale = self.repo.get(previous.base).data(previous)
+            return Data(name, stale.payload, stale.auth)
+        # tamper_payload
         payload = bytes([data.payload[0] ^ 0xFF]) + data.payload[1:]
         return Data(data.name, payload, data.auth)
 
@@ -548,7 +550,7 @@ class SimResult:
     def __init__(self, sim: Simulation):
         self.scenario = sim.scenario
         self.records = sim.records
-        self.counters = counters = sim.records.counters()
+        counters = sim.records.counters()
         self.images = sim.images
         topo = sim.scenario.topology
         self.node_stats: dict[str, dict] = {}

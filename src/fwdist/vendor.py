@@ -23,7 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .naming import CHUNK, MANIFEST, BaseName, FirmwareName, MalformedName
+from .naming import CHUNK, BaseName, FirmwareName, MalformedName
 from .packets import Data, HmacTag, ManifestSignature
 
 TRUNCATION_LENGTHS = (8, 16, 32)
@@ -256,29 +256,18 @@ class Publication:
     image: bytes | bytearray
     tags: list[bytes | None]
 
-    def chunk(self, index: int) -> tuple[bytes, bytes] | None:
-        """The payload and tag of chunk ``index``, or None if it is not stored."""
-        tags = self.tags
-        if not 0 <= index < len(tags) or not tags[index]:
-            return None
-        size = self.manifest.chunk_size
-        start = index * size
-        return bytes(self.image[start : start + size]), tags[index]
-
     def data(self, name: FirmwareName) -> Data | None:
         """The Data that answers ``name``, a name under this publication's base name, built
-        on each call and not kept; None for a chunk that is not stored. It slices a chunk as
-        ``chunk`` does, inline, because every served chunk comes through here."""
+        on each call and not kept; None for a chunk that is not stored."""
         if name.kind == CHUNK:
             index, tags = name.chunk_id, self.tags
             if index < len(tags) and tags[index]:  # a chunk id is never negative
                 size = self.manifest.chunk_size
                 start = index * size
                 return Data(name, bytes(self.image[start : start + size]), HmacTag(tags[index]))
-        elif name.kind == MANIFEST:
-            manifest = self.manifest
-            return Data(name, manifest.to_bytes(), ManifestSignature(manifest.signature))
-        return None
+            return None
+        manifest = self.manifest
+        return Data(name, manifest.to_bytes(), ManifestSignature(manifest.signature))
 
 
 class Repository:

@@ -30,6 +30,7 @@ from fwdist.harness import (
 from fwdist.cli import fwsim_main
 from fwdist.scenario import ScenarioInvalid, scenario_from_dict
 from fwdist.sim import run_simulation
+from fwdist.vendor import InconsistentPublication, Repository
 from test_sim import json_values
 
 CHAIN = {'nodes': [{'id': 'gw', 'parent': None}, {'id': 'n1', 'parent': 'gw'},
@@ -508,6 +509,16 @@ def test_cli_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeyp
     monkeypatch.setattr("fwdist.cli.run_scenario", broken)
     with pytest.raises(ValueError, match="internal fault"):
         fwsim_main(["run", str(write_scenario(tmp_path))])
+
+
+def test_cli_run_ends_with_a_traceback_when_set_up_publishes_inconsistent_data(tmp_path, monkeypatch):
+    # no scenario can make set-up publish an inconsistent image, so it is a fault of the program
+    def broken(*args, **kwargs):
+        raise InconsistentPublication("set-up fault")
+
+    monkeypatch.setattr(Repository, "publish", broken)
+    with pytest.raises(InconsistentPublication, match="set-up fault"):
+        fwsim_main(["run", str(write_scenario(tmp_path)), "--out", str(tmp_path / "out")])
 
 
 def test_sweep_rejects_values_the_scenario_would_reject():

@@ -7,7 +7,6 @@ from fwdist.naming import (
     MAX_COMPONENT_BYTES,
     BaseName,
     EncodingModel,
-    FIRMWARE,
     FirmwareName,
     Granularity,
     MalformedName,
@@ -33,6 +32,7 @@ MALFORMED = {
     "negative-chunk-id": lambda: BaseName("D", "V", "C", 10).chunk(-1),
     "non-integer-epoch": lambda: BaseName("D", "V", "C", "1"),
     "unknown-suffix": lambda: FirmwareName(BaseName("D", "V", "C", 1), "blob"),
+    "firmware-suffix": lambda: FirmwareName(BaseName("D", "V", "C", 1), "firmware"),
     "chunk-without-id": lambda: FirmwareName(BaseName("D", "V", "C", 1), "chunk"),
     "manifest-with-id": lambda: FirmwareName(BaseName("D", "V", "C", 1), "manifest", 0),
     "empty-identifier": lambda: BaseName("", "V", "C", 1),
@@ -49,7 +49,6 @@ def test_constructors_reject_malformed(case):
 def test_format_suffixes():
     base = BaseName("d", "v", "c", 5)
     assert base.chunk(42).components()[-2:] == ("chunk", "42")
-    assert FirmwareName(base, FIRMWARE).components()[-1] == "firmware"
     assert base.manifest().components()[-1] == "manifest"
 
 
@@ -87,8 +86,7 @@ def test_text_round_trip():
 # that equality still follows the fields, whichever way a name was built.
 
 short_identifiers = st.text(alphabet="ab/é", min_size=1, max_size=2).filter(lambda s: "/" not in s)
-suffixes = st.one_of(st.just(("manifest", None)), st.just(("firmware", None)),
-                     st.tuples(st.just("chunk"), st.integers(0, 3)))
+suffixes = st.one_of(st.just(("manifest", None)), st.tuples(st.just("chunk"), st.integers(0, 3)))
 name_fields = st.tuples(short_identifiers, short_identifiers, short_identifiers,
                         st.integers(0, 2), suffixes)
 
@@ -274,7 +272,7 @@ sized_identifiers = st.one_of(identifiers, st.text(alphabet="a\u00e9\u20ac\U0001
     vendor=sized_identifiers,
     device_class=sized_identifiers,
     epoch=st.one_of(st.sampled_from([0, 9, 10, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-    suffix=st.one_of(st.sampled_from(["manifest", "firmware"]),
+    suffix=st.one_of(st.just("manifest"),
                      st.sampled_from([0, 9, 10, 99, 100, 2**32 - 2]),
                      st.integers(0, 2**32 - 2)),
     model=st.one_of(st.just(EncodingModel()), st.builds(EncodingModel, overheads, overheads)),

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fwdist.naming import FIRMWARE, BaseName, FirmwareName, MalformedName
+from fwdist.naming import BaseName, MalformedName
 from fwdist.packets import Data, HmacTag, ManifestSignature
 from fwdist.vendor import (
     DuplicateEpoch,
@@ -213,8 +213,8 @@ def test_publish_then_lookup_round_trip():
     repo = Repository()
     m, img, tags = publish_version(repo, 1000)
     publication = repo.get(m.base)
-    assert publication.chunk(0) == (img.data[:32], tags[0])
-    assert publication.chunk(3) == (img.data[96:], tags[3])
+    assert publication.data(m.base.chunk(0)) == Data(m.base.chunk(0), img.data[:32], HmacTag(tags[0]))
+    assert publication.data(m.base.chunk(3)) == Data(m.base.chunk(3), img.data[96:], HmacTag(tags[3]))
     assert publication.manifest == m
     assert publication.image is img.data
 
@@ -228,7 +228,7 @@ def test_a_publication_answers_its_manifest_and_its_stored_chunks_only():
     assert held.data(m.base.chunk(0)) == Data(m.base.chunk(0), img.data[:32], HmacTag(tags[0]))
     assert held.data(m.base.chunk(3)) == Data(m.base.chunk(3), img.data[96:], HmacTag(tags[3]))
     assert type(held.data(m.base.chunk(3)).payload) is bytes  # not a view of the buffer
-    for name in (m.base.chunk(1), m.base.chunk(4), FirmwareName(m.base, FIRMWARE)):
+    for name in (m.base.chunk(1), m.base.chunk(4)):
         assert held.data(name) is None
 
 
@@ -280,7 +280,7 @@ def test_publish_refuses_two_swapped_chunks_of_equal_length():
         repo.publish(m, data, [tags[1], tags[0], *tags[2:]], PSK)
     assert repo.get(m.base) is None
     repo.publish(m, data, tags, PSK)
-    assert repo.get(m.base).chunk(1) == (data[32:64], tags[1])
+    assert repo.get(m.base).data(m.base.chunk(1)) == Data(m.base.chunk(1), data[32:64], HmacTag(tags[1]))
 
 
 @pytest.mark.parametrize("length", [99, 101, 96, 128, 0])
@@ -318,9 +318,10 @@ def test_the_repository_serves_each_chunk_as_make_chunks_cuts_it(size, chunk, tr
     repo.publish(build_manifest(img, chunk, KEY), img.data, tags, PSK)
     assert repo.get(BaseName("d", "v", "c", BASE.epoch + 1)) is None
     publication = repo.get(BASE)
-    for i in range(-2, len(tags) + 2):
-        published = (payloads[i], tags[i]) if 0 <= i < len(tags) else None
-        assert publication.chunk(i) == published
+    for i in range(len(tags) + 2):
+        name = BASE.chunk(i)
+        published = Data(name, payloads[i], HmacTag(tags[i])) if i < len(tags) else None
+        assert publication.data(name) == published
 
 
 def _retagged(img, trunc_of):
@@ -349,7 +350,7 @@ def test_publish_accepts_each_truncation_length(trunc):
     m = build_manifest(img, 32, KEY)
     repo = Repository()
     repo.publish(m, img.data, make_chunks(img, 32, PSK, trunc), PSK)
-    assert len(repo.get(m.base).chunk(3)[1]) == trunc
+    assert len(repo.get(m.base).data(m.base.chunk(3)).auth.tag) == trunc
 
 
 def test_publish_rejects_zero_chunk_size_and_empty_image():
