@@ -180,9 +180,6 @@ class UpdateAgent:
             self._emit("Abort", None, "manifest-rejected;vendor-report")
             self._set_phase(IDLE, "manifest-rejected")
             return
-        if manifest.base.epoch <= self.installed.epoch:
-            self._set_phase(IDLE, "already-current")
-            return
         self.digest_attempts = 0
         self._start_fetch(manifest, now, f"epoch:{manifest.base.epoch}")
 

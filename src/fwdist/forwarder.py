@@ -1,20 +1,17 @@
-"""Minimal NDN-style forwarder: PIT with aggregation, LRU content store, and
-one upstream face.
+"""Minimal NDN-style forwarder of a device: PIT with aggregation, LRU content
+store, and one upstream face.
 
 The PIT is a dict from name to entry, at most ``node.pit_capacity`` long. Every
-name goes up the one upstream face: face 0 on a device, ``None`` on the
-gateway. An Interest that neither the gateway's content store nor the
-repository answers gets a ``no-data`` Nack when ``nacks`` is set (the
-scenario's ``nacks_enabled``), and is otherwise dropped as "no-route". On this
-tree an Interest never comes back to a node, so there is no nonce loop check.
+name goes up face ``UPSTREAM``, the device's uplink; the gateway at the root
+is a producer (``sim.Gateway``) and runs no forwarder. On this tree an
+Interest never comes back to a node, so there is no nonce loop check.
 
 The forwarder mutates its own tables and returns explicit action lists; the
 surrounding node decides how to execute them. Every packet the node sends is
 one ``Forward(face, packet)``; the other actions hand packets to the local
-update agent or only report an outcome. Hooks decouple it from the agent and
-the repository:
+update agent or only report an outcome. Hooks decouple it from the agent:
 
-* ``local_lookup(name)``   -- serve from flash / chunk buffer / repository
+* ``local_lookup(name)``   -- serve from flash / chunk buffer
 * ``deny(interest)``       -- cascading-mode chunk denial
 * ``implicit(interest)``   -- register the local agent on a forwarded manifest
 * ``divert(data)``         -- should unsolicited/in-transit chunk Data be
@@ -35,6 +32,7 @@ from .scenario import NodeParams
 
 RETX_INTERVAL_US = 2_000_000
 RETX_BUDGET = 3
+UPSTREAM = 0  # a device's uplink face; its downlink faces follow
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +145,18 @@ class ContentStore:
 
 
 class Forwarder:
-    """Per-node forwarding state machine."""
+    """A device's forwarding state machine."""
 
     def __init__(
         self,
         *,
         nonce_source: Callable[[], int],
-        upstream: int | None = None,
         node: NodeParams = NodeParams(),
         local_lookup: Callable[[FirmwareName], Data | None] | None = None,
         deny: Callable[[Interest], bool] | None = None,
         implicit: Callable[[Interest], bool] | None = None,
         divert: Callable[[Data], bool] | None = None,
-        nacks: bool = False,
     ):
-        self.upstream = upstream
         self.pit: dict[FirmwareName, PitEntry] = {}
         self.pit_capacity = node.pit_capacity
         self.cs = ContentStore(node.cs_capacity)
@@ -170,7 +165,6 @@ class Forwarder:
         self._deny = deny or (lambda interest: False)
         self._implicit = implicit or (lambda interest: False)
         self._divert = divert or (lambda data: False)
-        self.nacks = nacks
 
     # -- interests ----------------------------------------------------------
 
@@ -193,10 +187,6 @@ class Forwarder:
             if self._implicit(interest):
                 entry.local_consumer = True
             return [Aggregate(interest.name)]
-        if self.upstream is None:
-            if self.nacks:
-                return [Forward(face, Nack(interest.name, "no-data"))]
-            return [Drop("no-route")]
         if len(self.pit) >= self.pit_capacity:
             return [Drop("pit-full")]
         self.pit[interest.name] = entry = PitEntry(
@@ -208,7 +198,7 @@ class Forwarder:
         # leave the agent awaiting a manifest that nothing will deliver
         if self._implicit(interest):
             entry.local_consumer = True
-        return [Forward(self.upstream, interest)]
+        return [Forward(UPSTREAM, interest)]
 
     def on_local_interest(self, interest: Interest, now: int) -> list[Action]:
         """Interest originated by this node's own agent."""
@@ -216,8 +206,6 @@ class Forwarder:
         if entry is not None:
             entry.local_consumer = True
             return [Aggregate(interest.name)]
-        if self.upstream is None:
-            return [Drop("no-route")]
         if len(self.pit) >= self.pit_capacity:
             return [Drop("pit-full")]
         self.pit[interest.name] = PitEntry(
@@ -225,7 +213,7 @@ class Forwarder:
             local_consumer=True,
             next_retx_at=now + RETX_INTERVAL_US,
         )
-        return [Forward(self.upstream, interest)]
+        return [Forward(UPSTREAM, interest)]
 
     # -- data / nacks -------------------------------------------------------
 
@@ -267,7 +255,7 @@ class Forwarder:
                 entry.retx_budget -= 1
                 entry.next_retx_at += RETX_INTERVAL_US
                 retx = Interest(entry.name, self._nonce())
-                actions.append(Retransmit(self.upstream, retx))
+                actions.append(Retransmit(UPSTREAM, retx))
             else:
                 del self.pit[entry.name]
                 if entry.local_consumer:

@@ -35,7 +35,7 @@ class ManifestSignature(NamedTuple):
     signature: bytes
 
 
-Auth = HmacTag | ManifestSignature | None
+Auth = HmacTag | ManifestSignature
 
 
 class Interest(namedtuple("Interest", "name nonce")):
@@ -56,7 +56,7 @@ class Interest(namedtuple("Interest", "name nonce")):
 class Data(NamedTuple):
     name: FirmwareName
     payload: bytes
-    auth: Auth = None
+    auth: Auth
 
 
 class Nack(NamedTuple):
@@ -68,8 +68,6 @@ Packet = Interest | Data | Nack
 
 
 def _auth_size(auth: Auth) -> int:
-    if auth is None:
-        return 0
     if isinstance(auth, HmacTag):
         return len(auth.tag)
     return len(auth.signature)

@@ -1,5 +1,6 @@
-"""Seeded discrete-event simulator: DODAG of forwarder+agent nodes over lossy
-shared-medium links with link-layer ARQ, optional attacker and uplink outage.
+"""Seeded discrete-event simulator: a producer gateway and a DODAG of
+forwarder+agent devices over lossy shared-medium links with link-layer ARQ,
+optional attacker and uplink outage.
 
 Determinism contract: simulated time is integer microseconds, the event queue
 breaks ties by insertion sequence, and every stochastic draw comes from one
@@ -29,8 +30,9 @@ from .forwarder import (
     Forwarder,
     Retransmit,
     Timeout,
+    UPSTREAM,
 )
-from .naming import CHUNK, MANIFEST, BaseName, FirmwareName
+from .naming import CHUNK, MANIFEST, BaseName
 from .packets import Data, HmacTag, Interest, Nack, Packet, packet_size
 from .scenario import Scenario, ScenarioInvalid
 from .vendor import (
@@ -147,31 +149,48 @@ class EventQueue:
         return len(self._heap)
 
 
-class SimNode:
-    """One network node: a forwarder plus, on a device, its update agent.
+class Gateway:
+    """The root, a producer with no PIT or content store: it answers each Interest
+    from the repository on the face it came in on, and a name the repository does
+    not hold with a ``no-data`` Nack if the scenario enables NACKs, else not at all."""
 
-    A device forwards on face 0, its uplink. The gateway serves from the
-    repository and has no upstream face, so it never holds a PIT entry: no
-    wake, local delivery or timeout reaches it.
+    def __init__(self, sim: "Simulation", node_id: str):
+        self.sim = sim
+        self.id = node_id
+        self.faces: dict[int, tuple[Edge, SimNode, int]] = {}  # as on a device
+        self.radio_free_at = 0
+
+    def on_frame(self, face: int, interest: Interest, now: int) -> None:
+        sim = self.sim
+        name = interest.name
+        publication = sim.repo.get(name.base)
+        reply = None if publication is None else publication.data(name)
+        if reply is None:
+            if not sim.scenario.nacks_enabled:
+                return
+            reply = Nack(name, "no-data")
+        sim.send_packet(self, face, reply, now + sim.scenario.node.proc_delay_us)
+
+
+class SimNode:
+    """One device: its forwarder and its update agent.
+
+    The forwarder sends every request up face ``UPSTREAM``, the uplink;
+    downlink faces follow it.
     """
 
-    def __init__(self, sim: "Simulation", node_id: str, agent: UpdateAgent | None):
+    def __init__(self, sim: "Simulation", node_id: str, agent: UpdateAgent):
         self.sim = sim
         self.id = node_id
         # face -> (its edge, the node at the other end, that node's face for the edge)
-        self.faces: dict[int, tuple[Edge, SimNode, int]] = {}
+        self.faces: dict[int, tuple[Edge, SimNode | Gateway, int]] = {}
         self.agent = agent
         self.radio_free_at = 0
         self.wake_at: int | None = None
-        if agent is None:
-            hooks = dict(local_lookup=sim.repo_lookup, nacks=sim.scenario.nacks_enabled)
-        else:
-            hooks = dict(upstream=0, local_lookup=agent.serve_lookup, deny=agent.deny,
-                         implicit=agent.wants_implicit, divert=agent.divert_wanted)
         self.forwarder = Forwarder(
-            nonce_source=lambda: sim.rng.getrandbits(32),
-            node=sim.scenario.node,
-            **hooks,
+            nonce_source=lambda: sim.rng.getrandbits(32), node=sim.scenario.node,
+            local_lookup=agent.serve_lookup, deny=agent.deny,
+            implicit=agent.wants_implicit, divert=agent.divert_wanted,
         )
 
     # -- frame handling ---------------------------------------------------------
@@ -239,17 +258,15 @@ class SimNode:
             elif isinstance(action, Aggregate):
                 self.sim.log(now, self.id, event, name.chunk_id, _AGGREGATED[name.kind])
             elif isinstance(action, Drop):
-                # No route or table pressure: let the app-layer timer retry.
+                # A full PIT: let the app-layer timer retry.
                 self.agent.on_timeout(name, now)
 
     def _rearm(self, now: int) -> None:
         """Make sure a wake is queued for the earliest forwarder or agent deadline."""
-        agent = self.agent
         deadline = self.forwarder.next_deadline()
-        if agent is not None:
-            agent_at = agent.next_action_at()
-            if agent_at is not None and (deadline is None or agent_at < deadline):
-                deadline = agent_at
+        agent_at = self.agent.next_action_at()
+        if agent_at is not None and (deadline is None or agent_at < deadline):
+            deadline = agent_at
         if deadline is None:
             return
         if deadline < now:
@@ -296,20 +313,20 @@ class Simulation:
 
     def _build_network(self, agents: dict[str, UpdateAgent]) -> None:
         topo = self.scenario.topology
-        self.nodes: dict[str, SimNode] = {
-            nid: SimNode(self, nid, agents.get(nid)) for nid in topo.nodes
+        self.nodes: dict[str, SimNode | Gateway] = {
+            nid: Gateway(self, nid) if nid == topo.root else SimNode(self, nid, agents[nid])
+            for nid in topo.nodes
         }
-        # Face 0 of every device is its uplink; downlink faces follow.
         self.edges: list[Edge] = []
-        next_face = {nid: (0 if nid == topo.root else 1) for nid in topo.nodes}
+        next_face = {nid: (0 if nid == topo.root else UPSTREAM + 1) for nid in topo.nodes}
         for parent, child in topo.edges:
             face = next_face[parent]
             next_face[parent] += 1
             edge = Edge(len(self.edges), parent, child)
             self.edges.append(edge)
             up, down = self.nodes[parent], self.nodes[child]
-            up.faces[face] = (edge, down, 0)
-            down.faces[0] = (edge, up, face)
+            up.faces[face] = (edge, down, UPSTREAM)
+            down.faces[UPSTREAM] = (edge, up, face)
         self._compute_conflicts()
 
     def _compute_conflicts(self) -> None:
@@ -384,13 +401,6 @@ class Simulation:
                 return edge
         raise ScenarioInvalid(fieldname, f"no link between {pair[0]} and {pair[1]}")
 
-    # -- repository serving ---------------------------------------------------------
-
-    def repo_lookup(self, name: FirmwareName) -> Data | None:
-        """The repository's Data for ``name``, built on each lookup and not kept."""
-        publication = self.repo.get(name.base)
-        return None if publication is None else publication.data(name)
-
     # -- clock / logging ------------------------------------------------------------
 
     def wall_s(self, now_us: int) -> int:
@@ -409,7 +419,7 @@ class Simulation:
 
     # -- medium ----------------------------------------------------------------------
 
-    def transmit(self, src: SimNode, edge: Edge, size_bytes: int, t: int,
+    def transmit(self, src: SimNode | Gateway, edge: Edge, size_bytes: int, t: int,
                  on_delivered, log_kind: str = "frame", chunk_id: int | None = None) -> None:
         """Send one frame over one link with link-layer ARQ and random backoff.
 
@@ -424,7 +434,7 @@ class Simulation:
         """
         self._attempt(src, edge, size_bytes, 0, t, on_delivered, log_kind, chunk_id)
 
-    def _attempt(self, src: SimNode, edge: Edge, size: int, attempt: int, t: int,
+    def _attempt(self, src: SimNode | Gateway, edge: Edge, size: int, attempt: int, t: int,
                  on_delivered, log_kind: str, chunk_id: int | None) -> None:
         link = self.scenario.link
         if attempt > 0:
@@ -477,7 +487,7 @@ class Simulation:
         live.append((start, end, edge.index))
         self._airtime = live
 
-    def send_packet(self, src: SimNode, face: int, packet: Packet, t: int) -> None:
+    def send_packet(self, src: SimNode | Gateway, face: int, packet: Packet, t: int) -> None:
         """Fragmenting packet send: frames above the MTU split into sub-frames."""
         edge, peer, dst_face = src.faces[face]
         link = self.scenario.link

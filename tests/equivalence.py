@@ -13,7 +13,8 @@ Every case is a 3-hop chain with an image of 640 to 6,400 bytes, run under
 both strategies at three seeds, so that the paths ``tests/test_golden.py``
 leaves out are locked: each attacker mode, both outage kinds, tag
 truncations of 16 and 32 bytes, multiparty publishing, a PIT of one entry,
-zero retry budgets, NACKs, node delays, heavy loss and no poll stagger.
+zero retry budgets, NACKs, node delays, heavy loss, no poll stagger and polls for
+an epoch that was never published.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ SHAPES = {
                              "verify_delay_us": 7000, "install_delay_us": 100}},
     "heavy-loss": {"loss": {"per_transmission": 0.4, "collision": 0.9}},
     "no-stagger": {"poll_stagger_s": 0},
+    # the default epoch is off this grid, so every poll asks for an epoch that was never
+    # published, and with NACKs off the gateway answers nothing
+    "no-data": {"granularity": {"period_s": 86400, "offset_s": 0}, "poll_period_s": 300},
 }
 SEEDS = (1, 2, 3)
 

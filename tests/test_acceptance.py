@@ -277,7 +277,7 @@ def test_criterion_9_forwarder_reference_properties():
 
     base = BaseName("d", "v", "c", 10)
     counter = itertools.count(1000)
-    fwd = Forwarder(nonce_source=lambda: next(counter), upstream=9)
+    fwd = Forwarder(nonce_source=lambda: next(counter))
 
     # PIT aggregation: N downstream -> exactly one upstream Interest
     upstream = 0
@@ -287,7 +287,7 @@ def test_criterion_9_forwarder_reference_properties():
     aggregation_ok = upstream == 1 and fwd.pit[base.chunk(0)].downstream_faces == [0, 1, 2, 3, 4]
 
     # exactly 3 retransmissions at 2000 ms spacing, then timeout
-    fwd2 = Forwarder(nonce_source=lambda: next(counter), upstream=9)
+    fwd2 = Forwarder(nonce_source=lambda: next(counter))
     fwd2.on_local_interest(Interest(base.chunk(1), nonce=1), now=0)
     events = []
     for ms in range(0, 10001):

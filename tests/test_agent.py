@@ -17,7 +17,7 @@ from fwdist.agent import (
     InstalledFirmware,
     UpdateAgent,
 )
-from fwdist.forwarder import Drop, Forward, Forwarder
+from fwdist.forwarder import UPSTREAM, Drop, Forward, Forwarder
 from fwdist.naming import BaseName, Granularity
 from fwdist.packets import Data, HmacTag, Interest, ManifestSignature
 from fwdist.scenario import NodeParams, Scenario
@@ -129,10 +129,10 @@ def test_implicit_requires_idle_or_serving():
 
 def test_implicit_registration_not_taken_on_refused_pit_insert():
     agent, _ = make_agent()
-    fwd = Forwarder(nonce_source=lambda: 7, upstream=0, node=NodeParams(pit_capacity=1),
+    fwd = Forwarder(nonce_source=lambda: 7, node=NodeParams(pit_capacity=1),
                     implicit=agent.wants_implicit)
     foreign = Interest(BaseName("d", "v", "other", EPOCH).manifest(), nonce=1)
-    assert fwd.on_interest(1, foreign, now=0) == [Forward(0, foreign)]
+    assert fwd.on_interest(1, foreign, now=0) == [Forward(UPSTREAM, foreign)]
     own = Interest(BaseName("d", "v", "c", EPOCH).manifest(), nonce=2)
     assert fwd.on_interest(2, own, now=0) == [Drop("pit-full")]
     # no entry, so no manifest and no timeout would ever reach an awaiting agent
@@ -167,12 +167,14 @@ def test_tampered_manifest_reported_and_idle():
 
 
 def test_equal_epoch_manifest_is_noop():
+    # neither a poll nor an implicit registration awaits the installed epoch, so its
+    # manifest is ignored like any manifest the agent did not ask for
     agent, _ = make_agent(installed_epoch=EPOCH)
     _, manifest, _ = make_firmware()
-    agent.awaited_manifest = manifest.base.manifest()
-    agent.phase = AWAIT_MANIFEST
+    assert agent.poll_version(wall_s=EPOCH) is None
+    assert not agent.wants_implicit(Interest(manifest.base.manifest(), nonce=1))
     agent.on_manifest(manifest_data(manifest), now=0)
-    assert agent.phase == IDLE and agent.transfer is None
+    assert agent.phase == IDLE and agent.awaited_manifest is None and agent.transfer is None
 
 
 # -- stop-and-wait retrieval ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from fwdist.forwarder import (
     Forwarder,
     Retransmit,
     Timeout,
+    UPSTREAM,
 )
 from fwdist.naming import BaseName
 from fwdist.packets import Data, HmacTag, ManifestSignature, Interest, Nack
@@ -34,42 +35,19 @@ def chunk_data(i, payload=b"x" * 8):
 # -- interest pipeline --------------------------------------------------------
 
 def test_forward_via_default_route_creates_pit_entry():
-    fwd = make_forwarder(upstream=9)
+    fwd = make_forwarder()
     actions = fwd.on_interest(1, Interest(BASE.chunk(0), nonce=11), now=0)
-    assert actions == [Forward(9, Interest(BASE.chunk(0), nonce=11))]
+    assert actions == [Forward(UPSTREAM, Interest(BASE.chunk(0), nonce=11))]
     entry = fwd.pit.get(BASE.chunk(0))
     assert entry.downstream_faces == [1]
     assert entry.next_retx_at == 2_000_000
     # the one upstream face serves every name
     other = Interest(BaseName("x", "y", "z", 1).manifest(), nonce=12)
-    assert fwd.on_interest(2, other, now=0) == [Forward(9, other)]
-
-
-def test_no_route_drops():
-    fwd = make_forwarder()
-    actions = fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
-    assert actions == [Drop("no-route")]
-    assert fwd.pit.get(BASE.chunk(0)) is None
-
-
-def test_no_route_nacks_when_nacks_are_on():
-    fwd = make_forwarder(nacks=True)
-    name = BASE.manifest()
-    assert fwd.on_interest(3, Interest(name, nonce=1), now=0) == [Forward(3, Nack(name, "no-data"))]
-    assert fwd.pit == {}
-    # a name the local lookup holds is served, not NACKed
-    d = chunk_data(0)
-    fwd = make_forwarder(nacks=True, local_lookup=lambda n: d if n == d.name else None)
-    assert fwd.on_interest(3, Interest(d.name, nonce=2), now=0) == [Forward(3, d)]
-    # with a route, the Interest goes upstream and is not NACKed
-    fwd = make_forwarder(upstream=9, nacks=True)
-    interest = Interest(name, nonce=3)
-    assert fwd.on_interest(3, interest, now=0) == [Forward(9, interest)]
-    assert fwd.pit[name].downstream_faces == [3]
+    assert fwd.on_interest(2, other, now=0) == [Forward(UPSTREAM, other)]
 
 
 def test_pit_aggregation_single_upstream():
-    fwd = make_forwarder(upstream=9)
+    fwd = make_forwarder()
     first = fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
     second = fwd.on_interest(2, Interest(BASE.chunk(0), nonce=2), now=10)
     assert isinstance(first[0], Forward)
@@ -79,7 +57,7 @@ def test_pit_aggregation_single_upstream():
 
 
 def test_cs_hit_serves_cached_data():
-    fwd = make_forwarder(upstream=9)
+    fwd = make_forwarder()
     d = chunk_data(0)
     fwd.cs.insert(d)
     actions = fwd.on_interest(1, Interest(d.name, nonce=1), now=5)
@@ -97,7 +75,7 @@ def test_deny_cascading_wins_over_cache_and_aggregation():
     # A mid-update cascading node must not leak same-class chunks from any
     # delivery path, so the denial check precedes CS, local, and PIT hits.
     d = chunk_data(0)
-    fwd = make_forwarder(upstream=9, deny=lambda interest: True)
+    fwd = make_forwarder(deny=lambda interest: True)
     fwd.cs.insert(d)
     actions = fwd.on_interest(1, Interest(d.name, nonce=1), now=1)
     assert actions == [DenyCascading(d.name)]
@@ -105,7 +83,7 @@ def test_deny_cascading_wins_over_cache_and_aggregation():
 
 
 def test_pit_capacity_drops_overflow():
-    fwd = make_forwarder(upstream=9, node=NodeParams(pit_capacity=2))
+    fwd = make_forwarder(node=NodeParams(pit_capacity=2))
     fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
     fwd.on_interest(1, Interest(BASE.chunk(1), nonce=2), now=0)
     actions = fwd.on_interest(1, Interest(BASE.chunk(2), nonce=3), now=0)
@@ -113,7 +91,7 @@ def test_pit_capacity_drops_overflow():
 
 
 def test_implicit_registration_on_forwarded_manifest():
-    fwd = make_forwarder(upstream=9, implicit=lambda interest: True)
+    fwd = make_forwarder(implicit=lambda interest: True)
     fwd.on_interest(1, Interest(BASE.manifest(), nonce=1), now=0)
     assert fwd.pit.get(BASE.manifest()).local_consumer
 
@@ -121,40 +99,40 @@ def test_implicit_registration_on_forwarded_manifest():
 # -- data pipeline ---------------------------------------------------------------
 
 def test_data_fans_out_and_caches():
-    fwd = make_forwarder(upstream=9)
+    fwd = make_forwarder()
     fwd.on_interest(1, Interest(BASE.chunk(0), nonce=1), now=0)
     fwd.on_interest(2, Interest(BASE.chunk(0), nonce=2), now=1)
     d = chunk_data(0)
-    actions = fwd.on_data(9, d, now=10)
+    actions = fwd.on_data(UPSTREAM, d, now=10)
     assert actions == [Forward(1, d), Forward(2, d)]
     assert fwd.pit.get(d.name) is None
     assert fwd.cs.lookup(d.name) == d
 
 
 def test_data_delivers_to_local_consumer():
-    fwd = make_forwarder(upstream=9)
+    fwd = make_forwarder()
     fwd.on_local_interest(Interest(BASE.chunk(0), nonce=1), now=0)
     d = chunk_data(0)
-    actions = fwd.on_data(9, d, now=10)
+    actions = fwd.on_data(UPSTREAM, d, now=10)
     assert actions == [DeliverLocal(d)]
 
 
 def test_unsolicited_data_dropped_without_divert():
     fwd = make_forwarder()
-    assert fwd.on_data(9, chunk_data(5), now=0) == [Drop("unsolicited")]
+    assert fwd.on_data(UPSTREAM, chunk_data(5), now=0) == [Drop("unsolicited")]
 
 
 def test_unsolicited_data_diverted_when_wanted():
     d = chunk_data(5)
     fwd = make_forwarder(divert=lambda data: data.name == d.name)
-    assert fwd.on_data(9, d, now=0) == [DivertToBuffer(d)]
+    assert fwd.on_data(UPSTREAM, d, now=0) == [DivertToBuffer(d)]
 
 
 def test_forwarded_own_image_chunk_diverts_instead_of_caching():
     d = chunk_data(7)
-    fwd = make_forwarder(upstream=9, divert=lambda data: True)
+    fwd = make_forwarder(divert=lambda data: True)
     fwd.on_interest(1, Interest(d.name, nonce=1), now=0)
-    actions = fwd.on_data(9, d, now=10)
+    actions = fwd.on_data(UPSTREAM, d, now=10)
     assert actions == [Forward(1, d), DivertToBuffer(d)]
     assert fwd.cs.lookup(d.name) is None
 
@@ -162,7 +140,7 @@ def test_forwarded_own_image_chunk_diverts_instead_of_caching():
 # -- retransmission timers ---------------------------------------------------------
 
 def test_retx_schedule_2000ms_spacing_then_timeout():
-    fwd = make_forwarder(upstream=9)
+    fwd = make_forwarder()
     fwd.on_local_interest(Interest(BASE.chunk(0), nonce=999), now=0)
     emissions = []
     for t_ms in range(0, 10_001, 1):  # exhaustive 1 ms sweep
@@ -179,14 +157,14 @@ def test_retx_schedule_2000ms_spacing_then_timeout():
 
 
 def test_data_before_timer_cancels_retx():
-    fwd = make_forwarder(upstream=9)
+    fwd = make_forwarder()
     fwd.on_local_interest(Interest(BASE.chunk(0), nonce=1), now=0)
-    fwd.on_data(9, chunk_data(0), now=1_500_000)
+    fwd.on_data(UPSTREAM, chunk_data(0), now=1_500_000)
     assert fwd.tick_retransmissions(2_000_000) == []
 
 
 def test_retx_ordering_by_deadline_then_name():
-    fwd = make_forwarder(upstream=9)
+    fwd = make_forwarder()
     # same deadline: order falls back to name components
     fwd.on_interest(1, Interest(BASE.chunk(2), nonce=1), now=0)
     fwd.on_interest(1, Interest(BASE.chunk(1), nonce=2), now=0)
@@ -299,7 +277,7 @@ def test_actions_are_slotted_and_compare_within_their_class():
     assert Forward(1, interest) == Forward(1, interest)
     assert Forward(1, interest) != Retransmit(1, interest)
     assert Aggregate(interest.name) != Timeout(interest.name)
-    for action in (Forward(1, interest), Drop("no-route"), Timeout(interest.name)):
+    for action in (Forward(1, interest), Drop("pit-full"), Timeout(interest.name)):
         assert not hasattr(action, "__dict__")
         with pytest.raises(AttributeError):
             action.extra = 1

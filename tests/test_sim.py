@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from fwdist.agent import FETCHING, UpdateAgent
 from fwdist.naming import BaseName, EncodingModel, FirmwareName, Granularity
-from fwdist.packets import Data, HmacTag, Interest, packet_size
+from fwdist.forwarder import UPSTREAM
+from fwdist.packets import Data, HmacTag, Interest, Nack, packet_size
 from fwdist.scenario import (
     AgentParams,
     LinkParams,
@@ -20,7 +21,7 @@ from fwdist.scenario import (
     ScenarioInvalid,
     scenario_from_dict,
 )
-from fwdist.sim import EventLog, SimNode, Simulation, run_simulation
+from fwdist.sim import EventLog, Gateway, SimNode, Simulation, run_simulation
 from fwdist.topology import Topology, build_paper_topology
 from fwdist.vendor import tag_chunk
 
@@ -284,7 +285,7 @@ def test_the_replay_attacker_substitutes_the_same_chunk_of_the_previous_epoch():
     base = BaseName(sc.deployment, sc.vendor, sc.device_class, sc.epoch)
     previous = base._replace(epoch=sc.epoch - sc.granularity.period)
     for i in range(sc.chunk_count()):  # 20 chunks of 32 bytes and one of 10
-        sent = sim.repo_lookup(base.chunk(i))
+        sent = sim.repo.get(base).data(base.chunk(i))
         replayed = sim._maybe_tamper(sent)
         assert replayed.name == sent.name
         assert len(replayed.payload) == len(sent.payload) and replayed.payload != sent.payload
@@ -528,16 +529,14 @@ NODE_SHAPES = {
 
 
 def local_entries_are_awaited(node):
-    """Every PIT entry the node's own agent consumes is its awaited manifest or outstanding chunk."""
+    """Every PIT entry the device's own agent consumes is its awaited manifest or outstanding chunk."""
     agent = node.agent
-    awaited = set()
-    if agent is not None:
-        awaited.add(agent.awaited_manifest)
-        if agent.phase == FETCHING and agent.due_at is None:  # a chunk request in flight
-            awaited.add(agent.transfer.manifest.base.chunk(agent.cursor))
+    awaited = {agent.awaited_manifest}
+    if agent.phase == FETCHING and agent.due_at is None:  # a chunk request in flight
+        awaited.add(agent.transfer.manifest.base.chunk(agent.cursor))
     stray = [name for name, entry in node.forwarder.pit.items()
              if entry.local_consumer and name not in awaited]
-    assert not stray, (node.id, agent and agent.phase, stray)
+    assert not stray, (node.id, agent.phase, stray)
 
 
 # the agent calls a node makes; the rule must hold after each, not only after a whole event
@@ -569,7 +568,7 @@ def test_local_pit_entries_are_what_the_agent_awaits(shape, strategy, seed):
             mp.setattr(UpdateAgent, name, checked(getattr(UpdateAgent, name), node_of.__getitem__))
         sim = Simulation(chain_scenario(seed=seed, strategy=strategy, image_size=1600, duration_s=300,
                                         **NODE_SHAPES[shape]))
-        node_of.update((node.agent, node) for node in sim.nodes.values() if node.agent is not None)
+        node_of.update((sim.nodes[dev].agent, sim.nodes[dev]) for dev in sim.scenario.topology.devices)
         sim.run()
     assert checks.count("on_frame") > 20 and "take_request" in checks
 
@@ -584,26 +583,76 @@ INTEREST_SHAPES = {
     "pit-1-half-loss": lambda seed: chain_scenario(seed=seed, node={'pit_capacity': 1},
                                                    loss={'per_transmission': 0.5, 'collision': 0.1}),
     "nacks": lambda seed: not_yet_published_scenario(seed=seed, nacks_enabled=True),
+    "no-data": lambda seed: not_yet_published_scenario(seed=seed),
 }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("shape", sorted(INTEREST_SHAPES))
 def test_no_node_receives_the_same_interest_twice(monkeypatch, shape, seed):
-    # every node forwards on its one uplink, so an Interest cannot come back to a
-    # node; this is why the forwarder keeps no (name, nonce) loop check
+    # every device forwards on its one uplink, so an Interest cannot come back to a
+    # node; this is why the forwarder keeps no (name, nonce) loop check. Interests
+    # only go up and Data and Nacks only come down, which is why the gateway is a
+    # producer with no forwarder.
     received = Counter()
-    on_frame = SimNode.on_frame
+    arrivals = Counter()  # (receiver's class, packet kind, whether on the uplink)
 
-    def counted(self, face, packet, now):
-        if isinstance(packet, Interest):
-            received[self.id, packet.name, packet.nonce] += 1
-        return on_frame(self, face, packet, now)
+    def counting(cls):
+        on_frame = cls.on_frame
 
-    monkeypatch.setattr(SimNode, "on_frame", counted)
+        def counted(self, face, packet, now):
+            if isinstance(packet, Interest):
+                received[self.id, packet.name, packet.nonce] += 1
+            arrivals[cls, type(packet), face == UPSTREAM] += 1
+            return on_frame(self, face, packet, now)
+        return counted
+
+    for cls in (SimNode, Gateway):
+        monkeypatch.setattr(cls, "on_frame", counting(cls))
     run_simulation(INTEREST_SHAPES[shape](seed))
     assert len(received) >= 10
     assert [key for key, times in received.items() if times > 1] == []
+    assert {kind for cls, kind, _ in arrivals if cls is Gateway} == {Interest}
+    assert {(kind, up) for cls, kind, up in arrivals if cls is SimNode} <= {
+        (Interest, False), (Data, True), (Nack, True)}
+
+
+STAR = {'nodes': [{'id': 'gw', 'parent': None}] + [{'id': f'n{i}', 'parent': 'gw'} for i in (1, 2, 3)]}
+
+
+def gateway_replies(name, **overrides):
+    """What the gateway of a three-device star sends for an Interest in ``name`` on its face 2."""
+    sim = Simulation(chain_scenario(topology=STAR, node={'proc_delay_us': 1234}, **overrides))
+    sent = []
+    sim.send_packet = lambda src, face, packet, t: sent.append((src.id, face, packet, t))
+    sim.nodes['gw'].on_frame(2, Interest(name, nonce=1), 5000)
+    return sim, sent
+
+
+def test_gateway_serves_a_published_name_on_the_arriving_face():
+    sc = chain_scenario()
+    base = BaseName(sc.deployment, sc.vendor, sc.device_class, sc.epoch)
+    for name in (base.manifest(), base.chunk(0), base.chunk(sc.chunk_count() - 1)):
+        sim, sent = gateway_replies(name)
+        assert sent == [('gw', 2, sim.repo.get(base).data(name), 5000 + 1234)]
+
+
+def unpublished_names():
+    sc = chain_scenario()
+    base = BaseName(sc.deployment, sc.vendor, sc.device_class, sc.epoch)
+    # an epoch that was never published, and a chunk past the published image's end
+    return [base._replace(epoch=sc.epoch + 1).manifest(), base.chunk(sc.chunk_count())]
+
+
+def test_gateway_sends_nothing_for_an_unpublished_name_when_nacks_are_off():
+    for name in unpublished_names():
+        assert gateway_replies(name)[1] == []
+
+
+def test_gateway_nacks_an_unpublished_name_when_nacks_are_on():
+    for name in unpublished_names():
+        _, sent = gateway_replies(name, nacks_enabled=True)
+        assert sent == [('gw', 2, Nack(name, "no-data"), 5000 + 1234)]
 
 
 def test_cascading_reduces_path_link_retransmissions():
@@ -875,8 +924,9 @@ def test_scenario_node_and_agent_values_reach_the_components():
             "install_delay_us": 11_000, "pit_capacity": 5, "cs_capacity": 9}
     hop = {"topology": {"nodes": CHAIN["nodes"][:2]}, "loss": {"per_transmission": 0, "collision": 0}}
     sim = Simulation(chain_scenario(**hop, node=node))
-    for n in sim.nodes.values():
-        assert (n.forwarder.pit_capacity, n.forwarder.cs.capacity) == (5, 9)
+    for dev in sim.scenario.topology.devices:
+        forwarder = sim.nodes[dev].forwarder
+        assert (forwarder.pit_capacity, forwarder.cs.capacity) == (5, 9)
     records = [(t, e, d) for (t, n, e, c, d) in sim.run().records if n == "n1"]
     phase = {d: t for t, e, d in records if e == "PhaseChange"}
     installed = next(t for t, e, d in records if e == "InstallComplete")
