@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import hmac as hmac_mod
 import random
-from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
@@ -36,15 +35,6 @@ SERVING = "Serving"
 MAX_TAG_FAILURES = 3
 
 
-@dataclass(slots=True)
-class InstalledFirmware:
-    """The device's flash regions: current image plus the retained backup."""
-
-    data: bytes
-    epoch: int
-    previous: bytes | None = None
-
-
 class UpdateAgent:
     def __init__(
         self,
@@ -53,14 +43,13 @@ class UpdateAgent:
         device_class: str,
         psk: bytes,
         vendor_key: Ed25519PublicKey,
-        installed: InstalledFirmware,
+        installed_epoch: int,
         rng: random.Random,
         emit=None,
     ):
         if scenario.strategy not in (CONCURRENT, CASCADING):
             raise ValueError(f"unknown strategy {scenario.strategy!r}")
         self.class_key = (scenario.deployment, scenario.vendor, device_class)
-        self.device_class = device_class
         self.psk = psk
         self.vendor_key = vendor_key
         self.strategy = scenario.strategy
@@ -76,8 +65,9 @@ class UpdateAgent:
         self.app_retx_base_us = int(params.app_retx_base_s * 1_000_000)
         self.app_retx_jitter_us = int(params.app_retx_jitter_s * 1_000_000)
         self.poll_period_us = int(scenario.poll_period_s * 1_000_000)
-        self.installed = installed
-        # the installed image with the tags it was verified against, served without re-tagging
+        self.installed_epoch = installed_epoch
+        # the installed image with the tags it was verified against, served without re-tagging;
+        # None while the device runs the image it shipped with, which it never serves
         self.serving: Publication | None = None
         self.rng = rng
         self._emit = emit or (lambda event, chunk_id, detail: None)
@@ -138,7 +128,7 @@ class UpdateAgent:
         if self.phase not in (IDLE, SERVING):
             return None
         target = align_epoch(wall_s, self.granularity)
-        if target <= self.installed.epoch or target in self.irrecoverable:
+        if target <= self.installed_epoch or target in self.irrecoverable:
             return None
         base = BaseName(*self.class_key, target)
         self._await_manifest(base.manifest(), f"poll:{target}")
@@ -158,7 +148,7 @@ class UpdateAgent:
             return False
         if name.base.class_key() != self.class_key:
             return False
-        if name.base.epoch <= self.installed.epoch or name.base.epoch in self.irrecoverable:
+        if name.base.epoch <= self.installed_epoch or name.base.epoch in self.irrecoverable:
             return False
         if self.phase not in (IDLE, SERVING):
             return False
@@ -329,12 +319,9 @@ class UpdateAgent:
         self._emit("TagFail", None, "digest-mismatch")
 
     def _install(self, now: int) -> None:
-        self.serving = transfer = self.transfer
-        m = transfer.manifest
-        transfer.image = bytes(transfer.image)
-        self.installed.previous = self.installed.data
-        self.installed.data = transfer.image
-        self.installed.epoch = m.base.epoch
+        self.serving = self.transfer
+        m = self.serving.manifest
+        self.installed_epoch = m.base.epoch
         self._clear_transfer()
         self.poll_at = now + self.poll_period_us
         self.install_time_us = now
@@ -367,10 +354,13 @@ class UpdateAgent:
         return (
             name.kind == CHUNK
             and name.base.class_key() == self.class_key
-            and name.base.epoch > self.installed.epoch
+            and name.base.epoch > self.installed_epoch
         )
 
     # -- scheduling ---------------------------------------------------------------
 
     def next_action_at(self) -> int | None:
+        """The agent's next deadline; None only in AwaitManifest or Fetching while its
+        request is in flight, and then the request holds a PIT entry with a local
+        consumer for the awaited name, so the node's forwarder has a deadline."""
         return self.poll_at if self.phase in (IDLE, SERVING) else self.due_at

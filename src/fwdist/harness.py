@@ -209,11 +209,6 @@ def open_metrics_csv(path: str | Path):
         raise MalformedCsv(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def load_metrics_csv(path: str | Path):
-    with open_metrics_csv(path) as fh:
-        return list(iter_csv_rows(fh))
-
-
 def progress_table(rows):
     """Per-node cumulative chunk count over time: yields (node, sim_time_us, total) per chunk."""
     counts: dict[str, int] = {}

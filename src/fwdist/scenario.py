@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 from .naming import EncodingModel, Granularity, MalformedName, _check_identifier
-from .topology import Topology, build_paper_topology, from_node_list, TopologyError
+from .topology import Topology, build_paper_topology, TopologyError
 from .vendor import TRUNCATION_LENGTHS
 
 STRATEGIES = ("concurrent", "cascading")
@@ -301,6 +301,7 @@ def _topology(raw) -> Topology:
         return build_paper_topology()
     _require(isinstance(raw, dict) and isinstance(raw.get("nodes"), list), "topology",
              f"'paper' or a node list, got {raw!r}")
+    parents: dict[str, str | None] = {}
     for i, item in enumerate(raw["nodes"]):
         fieldname = f"topology.nodes[{i}]"
         _require(isinstance(item, dict), fieldname, "expected an object")
@@ -312,11 +313,13 @@ def _topology(raw) -> Topology:
         # a lone surrogate, which JSON escapes can carry, is the one code point UTF-8 cannot hold
         _require(not any("\ud800" <= c <= "\udfff" for c in node_id), f"{fieldname}.id",
                  f"must be valid Unicode text: {node_id!r}")
+        _require(node_id not in parents, f"{fieldname}.id", f"duplicate node id {node_id!r}")
         parent = item.get("parent")
         _require(parent is None or isinstance(parent, str), f"{fieldname}.parent",
                  f"must be a node id or null, got {parent!r}")
+        parents[node_id] = parent
     try:
-        return from_node_list(raw["nodes"])
+        return Topology(parents)
     except TopologyError as exc:
         raise ScenarioInvalid("topology", str(exc)) from exc
 

@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import repeat
 from operator import or_, rshift
 
-from .agent import InstalledFirmware, UpdateAgent
+from .agent import UpdateAgent
 from .forwarder import (
     Aggregate,
     DeliverLocal,
@@ -267,8 +267,6 @@ class SimNode:
         agent_at = self.agent.next_action_at()
         if agent_at is not None and (deadline is None or agent_at < deadline):
             deadline = agent_at
-        if deadline is None:
-            return
         if deadline < now:
             deadline = now
         wake_at = self.wake_at
@@ -375,7 +373,7 @@ class Simulation:
                 device_class=cls,
                 psk=psks[cls],
                 vendor_key=vendor_public,
-                installed=InstalledFirmware(b"factory:" + dev.encode(), previous_epoch),
+                installed_epoch=previous_epoch,
                 rng=self.rng,
                 emit=self._agent_emitter(dev),
             )
@@ -575,15 +573,15 @@ class SimResult:
                 "first_chunk_recv_us": first,
                 "last_chunk_recv_us": last,
                 "fetch_span_us": None if first is None else last - first,
-                "installed_epoch": agent.installed.epoch,
+                "installed_epoch": agent.installed_epoch,
                 "aborted": aborted,
                 "net_retx": counts.get("NetRetx", 0),
                 "app_retx": counts.get("AppRetx", 0),
                 "link_retx": counts.get("LinkRetx", 0),
                 "tag_fail": counts.get("TagFail", 0),
                 "data_recv": counts.get("DataRecv", 0),
-                "installed_bytes": agent.installed.data,
-                "device_class": agent.device_class,
+                "installed_bytes": None if agent.serving is None else agent.serving.image,
+                "device_class": sim.scenario.device_class_of(dev),
             }
 
     def completed_nodes(self) -> list[str]:

@@ -91,14 +91,3 @@ def build_paper_topology() -> Topology:
             previous = name
     return Topology(parents)
 
-
-def from_node_list(nodes: list[dict]) -> Topology:
-    parents: dict[str, str | None] = {}
-    for item in nodes:
-        if "id" not in item:
-            raise TopologyError("topology nodes need an 'id' field")
-        node = item["id"]
-        if node in parents:
-            raise TopologyError(f"duplicate node id {node!r}")
-        parents[node] = item.get("parent")
-    return Topology(parents)

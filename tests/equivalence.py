@@ -9,12 +9,13 @@ into ``tests/equivalence.json``; ``tests/test_equivalence.py`` checks them.
 Re-record only for a change that alters behaviour on purpose, and say why
 in CHANGES.md.
 
-Every case is a 3-hop chain with an image of 640 to 6,400 bytes, run under
-both strategies at three seeds, so that the paths ``tests/test_golden.py``
-leaves out are locked: each attacker mode, both outage kinds, tag
+Every case is a 3-hop chain, or the 4-hop chain of the ``divert`` shape, with
+an image of 640 to 6,400 bytes, run under both strategies at three seeds, so
+that the paths ``tests/test_golden.py`` leaves out are locked: each attacker
+mode, both outage kinds, tag
 truncations of 16 and 32 bytes, multiparty publishing, a PIT of one entry,
-zero retry budgets, NACKs, node delays, heavy loss, no poll stagger and polls for
-an epoch that was never published.
+zero retry budgets, NACKs, node delays, heavy loss, no poll stagger, polls for
+an epoch that was never published and chunk diversion.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ DIGESTS_PATH = Path(__file__).with_name("equivalence.json")
 
 CHAIN3 = {"nodes": [{"id": "gw", "parent": None}, {"id": "n1", "parent": "gw"},
                     {"id": "n2", "parent": "n1"}, {"id": "n3", "parent": "n2"}]}
+CHAIN4 = {"nodes": CHAIN3["nodes"] + [{"id": "n4", "parent": "n3"}]}
 BASE = {"topology": CHAIN3, "image_size": 640, "chunk_size": 32, "duration_s": 1800}
 
 
@@ -70,6 +72,9 @@ SHAPES = {
     # the default epoch is off this grid, so every poll asks for an epoch that was never
     # published, and with NACKs off the gateway answers nothing
     "no-data": {"granularity": {"period_s": 86400, "offset_s": 0}, "poll_period_s": 300},
+    # concurrent at seed 3 diverts chunks into a fetching agent's buffer
+    "divert": {"topology": CHAIN4, "loss": {"per_transmission": 0.4, "collision": 0.9},
+               "poll_stagger_s": 0},
 }
 SEEDS = (1, 2, 3)
 

@@ -14,7 +14,6 @@ from fwdist.agent import (
     INSTALLING,
     SERVING,
     VERIFYING,
-    InstalledFirmware,
     UpdateAgent,
 )
 from fwdist.forwarder import UPSTREAM, Drop, Forward, Forwarder
@@ -46,7 +45,7 @@ def make_agent(strategy=CONCURRENT, installed_epoch=PREV, seed=5, events=None):
                         granularity=DAY, node=NODE)
     agent = UpdateAgent(
         scenario, device_class="c", psk=PSK, vendor_key=PUB,
-        installed=InstalledFirmware(b"factory", installed_epoch),
+        installed_epoch=installed_epoch,
         rng=random.Random(seed),
         emit=lambda ev, cid, detail: sink.append((ev, cid, detail)),
     )
@@ -407,15 +406,15 @@ def complete_fetch(agent, manifest, chunks, now=0):
     assert agent.phase == SERVING
 
 
-def test_install_retains_backup_and_serves():
+def test_install_serves_the_installed_image():
     agent, events = make_agent()
+    assert agent.serving is None  # the image a device ships with is never served
     img, manifest, chunks = make_firmware()
     start_fetch(agent, manifest)
     complete_fetch(agent, manifest, chunks)
     assert agent.phase == SERVING
-    assert agent.installed.data == img.data
-    assert agent.installed.previous == b"factory"
-    assert agent.installed.epoch == EPOCH
+    assert agent.serving.image == img.data
+    assert agent.installed_epoch == EPOCH
     assert ("InstallComplete", None, f"epoch:{EPOCH}") in events
 
 
@@ -503,7 +502,7 @@ def test_served_chunks_from_flash_equal_recomputed_tags():
     agent, img, manifest, _ = install_agent()
     for idx in range(manifest.chunk_count):
         served = agent.serve_lookup(manifest.base.chunk(idx))
-        payload = agent.installed.data[idx * 32 : (idx + 1) * 32]
+        payload = agent.serving.image[idx * 32 : (idx + 1) * 32]
         assert served.payload == payload
         assert served.auth == HmacTag(tag_chunk(manifest.base, idx, payload, PSK))
 

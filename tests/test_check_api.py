@@ -82,3 +82,18 @@ def test_main_prints_each_unnamed_definition_and_exits_1(tmp_path, capsys):
 
 def test_source_tree_has_no_api_that_nothing_names():
     assert check_api.main([str(ROOT / "src" / "fwdist")]) == 0
+
+
+def test_an_allowed_row_its_module_does_not_define_is_reported(tmp_path, capsys):
+    # a row outlives the definition it allowed; a row whose module is not in the tree is not stale
+    tree = {"cli": "def fwpub_main():\n    pass\n", "vendor": "def load():\n    return load\n"}
+    assert check_api.stale_allowed(tree) == [("vendor", "vendor.read_publication")]
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    for module, source in tree.items():
+        (pkg / f"{module}.py").write_text(source)
+    assert check_api.main([str(pkg)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{pkg / 'vendor.py'}: vendor.read_publication is allowed but not defined in {pkg}"]
+    (pkg / "vendor.py").write_text("def read_publication():\n    pass\n")
+    assert check_api.main([str(pkg)]) == 0

@@ -19,7 +19,7 @@ from fwdist.harness import (
     NoPayloadRoom,
     OverheadModel,
     iter_csv_rows,
-    load_metrics_csv,
+    open_metrics_csv,
     overhead_report,
     progress_table,
     rate_table,
@@ -184,7 +184,8 @@ def run_rows(tmp_path_factory):
     path = tmp / "scenario.json"
     path.write_text(json.dumps(chain_raw(image_size=1280)))
     run_scenario(path, out_dir=tmp / "out")
-    return load_metrics_csv(tmp / "out" / "metrics.csv")
+    with open_metrics_csv(tmp / "out" / "metrics.csv") as fh:
+        return list(iter_csv_rows(fh))
 
 
 def test_csv_timestamps_non_decreasing(run_rows):
@@ -334,8 +335,8 @@ CSV_FAULTS = {
 def test_cli_tables_malformed_csv_exit_2_and_write_nothing(tmp_path, capsys, kind, fault):
     csv = tmp_path / "metrics.csv"
     csv.write_bytes(CSV_FAULTS[fault])
-    with pytest.raises(MalformedCsv) as err:
-        load_metrics_csv(csv)
+    with pytest.raises(MalformedCsv) as err, open_metrics_csv(csv) as fh:
+        list(iter_csv_rows(fh))
     out = tmp_path / "table.csv"
     assert fwsim_main(["tables", str(csv), "--kind", kind, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {err.value}\n"
@@ -660,7 +661,8 @@ def test_cli_tables_read_back_every_accepted_node_id(node_id):
             out = Path(tmp) / f"{kind}.csv"
             assert _fwsim_quiet(["tables", str(Path(tmp) / "metrics.csv"), "--kind", kind,
                                  "--out", str(out)]) == 0
-        rows = load_metrics_csv(Path(tmp) / "metrics.csv")
+        with open_metrics_csv(Path(tmp) / "metrics.csv") as fh:
+            rows = list(iter_csv_rows(fh))
         assert {node for _, node, *_ in rows} == {node_id}
         assert len(list(progress_table(rows))) == 2  # both chunks of the image
 

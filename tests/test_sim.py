@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwdist.agent import FETCHING, UpdateAgent
+from equivalence import CASES as EQUIVALENCE_CASES
+from fwdist.agent import AWAIT_MANIFEST, FETCHING, UpdateAgent
 from fwdist.naming import BaseName, EncodingModel, FirmwareName, Granularity
 from fwdist.forwarder import UPSTREAM
 from fwdist.packets import Data, HmacTag, Interest, Nack, packet_size
@@ -573,6 +574,35 @@ def test_local_pit_entries_are_what_the_agent_awaits(shape, strategy, seed):
     assert checks.count("on_frame") > 20 and "take_request" in checks
 
 
+REARM_SHAPES = ("pit-capacity-1", "nacks", "zero-retries", "no-data", "outage-at", "heavy-loss")
+
+
+@pytest.mark.parametrize("case", sorted(name for name in EQUIVALENCE_CASES
+                                        if name.rsplit("-", 2)[0] in REARM_SHAPES))
+def test_a_device_always_has_a_deadline_to_rearm_for(case):
+    # the agent has no deadline only while its request is in flight, and that request
+    # holds a local PIT entry, whose retransmission deadline the forwarder reports
+    rearm = SimNode._rearm
+    waiting = []
+
+    def checked(node, now):
+        agent = node.agent
+        if agent.next_action_at() is None:
+            assert agent.phase in (AWAIT_MANIFEST, FETCHING), (node.id, agent.phase)
+            awaited = (agent.awaited_manifest if agent.phase == AWAIT_MANIFEST
+                       else agent.transfer.manifest.base.chunk(agent.cursor))
+            entry = node.forwarder.pit.get(awaited)
+            assert entry is not None and entry.local_consumer, (node.id, agent.phase, awaited)
+            assert node.forwarder.next_deadline() is not None
+            waiting.append(node.id)
+        rearm(node, now)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimNode, "_rearm", checked)
+        run_simulation(scenario_from_dict(EQUIVALENCE_CASES[case]))
+    assert waiting
+
+
 PAPER_SMALL = {'topology': 'paper', 'image_size': 320, 'duration_s': 600}
 INTEREST_SHAPES = {
     "paper-concurrent": lambda seed: chain_scenario(seed=seed, **PAPER_SMALL),
@@ -786,6 +816,8 @@ ATTACKER = {"edge": ["gw", "n1"], "mode": "forge_tag"}
     # a multiparty device's class "valve-a/b": MalformedName at set-up, naming no node
     ({"multiparty": True, "topology": {"nodes": [CHAIN["nodes"][0], {"id": "a/b", "parent": "gw"}]}},
      "topology.nodes[1].id"),
+    # was ScenarioInvalid("topology"), naming the block and not the node
+    ({"topology": {"nodes": CHAIN["nodes"] + [{"id": "n2", "parent": "gw"}]}}, "topology.nodes[4].id"),
 ])
 def test_attacker_outage_granularity_and_bounds_are_strict(override, field):
     with pytest.raises(ScenarioInvalid) as err:

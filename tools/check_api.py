@@ -9,8 +9,9 @@ on any line of the tree other than the line that defines it. So a name shared wi
 other use counts as named, and the check can miss dead API, but a definition it reports is
 named nowhere else. Dunder methods, which the language calls, are never reported, nor are
 the definitions in ``ALLOWED``, which a user or a script outside the tree reaches. Prints
-one ``path:line: module.qualname`` line per definition and exits 1 if there is any, 0
-otherwise. Needs only the standard library.
+one ``path:line: module.qualname`` line per definition, and one ``path: module.qualname``
+line per stale ``ALLOWED`` row, whose module is in the tree but defines no such name; exits
+1 if there is either, 0 otherwise. Needs only the standard library.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from pathlib import Path
 ALLOWED = {
     "cli.fwpub_main",  # the fwpub command
     "vendor.read_publication",  # how a device or a script loads what fwpub wrote
-    "harness.load_metrics_csv",  # read by the benchmark
 }
 
 
@@ -66,6 +66,15 @@ def unnamed_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     return sorted(found)
 
 
+def stale_allowed(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """``(module, row)`` of each ``ALLOWED`` row whose module is in ``sources`` (module ->
+    source) but defines no such name."""
+    defined = {f"{module}.{qualname}" for module, source in sources.items()
+               for _, qualname, _ in _definitions(ast.parse(source))}
+    return [(module, row) for row in sorted(ALLOWED - defined)
+            for module in sources if row.startswith(module + ".")]
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else "src/fwdist")
     paths = {".".join(path.relative_to(root).with_suffix("").parts): path
@@ -74,6 +83,9 @@ def main(argv: list[str]) -> int:
     status = 0
     for module, line, qualname in unnamed_definitions(sources):
         print(f"{paths[module]}:{line}: {module}.{qualname} is named nowhere else in {root}")
+        status = 1
+    for module, row in stale_allowed(sources):
+        print(f"{paths[module]}: {row} is allowed but not defined in {root}")
         status = 1
     return status
 
